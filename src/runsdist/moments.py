@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import (IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
                    convert_index, shift_factorial_moments, shift_raw_moments)
-from .pmf import pmf_recurrence_pg
+from .pmf import _pgf_inner_numerators, pmf_recurrence_pg
 from .special import binom, eulerian_poly, falling, hyp2f1, stirling2
 
 
@@ -464,9 +464,9 @@ def pgf_expansion_inner_reference(params: RunParams, j: int) -> Scalar:
     Kept as an independent reference for the recurrence used by
     :func:`factorial_moments_pgf`; the two are asserted equal in the tests.
     """
-    from .pmf import _pgf_expansion_inner
-
-    return _finalize(_pgf_expansion_inner(params, j)[j], params)
+    den_exp = (params.k + 1) * (j // (params.k + 1))
+    num = _pgf_inner_numerators(params, j, j)[0]
+    return _finalize(Fraction(num, params.exact_p().denominator ** den_exp), params)
 
 
 def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,

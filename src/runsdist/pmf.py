@@ -12,8 +12,11 @@ The alternating sums here cancel catastrophically in double precision (terms
 can exceed 1e10 while the result is below 1e-2), so every sum-type engine
 evaluates its terms in exact rational arithmetic internally, converting a
 float success probability to its exact binary value, and rounds once on
-return. Binomial coefficients follow the zero-on-negative-top convention
-throughout, which is the choice the enumeration oracle validates.
+return. No rational is built per term: each engine writes its terms as small
+integer brackets over powers of the denominator of ``p``, sums them with the
+one integer kernel :func:`~runsdist.special.homogeneous_horner`, and divides
+once at the end. Binomial coefficients follow the zero-on-negative-top
+convention throughout, which is the choice the enumeration oracle validates.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar, VariantSpec
-from .special import binom, hyp2f1
+from .special import binom, homogeneous_horner
 
 
 class PmfEngine(Enum):
@@ -126,10 +129,10 @@ def pmf_recurrence_ch(params: RunParams, n_max: int) -> PmfTable:
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     """Cut-scheme pmf by the O(n^2) double combinatorial sum.
 
-    The inner alternating bracket is a pure integer, and every outer term
-    shares the denominator ``den^(n+rk)`` of the exact success probability,
-    so the whole sum is accumulated as one integer numerator and divided
-    once at the end.
+    The inner alternating bracket is a pure integer, and the outer term ``i``
+    carries ``q^i p^(n+rk-i)``, so the outer sum is one integer-kernel call
+    with ``x = qn``, ``d = pn`` (numerators of ``q`` and ``p``) over the
+    common denominator ``den^(n+rk)``.
     """
     if n < 0:
         return _finalize(0, params)
@@ -141,14 +144,8 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     if n == 0:
         return _finalize(Fraction(pn ** rk, den ** rk), params)
     comb = math.comb
-    p_pows = [1] * (n + rk + 1)
-    q_pows = [1] * (n + 1)
-    for i in range(1, n + rk + 1):
-        p_pows[i] = p_pows[i - 1] * pn
+    outer = [0]  # the i = 0 bracket is C(n-1, -1) = 0
     for i in range(1, n + 1):
-        q_pows[i] = q_pows[i - 1] * qn
-    total = 0
-    for i in range(1, n + 1):  # the i = 0 bracket is C(n-1, -1) = 0
         bracket = 0
         bb = i - 1
         for j in range(i + 1):
@@ -157,9 +154,24 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
                 break
             c = comb(i, j) * comb(top, bb)
             bracket += -c if j & 1 else c
-        if bracket:
-            total += comb(r + i - 1, r - 1) * bracket * q_pows[i] * p_pows[n + rk - i]
+        outer.append(comb(r + i - 1, r - 1) * bracket)
+    total = pn ** rk * homogeneous_horner(outer, qn, pn)
     return _finalize(Fraction(total, den ** (n + rk)), params)
+
+
+def _nested_outer(params: RunParams, outer: list) -> Fraction:
+    """``p^rk sum_j (-1)^j outer[j] (p^k q)^j / den^r`` as one exact fraction.
+
+    ``outer[j]`` is the integer ``C(r+j-1, r-1)`` times the inner bracket
+    scaled by ``den^r``; the nested sum and its hypergeometric condensation
+    both end here.
+    """
+    k, r = params.k, params.r
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    signed = [-c if j & 1 else c for j, c in enumerate(outer)]
+    total = pn ** (r * k) * homogeneous_horner(signed, pn ** k * (den - pn), den ** (k + 1))
+    return Fraction(total, den ** (r * k + (len(outer) - 1) * (k + 1) + r))
 
 
 def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT,
@@ -181,15 +193,9 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
     if m == 0:
         return _finalize(Fraction(pn ** rk, den ** rk), params)
     comb = math.comb
-    j_max = (m - 1) // k
-    # with the inner bracket scaled by den^r, every term shares den^exp
-    exp = rk + j_max * (k + 1) + r
-    qi = [qn ** i * den ** (r - i) for i in range(r + 1)]
-    step_num = pn ** k * qn
-    step_den = den ** (k + 1)
-    scale = pn ** rk * step_den ** j_max  # pn^(rk+jk) qn^j den^((j_max-j)(k+1))
-    total = 0
-    for j in range(j_max + 1):
+    qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+    outer = []
+    for j in range((m - 1) // k + 1):
         top = m - j * k - 1
         if j - 1 > top:  # even the smallest bottom index exceeds the top
             break
@@ -202,20 +208,33 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
                 inner += comb(r, i) * comb(top, bottom) * qi[i]
                 if counter is not None:
                     counter.add()
-        if inner:
-            t = scale * comb(r + j - 1, r - 1) * inner
-            total += -t if j & 1 else t
-        if j < j_max:  # the division is exact only while den padding remains
-            scale = scale * step_num // step_den
-    return _finalize(Fraction(total, den ** exp), params)
+        outer.append(comb(r + j - 1, r - 1) * inner)
+    return _finalize(_nested_outer(params, outer), params)
+
+
+def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
+    """``sum_i t_i qpow[i]`` over the terms ``t_i`` of ``t * 2F1(a, b; c; .)``.
+
+    Each term follows from the previous by the 2F1 term ratio
+    ``(a+i)(b+i) / ((c+i)(i+1))``. The callers start at a binomial, so every
+    ``t_i`` is a product of two binomials and each division is exact.
+    """
+    total = 0
+    for i, qp in enumerate(qpow):
+        if not t:
+            break
+        total += t * qp
+        t = t * (a + i) * (b + i) // ((c + i) * (i + 1))
+    return total
 
 
 def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) -> Scalar:
     """Pmf by the hypergeometric condensation of the nested sum.
 
-    The inner bracket collapses to a terminating 2F1; the ``j = 0`` term uses
-    a separate two-parameter form because the general one would put 0 in the
-    2F1 denominator parameter.
+    The inner bracket collapses to ``C(m-jk-1, j-1) 2F1(jk+j-m, -r; j; q)``;
+    the ``j = 0`` term uses the separate form ``q r 2F1(1-m, 1-r; 2; q)``
+    because the general one would put 0 in the 2F1 denominator parameter.
+    The series run on integers (see :func:`_hyp2f1_scaled`).
     """
     k, r = params.k, params.r
     rk = r * k
@@ -223,72 +242,94 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     if m < 0:
         return _finalize(0, params)
     p = params.exact_p()
-    q = 1 - p
+    pn, den = p.numerator, p.denominator
     if m == 0:
-        return _finalize(p ** rk, params)
-    total = q * r * hyp2f1(1 - m, 1 - r, 2, q)
-    pk = p ** k
-    pjk = pk
-    qj = q
+        return _finalize(Fraction(pn ** rk, den ** rk), params)
+    qn = den - pn
+    qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+    outer = [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])]  # j = 0 carries q^(i+1)
     for j in range(1, (m - 1) // k + 1):
-        c2 = binom(m - j * k - 1, j - 1)
-        if c2:
-            term = (pjk * qj * binom(r + j - 1, r - 1) * c2
-                    * hyp2f1(j * k + j - m, -r, j, q))
-            total += -term if j & 1 else term
-        pjk *= pk
-        qj *= q
-    return _finalize(p ** rk * total, params)
+        top = m - j * k - 1
+        if top < j - 1:  # C(top, j-1) vanishes here and for every later j
+            break
+        outer.append(math.comb(r + j - 1, r - 1)
+                     * _hyp2f1_scaled(math.comb(top, j - 1), j - 1 - top, -r, j, qi))
+    return _finalize(_nested_outer(params, outer), params)
 
 
-def _pgf_expansion_inner(params: RunParams, j_max: int) -> list:
-    """Inner coefficients ``T_j`` of the generating-function expansion.
+def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
+    """Integer numerators of the inner coefficients ``T_lo .. T_hi``.
 
     ``T_j = sum_i (-1)^i q^i p^(ik) C(r+i-1, r-1) C(r+j-ik-1, r+i-1)`` with
-    ``i <= floor(j/(k+1))``; they do not depend on the target index, so range
-    evaluations compute them once.
+    ``i <= floor(j/(k+1))``, returned as ``T_j * den^((k+1) floor(j/(k+1)))``
+    from one integer-kernel call each. They do not depend on the target
+    index, so range evaluations compute them once.
     """
     k, r = params.k, params.r
     p = params.exact_p()
-    q = 1 - p
-    qpk = [q ** i * p ** (i * k) for i in range(j_max // (k + 1) + 1)]
-    out = []
-    for j in range(j_max + 1):
-        acc = Fraction(0)
+    pn, den = p.numerator, p.denominator
+    x, d = pn ** k * (den - pn), den ** (k + 1)
+    comb = math.comb
+    nums = []
+    for j in range(lo, hi + 1):
+        coeffs = []
         for i in range(j // (k + 1) + 1):
-            c = binom(r + i - 1, r - 1) * binom(r + j - i * k - 1, r + i - 1)
-            if c:
-                term = c * qpk[i]
-                acc += -term if i & 1 else term
-        out.append(acc)
-    return out
+            c = comb(r + i - 1, r - 1) * comb(r + j - i * k - 1, r + i - 1)
+            coeffs.append(-c if i & 1 else c)
+        nums.append(homogeneous_horner(coeffs, x, d))
+    return nums
 
 
-def _pgf_expansion_from_inner(params: RunParams, n: int, inner: list) -> Fraction:
+def _pgf_expansion_from_inner(params: RunParams, n: int, nums: list, lo: int) -> Fraction:
+    """Full-scheme pmf at ``n`` from the inner numerators ``nums[j - lo]``."""
     k, r = params.k, params.r
     v = n - r * k
     p = params.exact_p()
-    total = Fraction(0)
-    pd = 1
-    for d in range(min(r, v) + 1):
-        c = binom(r, d)
-        term = c * pd * inner[v - d]
-        total += -term if d & 1 else term
-        pd *= p
-    return p ** (r * k) * total
+    pn, den = p.numerator, p.denominator
+    e_top = v // (k + 1)
+    d = den ** (k + 1)
+    total = 0
+    for i in range(min(r, v) + 1):
+        # bring T_(v-i) to the denominator den^((k+1) e_top) and p^i to den^r
+        term = (math.comb(r, i) * pn ** i * den ** (r - i)
+                * d ** (e_top - (v - i) // (k + 1)) * nums[v - i - lo])
+        total += -term if i & 1 else term
+    return Fraction(pn ** (r * k) * total, den ** (r * k + r + (k + 1) * e_top))
 
 
 def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     """Full-scheme pmf as the coefficient of ``s^n`` in the r-th pgf power.
 
     Double alternating sum over the binomial expansion of the generating
-    function; the outer index only contributes on a window of width ``r+1``.
+    function; the outer index only contributes on a window of width ``r+1``,
+    so only the inner coefficients ``T_(v-r) .. T_v`` are computed.
     """
     v = n - params.r * params.k
     if v < 0:
         return _finalize(0, params)
-    inner = _pgf_expansion_inner(params, v)
-    return _finalize(_pgf_expansion_from_inner(params, n, inner), params)
+    lo = max(v - params.r, 0)
+    nums = _pgf_inner_numerators(params, lo, v)
+    return _finalize(_pgf_expansion_from_inner(params, n, nums, lo), params)
+
+
+def _type2_total(params: RunParams, lo: int, outer: list) -> Fraction:
+    """``sum_m outer[m-lo] p^(mk) q^(m-1) / den`` over ``m >= lo``, exactly.
+
+    ``outer[m-lo]`` holds the signed binomial weight times the bracket scaled
+    by ``den``. With ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms
+    the sum is ``x^lo H / (qn d^(lo+J))``, ``H`` one integer-kernel call.
+    Dividing by ``qn`` is exact: for ``lo >= 1`` ``x^lo`` carries it, and for
+    ``lo = 0`` the ``m = 0`` bracket is ``qn`` itself.
+    """
+    if not outer:
+        return Fraction(0)
+    k = params.k
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    qn = den - pn
+    x, d = pn ** k * qn, den ** (k + 1)
+    total = x ** lo * homogeneous_horner(outer, x, d) // qn
+    return Fraction(total, d ** (lo + len(outer) - 1))
 
 
 def pmf_muselli(params: RunParams, n: int,
@@ -306,22 +347,20 @@ def pmf_muselli(params: RunParams, n: int,
         raise ValueError("Type II pmf needs n >= 1")
     k, r = params.k, params.r
     p = params.exact_p()
-    q = 1 - p
     if r == 1 and n == k:
         return _finalize(p ** k, params)
-    total = Fraction(0)
+    pn, den = p.numerator, p.denominator
+    qn = den - pn
+    outer = []
     for m in range(r, (n + 1) // (k + 1) + 1):
-        c = binom(m - 1, r - 1)
-        if not c:
-            continue
+        t = n - m * k
         if form is MuselliForm.ORIGINAL:
-            bracket = binom(n - m * k - 1, m - 2) + q * binom(n - m * k - 1, m - 1)
+            bracket = den * binom(t - 1, m - 2) + qn * binom(t - 1, m - 1)
         else:
-            bracket = binom(n - m * k, m - 1) - p * binom(n - m * k - 1, m - 1)
-        if bracket:
-            term = c * p ** (m * k) * q ** (m - 1) * bracket
-            total += -term if (m - r) & 1 else term
-    return _finalize(total, params)
+            bracket = den * binom(t, m - 1) - pn * binom(t - 1, m - 1)
+        c = binom(m - 1, r - 1) * bracket
+        outer.append(-c if (m - r) & 1 else c)
+    return _finalize(_type2_total(params, r, outer), params)
 
 
 def counts_muselli(params: RunParams, n: int, r_count: int,
@@ -337,20 +376,18 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
         raise ValueError("r_count must be nonnegative")
     k = params.k
     p = params.exact_p()
-    q = 1 - p
-    total = Fraction(0)
+    pn, den = p.numerator, p.denominator
+    qn = den - pn
+    outer = []
     for m in range(r_count, (n + 1) // (k + 1) + 1):
-        c = binom(m, r_count)
-        if not c:
-            continue
+        t = n - m * k
         if form is MuselliForm.ORIGINAL:
-            bracket = binom(n - m * k, m - 1) + q * binom(n - m * k, m)
+            bracket = den * binom(t, m - 1) + qn * binom(t, m)
         else:
-            bracket = binom(n - m * k + 1, m) - p * binom(n - m * k, m)
-        if bracket:
-            term = c * p ** (m * k) * q ** (m - 1) * bracket
-            total += -term if (m - r_count) & 1 else term
-    return _finalize(total, params)
+            bracket = den * binom(t + 1, m) - pn * binom(t, m)
+        c = binom(m, r_count) * bracket
+        outer.append(-c if (m - r_count) & 1 else c)
+    return _finalize(_type2_total(params, r_count, outer), params)
 
 
 def support_min(params: RunParams, variant: VariantSpec = TYPE1,
@@ -456,17 +493,11 @@ def pmf_table(params: RunParams, engine: PmfEngine, n_min: int, n_max: int,
         return PmfTable(params, scheme, variant, n_min, tuple(vals))
 
     if engine is PmfEngine.PGF_EXPANSION:
-        top = cut_index(n_max)
-        inner = _pgf_expansion_inner(params, max(top, 0))
-        vals = []
-        for n in range(n_min, n_max + 1):
-            c = cut_index(n)
-            if c < 0:
-                vals.append(zero)
-            else:
-                vals.append(_finalize(
-                    _pgf_expansion_from_inner(params, c + params.r * params.k, inner),
-                    params))
+        rk = params.r * params.k
+        lo = max(cut_index(n_min) - params.r, 0)
+        nums = _pgf_inner_numerators(params, lo, cut_index(n_max))
+        vals = [_finalize(_pgf_expansion_from_inner(params, c + rk, nums, lo), params)
+                if (c := cut_index(n)) >= 0 else zero for n in range(n_min, n_max + 1)]
         return PmfTable(params, scheme, variant, n_min, tuple(vals))
 
     vals = [_type1_single(params, engine, c, counter) if (c := cut_index(n)) >= 0

@@ -44,6 +44,24 @@ def binom(a: int, b: int,
     return math.comb(a, b)
 
 
+def homogeneous_horner(coeffs, x: int, d: int) -> int:
+    """Exact ``sum_j coeffs[j] x^j d^(J-j)`` with ``J = len(coeffs) - 1``.
+
+    This is the integer numerator of ``sum_j coeffs[j] (x/d)^j`` over the
+    common denominator ``d^J``, so an alternating rational sum is evaluated
+    with plain integer additions and rounded by a single division. The
+    homogeneous Horner step ``acc = acc*d + coeffs[j]*x^j`` multiplies the
+    growing accumulator and power only by the fixed ``d`` and ``x`` or by one
+    coefficient; no rational is built per term. An empty list sums to 0.
+    """
+    acc = 0
+    xp = 1
+    for c in coeffs:
+        acc = acc * d + c * xp if c else acc * d
+        xp *= x
+    return acc
+
+
 def falling(a, j: int):
     """Falling factorial ``a (a-1) ... (a-j+1)``; equals 1 when ``j == 0``."""
     if j < 0:

@@ -144,6 +144,26 @@ class TestTermCounter:
                         pmf_nested_sum(params, n, C, counter)
                         assert counter.count <= (r + 1) * (1 + (n - 1) // k)
 
+    def test_exact_counts_pinned(self):
+        # the count is the number of (j, i) bracket terms with a nonzero
+        # binomial; the bench's pmf.nested-sum.terms metric reads it
+        for params, n, scheme, want in ((RunParams(2, 3, HALF), 41, C, 54),
+                                        (RunParams(1, 2, Fraction(1, 4)), 23, C, 34),
+                                        (RunParams(3, 4, 0.4), 1000, F, 1235)):
+            counter = TermCounter()
+            pmf_nested_sum(params, n, scheme, counter)
+            assert counter.count == want
+
+
+class TestDeepTail:
+    def test_pgf_expansion_matches_nested_sum_at_n1000(self):
+        # the single index computes only the r+1 inner coefficients it reads
+        params = RunParams(3, 4, 0.4)
+        want = pmf_nested_sum(params, 1000, F)
+        assert 0 < want < 1e-15
+        assert pmf_pgf_expansion(params, 1000) == want
+        assert pmf_hyp(params, 1000, F) == want
+
 
 class TestMuselli:
     def test_geometric_values(self):

@@ -7,7 +7,8 @@ import pytest
 from runsdist.special import (BinomConvention, EulerianTable, Hyp2F1Spec,
                               NonTerminatingSeries, ZeroDenominatorPochhammer,
                               binom, eulerian_number, eulerian_poly, falling,
-                              hyp2f1, hyp2f1_terminating, rising, stirling2)
+                              homogeneous_horner, hyp2f1, hyp2f1_terminating,
+                              rising, stirling2)
 
 ZERO = BinomConvention.ZERO_ON_NEGATIVE_TOP
 EXTEND = BinomConvention.EXTEND_NEGATIVE_TOP
@@ -160,3 +161,49 @@ class TestStirling2:
         for n in range(1, 12):
             for j in range(1, n + 1):
                 assert stirling2(n, j) == j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+
+
+def horner_naive(coeffs, x, d):
+    """``d^J sum_j coeffs[j] (x/d)^j`` by direct rational summation."""
+    J = len(coeffs) - 1
+    total = sum((Fraction(c) * Fraction(x, d) ** j for j, c in enumerate(coeffs)),
+                Fraction(0))
+    return total * Fraction(d) ** J
+
+
+class TestHomogeneousHorner:
+    def test_against_naive_rational_sum(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            J = rng.randint(0, 25)
+            bound = 10 ** rng.randint(0, 30)
+            coeffs = [rng.randint(-bound, bound) for _ in range(J + 1)]
+            x = rng.randint(1, 10 ** rng.randint(1, 20))
+            d = rng.randint(1, 10 ** rng.randint(1, 20))
+            got = homogeneous_horner(coeffs, x, d)
+            assert isinstance(got, int)
+            assert got == horner_naive(coeffs, x, d)
+
+    def test_single_coefficient(self):
+        # J = 0: neither x nor d enters
+        assert homogeneous_horner([7], 3, 5) == 7
+        assert homogeneous_horner([-4], 10 ** 20, 9) == -4
+
+    def test_empty_and_all_zero(self):
+        assert homogeneous_horner([], 3, 5) == 0
+        assert homogeneous_horner([0] * 12, 3, 5) == 0
+
+    def test_leading_and_trailing_zeros(self):
+        x, d = 6, 11
+        # leading zeros multiply the value by x per zero
+        assert homogeneous_horner([0, 0, 2, -3], x, d) == x ** 2 * (2 * d - 3 * x)
+        # trailing zeros multiply it by d per zero
+        assert homogeneous_horner([2, -3, 0, 0], x, d) == d ** 2 * (2 * d - 3 * x)
+        assert homogeneous_horner([0, 5, 0], x, d) == 5 * x * d
+
+    def test_alternating_binomial_cancellation(self):
+        # sum_j (-1)^j C(J, j) x^j d^(J-j) = (d - x)^J, even when d - x is tiny
+        for J in (1, 10, 60):
+            coeffs = [(-1) ** j * math.comb(J, j) for j in range(J + 1)]
+            assert homogeneous_horner(coeffs, 10 ** 9, 10 ** 9 + 1) == 1
+            assert homogeneous_horner(coeffs, 7, 3) == (-4) ** J
