@@ -4,33 +4,18 @@ Cross-verified engines for the pmf and the factorial, raw, and central
 moments of the waiting time for r success runs of length >= k, covering the
 nonoverlapping, failure-separated, ell-overlapping, and minimum-gap counting
 families, in double precision or exact rational arithmetic.
+
+The package exports the names the README documents and the types their
+signatures take; every engine, route and primitive stays reachable through
+its module (``runsdist.pmf``, ``runsdist.moments``, ``runsdist.roots``,
+``runsdist.oracle``, ``runsdist.special``). The identity-only reference forms
+live in ``runsdist.reference``, which is not re-exported.
 """
 
 __version__ = "0.1.0"
 
-from .core import (TYPE1, TYPE2, IndexScheme, MomentKind, MomentSet, PmfTable,
-                   RunParams, VariantSpec, convert_index,
-                   shift_factorial_moments, shift_raw_moments)
-from .moments import (CoeffKind, CoefficientFamily, MomentRoute, central_from_raw,
-                      central_moments, coeff_C, coeff_C_hyp, coeff_F, coeff_F_hyp,
-                      coeff_raw, coefficient_family, factorial_moments_partition,
-                      factorial_moments_pgf, factorial_moments_recurrence, mean,
-                      moments_by_summation, moments_from_table, moments_via_route,
-                      mu_factorial_truncated, raw_from_factorial,
-                      raw_moments_partition, skewness_kurtosis, summation_window,
-                      variance)
-from .oracle import (CountingMode, CountingSemantics, MonteCarloResult,
-                     brute_force_pmf, brute_force_run_count_dist,
-                     dp_waiting_time, dp_waiting_time_pmf, monte_carlo,
-                     sequence_waiting_time)
-from .pmf import (MuselliForm, PmfEngine, TermCounter, counts_muselli,
-                  pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
-                  pmf_pgf_expansion, pmf_recurrence_ch, pmf_recurrence_pg,
-                  pmf_table, support_min)
-from .roots import (RootCoefficients, RootSystem, aux_polynomial,
-                    factorial_moments_root, gap_moments, gap_pmf, geometric_pgf,
-                    geometric_pmf_recurrence, pgf_series, pmf_root_based,
-                    recover_coefficients, series_pmf, solve_roots)
-from .special import (BinomConvention, EulerianTable, Hyp2F1Spec, binom,
-                      eulerian_number, eulerian_poly, falling, hyp2f1,
-                      hyp2f1_terminating, rising, stirling2)
+from .core import IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, VariantSpec
+from .moments import MomentRoute, central_moments, mean, moments_via_route, variance
+from .oracle import (CountingMode, CountingSemantics, MonteCarloResult, brute_force_pmf,
+                     dp_waiting_time_pmf, monte_carlo)
+from .pmf import PmfEngine, TermCounter, pmf_table

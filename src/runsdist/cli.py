@@ -16,12 +16,11 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import TYPE1, IndexScheme, MomentKind, RunParams, VariantSpec
+from .core import IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
 from .moments import MomentRoute, mean, moments_via_route, variance
 from .oracle import CountingSemantics, monte_carlo
-from .pmf import (COUNT_ENGINES, MuselliForm, PmfEngine, counts_muselli,
-                  pmf_table)
-from .roots import factorial_moments_root, gap_moments, recover_coefficients, solve_roots
+from .pmf import ENGINES, EngineFamily, PmfEngine, pmf_table
+from .roots import factorial_moments_root, recover_coefficients, solve_roots
 
 ENGINE_IDS = tuple(e.value for e in PmfEngine)
 ROUTE_IDS = tuple(route.value for route in MomentRoute)
@@ -33,21 +32,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _parse_p(text: str, exact: bool):
-    try:
-        if "/" in text:
-            p = Fraction(text)
-        elif exact:
-            p = Fraction(text)
-        else:
-            p = float(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(f"--p: cannot parse {text!r}: {err}")
-    return p
-
-
 def _params(parser: argparse.ArgumentParser, args) -> RunParams:
-    p = _parse_p(args.p, getattr(args, "exact", False))
+    exact = "/" in args.p or args.exact
+    try:
+        p = Fraction(args.p) if exact else float(args.p)
+    except (ValueError, ZeroDivisionError) as err:
+        parser.error(f"--p: cannot parse {args.p!r}: {err}")
     try:
         return RunParams(args.k, args.r, p)
     except (TypeError, ValueError) as err:
@@ -95,33 +85,23 @@ def cmd_pmf(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
     variant = _variant(parser, args, params)
     engine = PmfEngine(args.engine)
+    spec = ENGINES[engine]
     scheme = IndexScheme(args.scheme)
     if args.n_max < args.n_min:
         parser.error("--n-max must be at least --n-min")
-    if params.exact and engine is PmfEngine.ROOT_BASED:
-        parser.error("--engine root-based is numeric only; drop --exact / fraction --p")
+    try:
+        if spec.family is EngineFamily.COUNTS:
+            spec.check(params, scheme, variant, args.n_min)
+            values = spec.evaluate(params, args.n_min, args.n_max, 0, None)
+        else:
+            values = pmf_table(params, engine, args.n_min, args.n_max,
+                               scheme=scheme, variant=variant).values
+    except ValueError as err:
+        parser.error(str(err))
 
-    rows = []
     base = dict(k=params.k, r=params.r, p=params.p, scheme=scheme.value,
                 variant=variant.describe(), engine=engine.value)
-    if engine in COUNT_ENGINES:
-        if not variant.type2:
-            parser.error(f"--engine {engine.value} requires --variant type2")
-        form = (MuselliForm.ORIGINAL if engine is PmfEngine.MUSELLI_COUNTS_ORIGINAL
-                else MuselliForm.ALT)
-        if args.n_min < 1:
-            parser.error("--n-min must be >= 1 for run-count engines")
-        for n in range(args.n_min, args.n_max + 1):
-            rows.append(dict(base, n=n,
-                             value=counts_muselli(params, n, params.r, form)))
-    else:
-        try:
-            table = pmf_table(params, engine, args.n_min, args.n_max,
-                              scheme=scheme, variant=variant)
-        except ValueError as err:
-            parser.error(str(err))
-        for n, v in table.items():
-            rows.append(dict(base, n=n, value=v))
+    rows = [dict(base, n=n, value=v) for n, v in enumerate(values, start=args.n_min)]
     _emit(rows, ("k", "r", "p", "scheme", "variant", "engine", "n", "value"),
           args.format)
     return 0
@@ -150,20 +130,14 @@ def cmd_moments(parser: argparse.ArgumentParser, args) -> int:
             system = solve_roots(params.to_float())
             coeffs = recover_coefficients(system, ell=variant.overlap)
             ms = factorial_moments_root(coeffs, order_max)
-        elif variant.is_gap:
-            if scheme is not IndexScheme.FULL:
-                parser.error("--variant gap requires --scheme full")
-            if kind is MomentKind.CENTRAL:
-                ms = moments_via_route(params, route, kind, scheme,
-                                       max(order_max, 4))
-            else:
-                base = moments_via_route(params, route, kind, IndexScheme.FULL,
-                                         order_max)
-                ms = gap_moments(params, variant.gap, order_max, kind, base)
-        elif kind is MomentKind.CENTRAL:
-            ms = moments_via_route(params, route, kind, scheme, max(order_max, 4))
         else:
-            ms = moments_via_route(params, route, kind, scheme, order_max)
+            if variant.is_gap and scheme is not IndexScheme.FULL:
+                parser.error("--variant gap requires --scheme full")
+            central = kind is MomentKind.CENTRAL
+            ms = moments_via_route(params, route, kind, scheme,
+                                   max(order_max, 4) if central else order_max)
+            if variant.is_gap and not central:
+                ms = shift_moments(ms, (params.r - 1) * variant.gap)
     except ValueError as err:
         parser.error(str(err))
 
@@ -205,7 +179,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args) -> int:
             parser.error(f"--engines: unknown engine {eng_id!r}; "
                          f"valid ids: {', '.join(ENGINE_IDS)}")
         engine = PmfEngine(eng_id)
-        if engine in COUNT_ENGINES:
+        if ENGINES[engine].family is EngineFamily.COUNTS:
             parser.error(f"--engines: {eng_id} is not a waiting-time engine")
         specs.append((engine, sch_val))
     if len(specs) < 2:

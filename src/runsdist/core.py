@@ -67,6 +67,10 @@ class RunParams:
         """
         return self.p if isinstance(self.p, Fraction) else Fraction(self.p)
 
+    def finalize(self, value) -> Scalar:
+        """An exact internal result in this mode: unchanged when exact, else rounded once."""
+        return value if self.exact else float(value)
+
     def to_float(self) -> "RunParams":
         return self if not self.exact else RunParams(self.k, self.r, float(self.p))
 
@@ -234,34 +238,21 @@ def convert_index(n: int, src: IndexScheme, dst: IndexScheme, params: RunParams)
     return n - rk if dst is IndexScheme.CUT else n + rk
 
 
-def shift_factorial_moments(cut_moments: MomentSet, params: RunParams) -> MomentSet:
-    """Cut-scheme factorial moments to full scheme.
+def shift_moments(ms: MomentSet, a: int) -> MomentSet:
+    """Full-scheme moments of ``X + a`` from the factorial or raw moments of ``X``.
 
-    The shift mixes orders: with ``a = r*k``,
-    ``M_full_(n) = sum_i C(n, i) M_cut_(n-i) (a)_(i)``,
-    where ``(a)_(i)`` is the falling factorial.
+    The shift mixes orders: factorial moments shift through falling
+    factorials, ``M_(n)(X+a) = sum_i C(n, i) M_(n-i)(X) (a)_(i)``, and raw
+    moments through plain powers ``a^i``. Shifting cut-scheme moments by
+    ``a = r*k`` gives the full scheme; shifting full-scheme moments by
+    ``(r-1) g`` gives the minimum-gap variant. Central moments do not move
+    under a shift and are rejected.
     """
-    if cut_moments.kind is not MomentKind.FACTORIAL:
-        raise ValueError("shift_factorial_moments needs factorial moments")
-    if cut_moments.scheme is not IndexScheme.CUT:
-        raise ValueError("shift_factorial_moments needs cut-scheme input")
-    a = params.r * params.k
+    if ms.kind is MomentKind.CENTRAL:
+        raise ValueError("central moments do not change under a shift")
+    power = falling if ms.kind is MomentKind.FACTORIAL else pow
     out = []
-    for n in range(1, cut_moments.order_max + 1):
-        out.append(sum(binom(n, i) * cut_moments.value(n - i) * falling(a, i)
+    for n in range(1, ms.order_max + 1):
+        out.append(sum(binom(n, i) * ms.value(n - i) * power(a, i)
                        for i in range(n + 1)))
-    return MomentSet(MomentKind.FACTORIAL, IndexScheme.FULL, tuple(out))
-
-
-def shift_raw_moments(cut_moments: MomentSet, params: RunParams) -> MomentSet:
-    """Cut-scheme raw moments to full scheme (binomial shift by ``r*k``)."""
-    if cut_moments.kind is not MomentKind.RAW:
-        raise ValueError("shift_raw_moments needs raw moments")
-    if cut_moments.scheme is not IndexScheme.CUT:
-        raise ValueError("shift_raw_moments needs cut-scheme input")
-    a = params.r * params.k
-    out = []
-    for n in range(1, cut_moments.order_max + 1):
-        out.append(sum(binom(n, i) * cut_moments.value(n - i) * a ** i
-                       for i in range(n + 1)))
-    return MomentSet(MomentKind.RAW, IndexScheme.FULL, tuple(out))
+    return MomentSet(ms.kind, IndexScheme.FULL, tuple(out))

@@ -11,14 +11,13 @@ rational arithmetic internally, like the sum-type pmf engines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .core import (IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
-                   convert_index, shift_factorial_moments, shift_raw_moments)
-from .pmf import _pgf_inner_numerators, pmf_recurrence_pg
-from .special import binom, eulerian_poly, falling, hyp2f1, stirling2
+                   convert_index, shift_moments)
+from .pmf import pmf_recurrence_pg
+from .special import binom, eulerian_poly, falling, stirling2
 
 
 class MomentRoute(Enum):
@@ -29,24 +28,6 @@ class MomentRoute(Enum):
     SUMMATION = "summation"
 
 
-class CoeffKind(Enum):
-    """Per-order coefficient families feeding the partition sums."""
-
-    FACTORIAL_CUT = "C"
-    FACTORIAL_FULL = "F"
-    RAW_CUT = "C~"
-    RAW_FULL = "F~"
-
-
-@dataclass(frozen=True)
-class CoefficientFamily:
-    kind: CoeffKind
-    values: tuple
-
-    def value(self, j: int) -> Scalar:
-        return self.values[j - 1]
-
-
 class NonConvergentTail(RuntimeError):
     """The truncated generating-function sum failed to meet its tail bound."""
 
@@ -54,10 +35,6 @@ class NonConvergentTail(RuntimeError):
 def _exact_pq(params: RunParams):
     p = params.exact_p()
     return p, 1 - p
-
-
-def _finalize(value, params: RunParams) -> Scalar:
-    return value if params.exact else float(value)
 
 
 def _coeff_factorial_cut(params: RunParams, j: int) -> Fraction:
@@ -100,26 +77,18 @@ def _coeff_raw_full(params: RunParams, j: int) -> Fraction:
     return chi / (q ** j * p ** k)
 
 
-_COEFF_FNS = {
-    CoeffKind.FACTORIAL_CUT: _coeff_factorial_cut,
-    CoeffKind.FACTORIAL_FULL: _coeff_factorial_full,
-    CoeffKind.RAW_CUT: _coeff_raw_cut,
-    CoeffKind.RAW_FULL: _coeff_raw_full,
-}
-
-
 def coeff_C(params: RunParams, j: int) -> Scalar:
     """Cut-scheme factorial coefficient; vanishes for ``j > k``."""
     if j < 1:
         raise ValueError("coefficient order must be >= 1")
-    return _finalize(_coeff_factorial_cut(params, j), params)
+    return params.finalize(_coeff_factorial_cut(params, j))
 
 
 def coeff_F(params: RunParams, j: int) -> Scalar:
     """Full-scheme factorial coefficient; nonzero at every order."""
     if j < 1:
         raise ValueError("coefficient order must be >= 1")
-    return _finalize(_coeff_factorial_full(params, j), params)
+    return params.finalize(_coeff_factorial_full(params, j))
 
 
 def coeff_raw(params: RunParams, j: int,
@@ -128,44 +97,7 @@ def coeff_raw(params: RunParams, j: int,
     if j < 1:
         raise ValueError("coefficient order must be >= 1")
     fn = _coeff_raw_cut if scheme is IndexScheme.CUT else _coeff_raw_full
-    return _finalize(fn(params, j), params)
-
-
-def coeff_C_hyp(params: RunParams, j: int) -> Scalar:
-    """Hypergeometric condensation of :func:`coeff_C` (identity-checked)."""
-    p, q = _exact_pq(params)
-    k = params.k
-    inner = p ** (j - 1) - (binom(k, j - 1) * p ** k * q ** (j - 1)
-                            * hyp2f1(1 - j, 1, k - j + 2, -p / q))
-    return _finalize(
-        math.factorial(j) / (q ** j * p ** k) * inner - falling(k, j), params)
-
-
-def coeff_F_hyp(params: RunParams, j: int) -> Scalar:
-    """Hypergeometric condensation of :func:`coeff_F` (identity-checked)."""
-    p, q = _exact_pq(params)
-    k = params.k
-    sign = -1 if (j - 1) & 1 else 1
-    inner = -p ** (k + j - 1) + (sign * binom(k + j - 2, j - 1) * q ** (j - 1)
-                                 * hyp2f1(1 - j, 1, 2 - j - k, -p / q))
-    return _finalize(math.factorial(j) / (q ** j * p ** k) * inner, params)
-
-
-def coefficient_family(params: RunParams, kind: CoeffKind, j_max: int) -> CoefficientFamily:
-    fn = _COEFF_FNS[kind]
-    return CoefficientFamily(kind, tuple(_finalize(fn(params, j), params)
-                                         for j in range(1, j_max + 1)))
-
-
-def mu_factorial_truncated(params: RunParams, j: int) -> Scalar:
-    """Factorial moment of the truncated run-length variable on ``[1, k]``.
-
-    This is the primitive the factorial-moment recurrence is built from; it
-    equals ``C_j p^k / (1 - p^k)`` and vanishes for ``j > k``.
-    """
-    p, _ = _exact_pq(params)
-    k = params.k
-    return _finalize(_coeff_factorial_cut(params, j) * p ** k / (1 - p ** k), params)
+    return params.finalize(fn(params, j))
 
 
 def factorial_moments_recurrence(params: RunParams, order_max: int) -> MomentSet:
@@ -185,7 +117,7 @@ def factorial_moments_recurrence(params: RunParams, order_max: int) -> MomentSet
             acc += binom(n, j) * (n + r * j - j) * cj[j] * m[n - j]
         m.append(acc / n)
     return MomentSet(MomentKind.FACTORIAL, IndexScheme.CUT,
-                     tuple(_finalize(v, params) for v in m[1:]))
+                     tuple(params.finalize(v) for v in m[1:]))
 
 
 def _weighted_partitions(n: int, max_part: int):
@@ -240,7 +172,7 @@ def factorial_moments_partition(params: RunParams, order_max: int,
           else _coeff_factorial_full)
     vals = _partition_values(params, order_max, fn)
     return MomentSet(MomentKind.FACTORIAL, scheme,
-                     tuple(_finalize(v, params) for v in vals))
+                     tuple(params.finalize(v) for v in vals))
 
 
 def raw_moments_partition(params: RunParams, order_max: int,
@@ -251,7 +183,7 @@ def raw_moments_partition(params: RunParams, order_max: int,
     fn = _coeff_raw_cut if scheme is IndexScheme.CUT else _coeff_raw_full
     vals = _partition_values(params, order_max, fn)
     return MomentSet(MomentKind.RAW, scheme,
-                     tuple(_finalize(v, params) for v in vals))
+                     tuple(params.finalize(v) for v in vals))
 
 
 def mean(params: RunParams, scheme: IndexScheme = IndexScheme.FULL) -> Scalar:
@@ -261,7 +193,7 @@ def mean(params: RunParams, scheme: IndexScheme = IndexScheme.FULL) -> Scalar:
     mu = r * (1 - p ** k) / (q * p ** k)
     if scheme is IndexScheme.CUT:
         mu -= r * k
-    return _finalize(mu, params)
+    return params.finalize(mu)
 
 
 def variance(params: RunParams) -> Scalar:
@@ -269,7 +201,7 @@ def variance(params: RunParams) -> Scalar:
     p, q = _exact_pq(params)
     k, r = params.k, params.r
     w = q * p ** k
-    return _finalize(r * (1 / w ** 2 - (2 * k + 1) / w - p / q ** 2), params)
+    return params.finalize(r * (1 / w ** 2 - (2 * k + 1) / w - p / q ** 2))
 
 
 def central_moments(params: RunParams, order_max: int = 4) -> MomentSet:
@@ -289,7 +221,7 @@ def central_moments(params: RunParams, order_max: int = 4) -> MomentSet:
                              + 3 * t[2] ** 2 + 4 * t[1] * t[3] + t[4])
     vals = (Fraction(0), var, m3, m4)[:order_max]
     return MomentSet(MomentKind.CENTRAL, IndexScheme.FULL,
-                     tuple(_finalize(v, params) for v in vals))
+                     tuple(params.finalize(v) for v in vals))
 
 
 def skewness_kurtosis(params: RunParams) -> tuple:
@@ -410,8 +342,8 @@ def factorial_moments_pgf(params: RunParams, order_max: int,
     # whose tail coefficients are all negative, so after cancelling the
     # numerator the coefficient stream comes from r chained all-positive
     # recurrences (one per pgf factor): cancellation-free, unlike the
-    # nested binomial double sum it equals (the double sum stays as a test
-    # reference).
+    # nested binomial double sum it equals (the double sum stays in
+    # runsdist.reference).
     w = [q * p ** (u - 1) for u in range(1, k + 1)]
     stages = [[] for _ in range(r + 1)]
     sums = [0.0] * (order_max + 1)
@@ -458,17 +390,6 @@ def factorial_moments_pgf(params: RunParams, order_max: int,
     return MomentSet(MomentKind.FACTORIAL, IndexScheme.FULL, vals)
 
 
-def pgf_expansion_inner_reference(params: RunParams, j: int) -> Scalar:
-    """The nested-binomial form of the pgf-expansion inner coefficient.
-
-    Kept as an independent reference for the recurrence used by
-    :func:`factorial_moments_pgf`; the two are asserted equal in the tests.
-    """
-    den_exp = (params.k + 1) * (j // (params.k + 1))
-    num = _pgf_inner_numerators(params, j, j)[0]
-    return _finalize(Fraction(num, params.exact_p().denominator ** den_exp), params)
-
-
 def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
                       scheme: IndexScheme, order_max: int,
                       tail_tol: float = 1e-10) -> MomentSet:
@@ -491,8 +412,7 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
         base = fact_cut if kind is MomentKind.FACTORIAL else raw_from_factorial(fact_cut)
         if scheme is IndexScheme.CUT:
             return base
-        return (shift_factorial_moments(base, params)
-                if kind is MomentKind.FACTORIAL else shift_raw_moments(base, params))
+        return shift_moments(base, params.r * params.k)
 
     if route is MomentRoute.PARTITION:
         if kind is MomentKind.CENTRAL:

@@ -6,7 +6,8 @@ O(n) nested sum, its hypergeometric condensation, a generating-function
 expansion, and the root-based engine that lives in :mod:`runsdist.roots`. Two
 further engines cover the at-least-one-failure-between-runs (Type II) family,
 each in two algebraic forms, plus the matching fixed-length run-count
-distribution.
+distribution. Each engine is one :class:`EngineSpec` record in
+:data:`ENGINES`, and :func:`pmf_table` and the CLI read only that record.
 
 The alternating sums here cancel catastrophically in double precision (terms
 can exceed 1e10 while the result is below 1e-2), so every sum-type engine
@@ -15,17 +16,18 @@ float success probability to its exact binary value, and rounds once on
 return. No rational is built per term: each engine writes its terms as small
 integer brackets over powers of the denominator of ``p``, sums them with the
 one integer kernel :func:`~runsdist.special.homogeneous_horner`, and divides
-once at the end. Binomial coefficients follow the zero-on-negative-top
-convention throughout, which is the choice the enumeration oracle validates.
+once at the end.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
-from .core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar, VariantSpec
+from .core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar, VariantSpec, convert_index
 from .special import binom, homogeneous_horner
 
 
@@ -45,20 +47,6 @@ class PmfEngine(Enum):
     MUSELLI_COUNTS_ALT = "muselli-counts-alt"
 
 
-TYPE1_ENGINES = (
-    PmfEngine.RECURRENCE_PG,
-    PmfEngine.RECURRENCE_CH,
-    PmfEngine.FULLSUM_CH,
-    PmfEngine.NESTED_SUM,
-    PmfEngine.HYP_SUM,
-    PmfEngine.PGF_EXPANSION,
-    PmfEngine.ROOT_BASED,
-)
-
-TYPE2_PMF_ENGINES = (PmfEngine.MUSELLI_ORIGINAL, PmfEngine.MUSELLI_ALT)
-COUNT_ENGINES = (PmfEngine.MUSELLI_COUNTS_ORIGINAL, PmfEngine.MUSELLI_COUNTS_ALT)
-
-
 class MuselliForm(Enum):
     ORIGINAL = "original"
     ALT = "alt"
@@ -74,10 +62,6 @@ class TermCounter:
 
     def add(self, n: int = 1) -> None:
         self.count += n
-
-
-def _finalize(value, params: RunParams) -> Scalar:
-    return value if params.exact else float(value)
 
 
 def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
@@ -135,14 +119,14 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     common denominator ``den^(n+rk)``.
     """
     if n < 0:
-        return _finalize(0, params)
+        return params.finalize(0)
     k, r = params.k, params.r
     rk = r * k
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     qn = den - pn
     if n == 0:
-        return _finalize(Fraction(pn ** rk, den ** rk), params)
+        return params.finalize(Fraction(pn ** rk, den ** rk))
     comb = math.comb
     outer = [0]  # the i = 0 bracket is C(n-1, -1) = 0
     for i in range(1, n + 1):
@@ -156,7 +140,7 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
             bracket += -c if j & 1 else c
         outer.append(comb(r + i - 1, r - 1) * bracket)
     total = pn ** rk * homogeneous_horner(outer, qn, pn)
-    return _finalize(Fraction(total, den ** (n + rk)), params)
+    return params.finalize(Fraction(total, den ** (n + rk)))
 
 
 def _nested_outer(params: RunParams, outer: list) -> Fraction:
@@ -186,12 +170,12 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
     rk = r * k
     m = n - rk if scheme is IndexScheme.FULL else n
     if m < 0:
-        return _finalize(0, params)
+        return params.finalize(0)
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     qn = den - pn
     if m == 0:
-        return _finalize(Fraction(pn ** rk, den ** rk), params)
+        return params.finalize(Fraction(pn ** rk, den ** rk))
     comb = math.comb
     qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
     outer = []
@@ -209,7 +193,7 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
                 if counter is not None:
                     counter.add()
         outer.append(comb(r + j - 1, r - 1) * inner)
-    return _finalize(_nested_outer(params, outer), params)
+    return params.finalize(_nested_outer(params, outer))
 
 
 def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
@@ -240,11 +224,11 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     rk = r * k
     m = n - rk if scheme is IndexScheme.FULL else n
     if m < 0:
-        return _finalize(0, params)
+        return params.finalize(0)
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     if m == 0:
-        return _finalize(Fraction(pn ** rk, den ** rk), params)
+        return params.finalize(Fraction(pn ** rk, den ** rk))
     qn = den - pn
     qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
     outer = [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])]  # j = 0 carries q^(i+1)
@@ -254,7 +238,7 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
             break
         outer.append(math.comb(r + j - 1, r - 1)
                      * _hyp2f1_scaled(math.comb(top, j - 1), j - 1 - top, -r, j, qi))
-    return _finalize(_nested_outer(params, outer), params)
+    return params.finalize(_nested_outer(params, outer))
 
 
 def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
@@ -280,21 +264,26 @@ def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
     return nums
 
 
-def _pgf_expansion_from_inner(params: RunParams, n: int, nums: list, lo: int) -> Fraction:
-    """Full-scheme pmf at ``n`` from the inner numerators ``nums[j - lo]``."""
+def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
+    """Full-scheme pmf at ``lo..hi`` (all ``>= r*k``), each inner numerator computed once."""
     k, r = params.k, params.r
-    v = n - r * k
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    e_top = v // (k + 1)
     d = den ** (k + 1)
-    total = 0
-    for i in range(min(r, v) + 1):
-        # bring T_(v-i) to the denominator den^((k+1) e_top) and p^i to den^r
-        term = (math.comb(r, i) * pn ** i * den ** (r - i)
-                * d ** (e_top - (v - i) // (k + 1)) * nums[v - i - lo])
-        total += -term if i & 1 else term
-    return Fraction(pn ** (r * k) * total, den ** (r * k + r + (k + 1) * e_top))
+    first = max(lo - r * k - r, 0)
+    nums = _pgf_inner_numerators(params, first, hi - r * k)
+    vals = []
+    for v in range(lo - r * k, hi - r * k + 1):
+        e_top = v // (k + 1)
+        total = 0
+        for i in range(min(r, v) + 1):
+            # bring T_(v-i) to the denominator den^((k+1) e_top) and p^i to den^r
+            term = (math.comb(r, i) * pn ** i * den ** (r - i)
+                    * d ** (e_top - (v - i) // (k + 1)) * nums[v - i - first])
+            total += -term if i & 1 else term
+        vals.append(params.finalize(
+            Fraction(pn ** (r * k) * total, den ** (r * k + r + (k + 1) * e_top))))
+    return vals
 
 
 def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
@@ -304,12 +293,9 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     function; the outer index only contributes on a window of width ``r+1``,
     so only the inner coefficients ``T_(v-r) .. T_v`` are computed.
     """
-    v = n - params.r * params.k
-    if v < 0:
-        return _finalize(0, params)
-    lo = max(v - params.r, 0)
-    nums = _pgf_inner_numerators(params, lo, v)
-    return _finalize(_pgf_expansion_from_inner(params, n, nums, lo), params)
+    if n < params.r * params.k:
+        return params.finalize(0)
+    return _pgf_expansion_values(params, n, n)[0]
 
 
 def _type2_total(params: RunParams, lo: int, outer: list) -> Fraction:
@@ -348,7 +334,7 @@ def pmf_muselli(params: RunParams, n: int,
     k, r = params.k, params.r
     p = params.exact_p()
     if r == 1 and n == k:
-        return _finalize(p ** k, params)
+        return params.finalize(p ** k)
     pn, den = p.numerator, p.denominator
     qn = den - pn
     outer = []
@@ -360,7 +346,7 @@ def pmf_muselli(params: RunParams, n: int,
             bracket = den * binom(t, m - 1) - pn * binom(t - 1, m - 1)
         c = binom(m - 1, r - 1) * bracket
         outer.append(-c if (m - r) & 1 else c)
-    return _finalize(_type2_total(params, r, outer), params)
+    return params.finalize(_type2_total(params, r, outer))
 
 
 def counts_muselli(params: RunParams, n: int, r_count: int,
@@ -387,7 +373,7 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
             bracket = den * binom(t + 1, m) - pn * binom(t, m)
         c = binom(m, r_count) * bracket
         outer.append(-c if (m - r_count) & 1 else c)
-    return _finalize(_type2_total(params, r_count, outer), params)
+    return params.finalize(_type2_total(params, r_count, outer))
 
 
 def support_min(params: RunParams, variant: VariantSpec = TYPE1,
@@ -405,15 +391,116 @@ def support_min(params: RunParams, variant: VariantSpec = TYPE1,
     return base if scheme is IndexScheme.FULL else base - r * k
 
 
-def _type1_single(params: RunParams, engine: PmfEngine, n_cut: int,
-                  counter: TermCounter | None):
-    if engine is PmfEngine.FULLSUM_CH:
-        return pmf_fullsum_ch(params, n_cut)
-    if engine is PmfEngine.NESTED_SUM:
-        return pmf_nested_sum(params, n_cut, IndexScheme.CUT, counter)
-    if engine is PmfEngine.HYP_SUM:
-        return pmf_hyp(params, n_cut, IndexScheme.CUT)
-    raise AssertionError(engine)
+class EngineFamily(Enum):
+    """What an engine evaluates."""
+
+    TYPE1 = "type1"    # the nonoverlapping waiting time; gap variants by index shift
+    TYPE2 = "type2"    # the failure-separated waiting time
+    COUNTS = "counts"  # P(exactly r Type II runs in n trials), not a waiting time
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """One pmf engine: what it evaluates, in which scheme and mode, and how.
+
+    ``evaluate(params, lo, hi, ell, counter)`` returns the engine's values at
+    the native indices ``lo..hi`` of ``scheme``, all at or above
+    :meth:`first_index`; ``ell`` is the run overlap, which only an engine
+    with ``overlap`` reach reads. Evaluators look the engine functions up when
+    called, so a module attribute replaced at run time is the one that runs.
+    """
+
+    engine: PmfEngine
+    scheme: IndexScheme
+    family: EngineFamily
+    evaluate: Callable
+    exact: bool = True
+    overlap: bool = False
+    form: MuselliForm | None = None
+
+    @property
+    def type1_only(self) -> bool:
+        """Evaluates the nonoverlapping family alone, so its support starts at ``r*k``."""
+        return self.family is EngineFamily.TYPE1 and not self.overlap
+
+    def first_index(self, params: RunParams) -> int:
+        """Smallest native index the evaluator takes; the table reads 0 below it."""
+        return support_min(params, TYPE1, self.scheme) if self.type1_only else 1
+
+    def check(self, params: RunParams, scheme: IndexScheme, variant: VariantSpec,
+              n_min: int) -> None:
+        """Raise ``ValueError`` for a request that has no meaning for this engine."""
+        name = self.engine.value
+        variant.check_against(params)
+        if variant.type2 != (self.family is not EngineFamily.TYPE1):
+            raise ValueError(f"{name} evaluates the {self.family.value} family, "
+                             f"not the {variant.describe()} variant")
+        if variant.is_overlap and not self.overlap:
+            raise ValueError(f"{name} has no overlapping-run form; use root-based")
+        if params.exact and not self.exact:
+            raise ValueError(f"{name} is numeric only; use a float p")
+        # the cut scheme counts from r*k, the support start of type1 alone
+        if scheme is IndexScheme.CUT and (not self.type1_only or not variant.is_type1):
+            raise ValueError(f"{name} with the {variant.describe()} variant is "
+                             "defined for the full scheme only")
+        if self.family is not EngineFamily.TYPE1 and n_min < 1:
+            raise ValueError(f"{name} needs n_min >= 1")
+
+
+def _root_values(params: RunParams, lo: int, hi: int, ell: int,
+                 counter: TermCounter | None) -> list:
+    """One root solve and coefficient recovery, then the root sum at each index."""
+    from . import roots
+
+    coeffs = roots.recover_coefficients(roots.solve_roots(params), ell=ell)
+    return [roots.pmf_root_based(coeffs, n, counter=counter) for n in range(lo, hi + 1)]
+
+
+def _type2(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
+    """The Type II waiting-time engine of one Muselli form."""
+    return EngineSpec(engine, IndexScheme.FULL, EngineFamily.TYPE2, form=form, evaluate=(
+        lambda params, lo, hi, ell, counter:
+        [pmf_muselli(params, n, form) for n in range(lo, hi + 1)]))
+
+
+def _counts(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
+    """The run-count engine of one Muselli form; ``params.r`` is the run count."""
+    return EngineSpec(engine, IndexScheme.FULL, EngineFamily.COUNTS, form=form, evaluate=(
+        lambda params, lo, hi, ell, counter:
+        [counts_muselli(params, n, params.r, form) for n in range(lo, hi + 1)]))
+
+
+ENGINES = {spec.engine: spec for spec in (
+    EngineSpec(
+        PmfEngine.RECURRENCE_PG, IndexScheme.FULL, EngineFamily.TYPE1,
+        lambda params, lo, hi, ell, counter:
+            list(pmf_recurrence_pg(params, hi).values[lo - params.r * params.k:])),
+    EngineSpec(
+        PmfEngine.RECURRENCE_CH, IndexScheme.CUT, EngineFamily.TYPE1,
+        lambda params, lo, hi, ell, counter: list(pmf_recurrence_ch(params, hi).values[lo:])),
+    EngineSpec(
+        PmfEngine.FULLSUM_CH, IndexScheme.CUT, EngineFamily.TYPE1,
+        lambda params, lo, hi, ell, counter:
+            [pmf_fullsum_ch(params, n) for n in range(lo, hi + 1)]),
+    EngineSpec(
+        PmfEngine.NESTED_SUM, IndexScheme.CUT, EngineFamily.TYPE1,
+        lambda params, lo, hi, ell, counter:
+            [pmf_nested_sum(params, n, IndexScheme.CUT, counter) for n in range(lo, hi + 1)]),
+    EngineSpec(
+        PmfEngine.HYP_SUM, IndexScheme.CUT, EngineFamily.TYPE1,
+        lambda params, lo, hi, ell, counter:
+            [pmf_hyp(params, n, IndexScheme.CUT) for n in range(lo, hi + 1)]),
+    EngineSpec(
+        PmfEngine.PGF_EXPANSION, IndexScheme.FULL, EngineFamily.TYPE1,
+        lambda params, lo, hi, ell, counter: _pgf_expansion_values(params, lo, hi)),
+    EngineSpec(
+        PmfEngine.ROOT_BASED, IndexScheme.FULL, EngineFamily.TYPE1, _root_values,
+        exact=False, overlap=True),
+    _type2(PmfEngine.MUSELLI_ORIGINAL, MuselliForm.ORIGINAL),
+    _type2(PmfEngine.MUSELLI_ALT, MuselliForm.ALT),
+    _counts(PmfEngine.MUSELLI_COUNTS_ORIGINAL, MuselliForm.ORIGINAL),
+    _counts(PmfEngine.MUSELLI_COUNTS_ALT, MuselliForm.ALT),
+)}
 
 
 def pmf_table(params: RunParams, engine: PmfEngine, n_min: int, n_max: int,
@@ -422,84 +509,20 @@ def pmf_table(params: RunParams, engine: PmfEngine, n_min: int, n_max: int,
               counter: TermCounter | None = None) -> PmfTable:
     """Evaluate any waiting-time engine over ``[n_min, n_max]``.
 
-    Handles index conversion into each engine's native scheme, pads exact
-    zeros below the support, applies the gap shift for ``variant.is_gap``,
-    and rejects engine/scheme/variant combinations that have no meaning.
+    Rejects engine/scheme/variant combinations that have no meaning (see
+    :meth:`EngineSpec.check`), maps each index into the engine's native
+    scheme after the gap shift of ``variant``, pads exact zeros below the
+    engine's first index, and evaluates the rest in one call.
     """
     if n_max < n_min:
         raise ValueError("n_max must be at least n_min")
-    if engine in COUNT_ENGINES:
+    spec = ENGINES[engine]
+    if spec.family is EngineFamily.COUNTS:
         raise ValueError(f"{engine.value} is a run-count engine, not a waiting-time pmf")
-    variant.check_against(params)
-    zero = Fraction(0) if params.exact else 0.0
-
-    if engine in TYPE2_PMF_ENGINES:
-        if not variant.type2:
-            raise ValueError(f"{engine.value} requires the type2 variant")
-        if scheme is not IndexScheme.FULL:
-            raise ValueError("Type II pmf is defined for the full scheme only")
-        if n_min < 1:
-            raise ValueError("Type II pmf needs n_min >= 1")
-        form = (MuselliForm.ORIGINAL if engine is PmfEngine.MUSELLI_ORIGINAL
-                else MuselliForm.ALT)
-        vals = [pmf_muselli(params, n, form) for n in range(n_min, n_max + 1)]
-        return PmfTable(params, scheme, variant, n_min, tuple(vals))
-
-    if variant.type2:
-        raise ValueError(f"{engine.value} computes the Type I family, not type2")
-
-    if engine is PmfEngine.ROOT_BASED:
-        from . import roots
-
-        if scheme is not IndexScheme.FULL:
-            raise ValueError("root-based engine is defined for the full scheme only")
-        if params.exact:
-            raise ValueError("root-based engine is numeric; use float parameters")
-        ell = max(variant.overlap, 0)
-        system = roots.solve_roots(params)
-        coeffs = roots.recover_coefficients(system, ell=ell)
-        shift = (params.r - 1) * variant.gap
-        vals = []
-        for n in range(n_min, n_max + 1):
-            m = n - shift
-            vals.append(roots.pmf_root_based(coeffs, m, counter=counter)
-                        if m >= 1 else 0.0)
-        return PmfTable(params, scheme, variant, n_min, tuple(vals))
-
-    if variant.is_overlap:
-        raise ValueError(f"{engine.value} has no overlapping-run form; use root-based")
-    if variant.is_gap and scheme is not IndexScheme.FULL:
-        raise ValueError("gap variant is defined for the full scheme only")
-
-    gap_shift = (params.r - 1) * variant.gap
-
-    def cut_index(n: int) -> int:
-        base = n - gap_shift
-        return base - params.r * params.k if scheme is IndexScheme.FULL else base
-
-    if engine in (PmfEngine.RECURRENCE_PG, PmfEngine.RECURRENCE_CH):
-        top = cut_index(n_max)
-        if top < 0:
-            vals = [zero] * (n_max - n_min + 1)
-            return PmfTable(params, scheme, variant, n_min, tuple(vals))
-        if engine is PmfEngine.RECURRENCE_PG:
-            native = pmf_recurrence_pg(params, top + params.r * params.k)
-            lookup = lambda c: native.value(c + params.r * params.k)
-        else:
-            native = pmf_recurrence_ch(params, top)
-            lookup = lambda c: native.value(c)
-        vals = [lookup(c) if (c := cut_index(n)) >= 0 else zero
-                for n in range(n_min, n_max + 1)]
-        return PmfTable(params, scheme, variant, n_min, tuple(vals))
-
-    if engine is PmfEngine.PGF_EXPANSION:
-        rk = params.r * params.k
-        lo = max(cut_index(n_min) - params.r, 0)
-        nums = _pgf_inner_numerators(params, lo, cut_index(n_max))
-        vals = [_finalize(_pgf_expansion_from_inner(params, c + rk, nums, lo), params)
-                if (c := cut_index(n)) >= 0 else zero for n in range(n_min, n_max + 1)]
-        return PmfTable(params, scheme, variant, n_min, tuple(vals))
-
-    vals = [_type1_single(params, engine, c, counter) if (c := cut_index(n)) >= 0
-            else zero for n in range(n_min, n_max + 1)]
-    return PmfTable(params, scheme, variant, n_min, tuple(vals))
+    spec.check(params, scheme, variant, n_min)
+    shift = (params.r - 1) * variant.gap
+    lo, hi = (convert_index(n - shift, scheme, spec.scheme, params) for n in (n_min, n_max))
+    first = max(lo, spec.first_index(params))
+    pad = [Fraction(0) if params.exact else 0.0] * (min(first, hi + 1) - lo)
+    vals = spec.evaluate(params, first, hi, max(variant.overlap, 0), counter) if first <= hi else []
+    return PmfTable(params, scheme, variant, n_min, tuple(pad + vals))

@@ -23,14 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
-                   Scalar, VariantSpec)
+                   Scalar, VariantSpec, shift_moments)
 from .moments import (factorial_moments_partition, raw_moments_partition)
 from .pmf import TermCounter, support_min
-from .special import binom, falling, hyp2f1
-
-
-class PoleAtS(ZeroDivisionError):
-    """The generating function was evaluated at a pole."""
+from .special import binom, hyp2f1
 
 
 class RootToleranceExceeded(RuntimeError):
@@ -43,45 +39,6 @@ class IllConditionedSystem(RuntimeError):
 
 class ValidationFailed(RuntimeError):
     """Recovered coefficients do not reproduce the reference pmf."""
-
-
-def geometric_pgf(params: RunParams, s):
-    """Generating function of the single-run (r = 1) waiting time.
-
-    ``p^k s^k (1 - p s) / (1 - s + q p^k s^(k+1))``; total mass gives
-    exactly 1 at ``s = 1``. Works for rational, float, or complex ``s``.
-    """
-    k = params.k
-    p, q = params.p, params.q
-    den = 1 - s + q * p ** k * s ** (k + 1)
-    if den == 0:
-        raise PoleAtS(f"generating function has a pole at s={s!r}")
-    return p ** k * s ** k * (1 - p * s) / den
-
-
-def geometric_pmf_recurrence(params: RunParams, n_max: int) -> PmfTable:
-    """Single-run pmf by its order-k recurrence (full scheme, r = 1).
-
-    ``f(n) = q f(n-1) + p q f(n-2) + ... + p^(k-1) q f(n-k)`` with
-    ``f(k) = p^k`` and zero below.
-    """
-    if params.r != 1:
-        raise ValueError("geometric_pmf_recurrence is the r = 1 case")
-    k = params.k
-    p, q = params.p, params.q
-    if n_max < k:
-        raise ValueError(f"n_max must be at least k = {k}")
-    w = [p ** j * q for j in range(k)]
-    values = [0] * (n_max + 1)
-    values[k] = p ** k
-    for n in range(k + 1, n_max + 1):
-        acc = 0
-        for j in range(1, k + 1):
-            prev = values[n - j]
-            if prev:
-                acc += w[j - 1] * prev
-        values[n] = acc
-    return PmfTable(params, IndexScheme.FULL, TYPE1, k, tuple(values[k:]))
 
 
 def aux_polynomial(params: RunParams) -> tuple:
@@ -399,14 +356,5 @@ def gap_moments(params: RunParams, g: int, order_max: int, kind: MomentKind,
         raise ValueError("base moments must be full-scheme of the requested kind")
     if base.order_max < order_max:
         raise ValueError("base moments cover too few orders")
-    shift = (params.r - 1) * g
-    out = []
-    for n in range(1, order_max + 1):
-        if kind is MomentKind.FACTORIAL:
-            val = sum(binom(n, i) * base.value(n - i) * falling(shift, i)
-                      for i in range(n + 1))
-        else:
-            val = sum(binom(n, i) * base.value(n - i) * shift ** i
-                      for i in range(n + 1))
-        out.append(val)
-    return MomentSet(kind, IndexScheme.FULL, tuple(out))
+    base = MomentSet(kind, IndexScheme.FULL, base.values[:order_max])
+    return shift_moments(base, (params.r - 1) * g)

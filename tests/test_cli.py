@@ -51,6 +51,15 @@ class TestPmfCommand:
                              "--engine", "recurrence-pg")
         assert code == 2
 
+    def test_unparseable_p_exits_2(self, capsys):
+        for text in ("abc", "1/0"):
+            code, _, err = run_cli(capsys, "pmf", "--k", "2", "--r", "1", "--p", text,
+                                   "--n-min", "2", "--n-max", "3",
+                                   "--engine", "recurrence-pg")
+            assert code == 2
+            assert "Traceback" not in err
+            assert "--p" in err
+
     def test_overlap_too_large_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--k", "2", "--r", "1", "--p", "0.5",
                              "--n-min", "2", "--n-max", "3",
@@ -91,6 +100,14 @@ class TestPmfCommand:
                                "--variant", "type2")
         assert code == 0
         assert out.strip().splitlines()[1].endswith(",3/8")
+
+    def test_counts_engine_rejects_cut_scheme(self, capsys):
+        code, out, _ = run_cli(capsys, "pmf", "--k", "2", "--r", "1", "--p", "1/2",
+                               "--n-min", "3", "--n-max", "3",
+                               "--engine", "muselli-counts-alt",
+                               "--variant", "type2", "--scheme", "cut")
+        assert code == 2
+        assert out == ""
 
 
 class TestMomentsCommand:

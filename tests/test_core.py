@@ -4,7 +4,7 @@ import pytest
 
 from runsdist.core import (IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
                            TYPE1, VariantSpec, convert_index,
-                           shift_factorial_moments, shift_raw_moments)
+                           shift_moments)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 
@@ -107,7 +107,7 @@ class TestMomentShifts:
         params = RunParams(3, 2, Fraction(2, 5))
         rk = 6
         cut = MomentSet(MomentKind.FACTORIAL, C, (Fraction(7, 2), Fraction(19, 3)))
-        full = shift_factorial_moments(cut, params)
+        full = shift_moments(cut, params.r * params.k)
         assert full.value(1) == cut.value(1) + rk
         assert full.value(2) == cut.value(2) + 2 * rk * cut.value(1) + rk * (rk - 1)
 
@@ -115,7 +115,7 @@ class TestMomentShifts:
         params = RunParams(3, 2, Fraction(2, 5))
         rk = 6
         cut = MomentSet(MomentKind.RAW, C, (Fraction(7, 2), Fraction(19, 3)))
-        full = shift_raw_moments(cut, params)
+        full = shift_moments(cut, params.r * params.k)
         assert full.value(1) == cut.value(1) + rk
         assert full.value(2) == cut.value(2) + 2 * rk * cut.value(1) + rk ** 2
 
@@ -123,21 +123,15 @@ class TestMomentShifts:
         # k = 1, r = 1, p = 1/2: cut mean 1 shifts to the full mean 2
         params = RunParams(1, 1, Fraction(1, 2))
         cut = MomentSet(MomentKind.FACTORIAL, C, (Fraction(1),))
-        assert shift_factorial_moments(cut, params).value(1) == 2
+        assert shift_moments(cut, params.r * params.k).value(1) == 2
 
     def test_waiting_time_mean_shift(self):
         # k = 2, r = 1, p = 1/2: cut raw mean 4 shifts to the full mean 6
         params = RunParams(2, 1, Fraction(1, 2))
         cut = MomentSet(MomentKind.RAW, C, (Fraction(4),))
-        assert shift_raw_moments(cut, params).value(1) == 6
+        assert shift_moments(cut, params.r * params.k).value(1) == 6
 
     def test_shift_validates_input(self):
-        params = RunParams(2, 1, 0.5)
-        raw_cut = MomentSet(MomentKind.RAW, C, (1.0,))
-        fact_full = MomentSet(MomentKind.FACTORIAL, F, (1.0,))
+        central = MomentSet(MomentKind.CENTRAL, F, (0.0,))
         with pytest.raises(ValueError):
-            shift_factorial_moments(raw_cut, params)
-        with pytest.raises(ValueError):
-            shift_factorial_moments(fact_full, params)
-        with pytest.raises(ValueError):
-            shift_raw_moments(fact_full, params)
+            shift_moments(central, 2)

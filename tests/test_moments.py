@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from runsdist.core import IndexScheme, MomentKind, RunParams, shift_factorial_moments
-from runsdist.moments import (CoeffKind, MomentRoute, NonConvergentTail,
+from runsdist.core import IndexScheme, MomentKind, RunParams, shift_moments
+from runsdist.moments import (MomentRoute, NonConvergentTail,
                               central_moments, coeff_C,
-                              coeff_C_hyp, coeff_F, coeff_F_hyp, coeff_raw,
-                              coefficient_family, factorial_moments_partition,
+                              coeff_F, coeff_raw,
+                              factorial_moments_partition,
                               factorial_moments_pgf, factorial_moments_recurrence,
                               mean, moments_by_summation, moments_from_table,
-                              moments_via_route, mu_factorial_truncated,
-                              pgf_expansion_inner_reference, raw_from_factorial,
+                              moments_via_route, raw_from_factorial,
                               raw_moments_partition, skewness_kurtosis, variance)
 from runsdist.pmf import pmf_recurrence_pg
+from runsdist.reference import (coeff_C_hyp, coeff_F_hyp, mu_factorial_truncated,
+                                pgf_expansion_inner_reference)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 HALF = Fraction(1, 2)
@@ -68,9 +69,9 @@ class TestCoefficients:
                 assert mu_factorial_truncated(params, j) == want
 
     def test_family_container(self):
-        fam = coefficient_family(RunParams(2, 1, HALF), CoeffKind.FACTORIAL_FULL, 3)
-        assert fam.value(1) == 6
-        assert fam.value(2) == -20
+        params = RunParams(2, 1, HALF)
+        assert coeff_F(params, 1) == 6
+        assert coeff_F(params, 2) == -20
 
 
 class TestFactorialMomentRoutes:
@@ -94,7 +95,7 @@ class TestFactorialMomentRoutes:
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
             cut = factorial_moments_recurrence(params, 6)
-            shifted = shift_factorial_moments(cut, params)
+            shifted = shift_moments(cut, params.r * params.k)
             full = factorial_moments_partition(params, 6, F)
             assert shifted.values == full.values
 

@@ -5,7 +5,7 @@ import pytest
 from runsdist.core import IndexScheme, RunParams, VariantSpec
 from runsdist.oracle import (CountingMode, CountingSemantics,
                              brute_force_run_count_dist, dp_waiting_time_pmf)
-from runsdist.pmf import (MuselliForm, PmfEngine, TermCounter, counts_muselli,
+from runsdist.pmf import (ENGINES, MuselliForm, PmfEngine, TermCounter, counts_muselli,
                           pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
                           pmf_pgf_expansion, pmf_recurrence_ch, pmf_recurrence_pg,
                           pmf_table, support_min)
@@ -264,6 +264,10 @@ class TestDispatcher:
                       variant=VariantSpec.type_ii())
         with pytest.raises(ValueError):
             pmf_table(params.to_exact(), PmfEngine.ROOT_BASED, 1, 5)
+
+    def test_engine_table_has_one_record_per_engine(self):
+        assert list(ENGINES) == list(PmfEngine)
+        assert all(spec.engine is engine for engine, spec in ENGINES.items())
 
     def test_root_engine_table(self):
         params = RunParams(2, 2, 0.5)

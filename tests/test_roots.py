@@ -9,9 +9,10 @@ from runsdist.moments import (central_from_raw, factorial_moments_partition,
                               raw_moments_partition, variance)
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
 from runsdist.pmf import TermCounter, pmf_recurrence_pg
-from runsdist.roots import (PoleAtS, aux_polynomial,
+from runsdist.reference import PoleAtS, geometric_pgf, geometric_pmf_recurrence
+from runsdist.roots import (aux_polynomial,
                             factorial_moments_root, gap_moments, gap_pmf,
-                            geometric_pgf, geometric_pmf_recurrence, pgf_series,
+                            pgf_series,
                             pmf_root_based, recover_coefficients, series_pmf,
                             solve_roots)
 
