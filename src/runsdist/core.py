@@ -71,6 +71,14 @@ class RunParams:
         """An exact internal result in this mode: unchanged when exact, else rounded once."""
         return value if self.exact else float(value)
 
+    def ratio(self, num: int, den: int) -> Scalar:
+        """The exact quotient ``num / den`` of two integers in this mode.
+
+        Float mode rounds the quotient once, correctly, with the same bits as
+        ``float(Fraction(num, den))`` but without reducing the fraction first.
+        """
+        return Fraction(num, den) if self.exact else num / den
+
     def to_float(self) -> "RunParams":
         return self if not self.exact else RunParams(self.k, self.r, float(self.p))
 

@@ -1,7 +1,9 @@
 """Independent ground truth for every engine.
 
 Three layers, deliberately dumb: a forward dynamic program over the run-state
-machine (exact in rational mode), a 2^n brute force that scans every
+machine (exact in rational mode, where it carries every mass as an integer
+over a power of the denominator of ``p`` and builds one fraction per
+absorbed entry), a 2^n brute force that scans every
 sequence (the oracle for the oracle), and a vectorized Monte Carlo driven by
 the Philox counter-based generator (named so results are reproducible across
 machines). All three speak every counting semantics: nonoverlapping
@@ -15,6 +17,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,21 +107,29 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
     Forward DP over (runs done, run progress, cooldown, saturated); the
     cooldown counter decrements on every trial regardless of outcome, and a
     Type II run stays saturated (extra successes do not re-credit) until a
-    failure re-arms it.
+    failure re-arms it. In exact mode every mass after ``t`` trials is kept
+    as an integer over ``den^t`` (``den`` the denominator of ``p``), so a
+    trial multiplies by the numerators of ``p`` and ``q`` and a cooldown
+    trial by ``den``; one fraction is built per absorbed entry.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k, r = params.k, params.r
-    p, q = params.p, params.q
+    if params.exact:
+        den = params.p.denominator
+        p, q, stay = params.p.numerator, den - params.p.numerator, den
+    else:
+        p, q, stay = params.p, params.q, 1
     mode = semantics.mode
     states = {(0, 0, 0, False): 1}
     absorbed = []
+    scale = 1
     for _ in range(n_max):
         new = defaultdict(int)
         hit = 0
         for (runs, prog, cool, sat), mass in states.items():
             if cool:
-                new[(runs, 0, cool - 1, False)] += mass
+                new[(runs, 0, cool - 1, False)] += mass * stay
                 continue
             new[(runs, 0, 0, False)] += mass * q
             win = mass * p
@@ -138,9 +149,14 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
                     new[(runs + 1, 0, 0, False)] += win
             else:
                 new[(runs, prog + 1, 0, False)] += win
-        absorbed.append(hit)
         states = dict(new)
+        if params.exact:
+            scale *= stay
+            hit = Fraction(hit, scale) if hit else 0
+        absorbed.append(hit)
     deficit = sum(states.values())
+    if params.exact:
+        deficit = Fraction(deficit, scale)
     table = PmfTable(params, IndexScheme.FULL, semantics.to_variant(), 1,
                      tuple(absorbed))
     return table, deficit

@@ -16,7 +16,11 @@ float success probability to its exact binary value, and rounds once on
 return. No rational is built per term: each engine writes its terms as small
 integer brackets over powers of the denominator of ``p``, sums them with the
 one integer kernel :func:`~runsdist.special.homogeneous_horner`, and divides
-once at the end.
+once at the end (:meth:`~runsdist.core.RunParams.ratio`). Where neighbouring
+terms are binomials or products of binomials, as in the double sum and the
+nested sum, each is stepped from the last by one small exact ratio instead of
+being computed afresh, so a deep index costs a few big binomials and O(n)-bit
+small-factor steps.
 """
 
 from __future__ import annotations
@@ -113,9 +117,12 @@ def pmf_recurrence_ch(params: RunParams, n_max: int) -> PmfTable:
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     """Cut-scheme pmf by the O(n^2) double combinatorial sum.
 
-    The inner alternating bracket is a pure integer, and the outer term ``i``
-    carries ``q^i p^(n+rk-i)``, so the outer sum is one integer-kernel call
-    with ``x = qn``, ``d = pn`` (numerators of ``q`` and ``p``) over the
+    The inner bracket ``sum_j (-1)^j C(i, j) C(n-jk-1, i-1)`` is a pure
+    integer. It is filled column by column: for each ``j`` the term steps
+    along ``i`` by one small ratio, so the O(n^2/k) terms cost one pair of
+    big binomials per ``j``. The outer term ``i`` carries
+    ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so the outer sum is one integer-kernel
+    call with ``x = qn``, ``d = pn`` (numerators of ``q`` and ``p``) over the
     common denominator ``den^(n+rk)``.
     """
     if n < 0:
@@ -126,36 +133,41 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     pn, den = p.numerator, p.denominator
     qn = den - pn
     if n == 0:
-        return params.finalize(Fraction(pn ** rk, den ** rk))
-    comb = math.comb
-    outer = [0]  # the i = 0 bracket is C(n-1, -1) = 0
+        return params.ratio(pn ** rk, den ** rk)
+    bracket = [0] * (n + 1)  # the i = 0 bracket is C(n-1, -1) = 0
+    for j in range(n // k + 1):
+        top = n - j * k - 1
+        first = j or 1
+        if top < first - 1:  # tops fall with j, so every later column vanishes
+            break
+        t = math.comb(first, j) * math.comb(top, first - 1)
+        if j & 1:
+            t = -t
+        for i in range(first, top + 2):  # C(top, i-1) vanishes past i = top + 1
+            bracket[i] += t
+            # C(i+1, j) C(top, i) from C(i, j) C(top, i-1); the quotient is exact
+            t = t * ((i + 1) * (top - i + 1)) // ((i + 1 - j) * i)
+    w = 1  # C(r+i-1, r-1), stepped along i
     for i in range(1, n + 1):
-        bracket = 0
-        bb = i - 1
-        for j in range(i + 1):
-            top = n - j * k - 1
-            if top < bb:  # tops fall with j, so every later term vanishes
-                break
-            c = comb(i, j) * comb(top, bb)
-            bracket += -c if j & 1 else c
-        outer.append(comb(r + i - 1, r - 1) * bracket)
-    total = pn ** rk * homogeneous_horner(outer, qn, pn)
-    return params.finalize(Fraction(total, den ** (n + rk)))
+        w = w * (r + i - 1) // i
+        bracket[i] *= w
+    total = pn ** rk * homogeneous_horner(bracket, qn, pn)
+    return params.ratio(total, den ** (n + rk))
 
 
-def _nested_outer(params: RunParams, outer: list) -> Fraction:
-    """``p^rk sum_j (-1)^j outer[j] (p^k q)^j / den^r`` as one exact fraction.
+def _nested_outer(params: RunParams, outer: list) -> tuple:
+    """``p^rk sum_j (-1)^j outer[j] (p^k q)^j / den^r`` as an integer pair.
 
     ``outer[j]`` is the integer ``C(r+j-1, r-1)`` times the inner bracket
     scaled by ``den^r``; the nested sum and its hypergeometric condensation
-    both end here.
+    both end here. Returns the numerator and denominator of the value.
     """
     k, r = params.k, params.r
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     signed = [-c if j & 1 else c for j, c in enumerate(outer)]
     total = pn ** (r * k) * homogeneous_horner(signed, pn ** k * (den - pn), den ** (k + 1))
-    return Fraction(total, den ** (r * k + (len(outer) - 1) * (k + 1) + r))
+    return total, den ** (r * k + (len(outer) - 1) * (k + 1) + r)
 
 
 def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT,
@@ -175,25 +187,30 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
     pn, den = p.numerator, p.denominator
     qn = den - pn
     if m == 0:
-        return params.finalize(Fraction(pn ** rk, den ** rk))
-    comb = math.comb
-    qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+        return params.ratio(pn ** rk, den ** rk)
+    # C(r, i) q^i scaled by den^r
+    cq = [math.comb(r, i) * qn ** i * den ** (r - i) for i in range(r + 1)]
     outer = []
+    w = 1  # C(r+j-1, r-1), stepped along j
     for j in range((m - 1) // k + 1):
         top = m - j * k - 1
         if j - 1 > top:  # even the smallest bottom index exceeds the top
             break
-        inner = 0
-        for i in range(r + 1):
-            bottom = j + i - 1
-            if bottom > top:
-                break
-            if bottom >= 0:
-                inner += comb(r, i) * comb(top, bottom) * qi[i]
-                if counter is not None:
-                    counter.add()
-        outer.append(comb(r + j - 1, r - 1) * inner)
-    return params.finalize(_nested_outer(params, outer))
+        first = 0 if j else 1  # the first i whose bottom j+i-1 is >= 0
+        last = min(r, top - j + 1)  # the last i whose bottom is <= top
+        b = j + first - 1
+        t = math.comb(top, b)
+        inner = t * cq[first]
+        for i in range(first + 1, last + 1):
+            t = t * (top - b) // (b + 1)  # C(top, b+1) from C(top, b)
+            b += 1
+            inner += t * cq[i]
+        if counter is not None:
+            counter.add(last - first + 1)
+        if j:
+            w = w * (r + j - 1) // j
+        outer.append(w * inner)
+    return params.ratio(*_nested_outer(params, outer))
 
 
 def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
@@ -208,7 +225,7 @@ def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
         if not t:
             break
         total += t * qp
-        t = t * (a + i) * (b + i) // ((c + i) * (i + 1))
+        t = t * ((a + i) * (b + i)) // ((c + i) * (i + 1))
     return total
 
 
@@ -228,7 +245,7 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     if m == 0:
-        return params.finalize(Fraction(pn ** rk, den ** rk))
+        return params.ratio(pn ** rk, den ** rk)
     qn = den - pn
     qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
     outer = [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])]  # j = 0 carries q^(i+1)
@@ -238,7 +255,7 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
             break
         outer.append(math.comb(r + j - 1, r - 1)
                      * _hyp2f1_scaled(math.comb(top, j - 1), j - 1 - top, -r, j, qi))
-    return params.finalize(_nested_outer(params, outer))
+    return params.ratio(*_nested_outer(params, outer))
 
 
 def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
@@ -281,8 +298,7 @@ def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
             term = (math.comb(r, i) * pn ** i * den ** (r - i)
                     * d ** (e_top - (v - i) // (k + 1)) * nums[v - i - first])
             total += -term if i & 1 else term
-        vals.append(params.finalize(
-            Fraction(pn ** (r * k) * total, den ** (r * k + r + (k + 1) * e_top))))
+        vals.append(params.ratio(pn ** (r * k) * total, den ** (r * k + r + (k + 1) * e_top)))
     return vals
 
 
@@ -298,8 +314,8 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     return _pgf_expansion_values(params, n, n)[0]
 
 
-def _type2_total(params: RunParams, lo: int, outer: list) -> Fraction:
-    """``sum_m outer[m-lo] p^(mk) q^(m-1) / den`` over ``m >= lo``, exactly.
+def _type2_total(params: RunParams, lo: int, outer: list) -> tuple:
+    """``sum_m outer[m-lo] p^(mk) q^(m-1) / den`` over ``m >= lo`` as an integer pair.
 
     ``outer[m-lo]`` holds the signed binomial weight times the bracket scaled
     by ``den``. With ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms
@@ -308,14 +324,14 @@ def _type2_total(params: RunParams, lo: int, outer: list) -> Fraction:
     ``lo = 0`` the ``m = 0`` bracket is ``qn`` itself.
     """
     if not outer:
-        return Fraction(0)
+        return 0, 1
     k = params.k
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     qn = den - pn
     x, d = pn ** k * qn, den ** (k + 1)
     total = x ** lo * homogeneous_horner(outer, x, d) // qn
-    return Fraction(total, d ** (lo + len(outer) - 1))
+    return total, d ** (lo + len(outer) - 1)
 
 
 def pmf_muselli(params: RunParams, n: int,
@@ -346,7 +362,7 @@ def pmf_muselli(params: RunParams, n: int,
             bracket = den * binom(t, m - 1) - pn * binom(t - 1, m - 1)
         c = binom(m - 1, r - 1) * bracket
         outer.append(-c if (m - r) & 1 else c)
-    return params.finalize(_type2_total(params, r, outer))
+    return params.ratio(*_type2_total(params, r, outer))
 
 
 def counts_muselli(params: RunParams, n: int, r_count: int,
@@ -373,7 +389,7 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
             bracket = den * binom(t + 1, m) - pn * binom(t, m)
         c = binom(m, r_count) * bracket
         outer.append(-c if (m - r_count) & 1 else c)
-    return params.finalize(_type2_total(params, r_count, outer))
+    return params.ratio(*_type2_total(params, r_count, outer))
 
 
 def support_min(params: RunParams, variant: VariantSpec = TYPE1,
@@ -423,9 +439,16 @@ class EngineSpec:
         """Evaluates the nonoverlapping family alone, so its support starts at ``r*k``."""
         return self.family is EngineFamily.TYPE1 and not self.overlap
 
-    def first_index(self, params: RunParams) -> int:
-        """Smallest native index the evaluator takes; the table reads 0 below it."""
-        return support_min(params, TYPE1, self.scheme) if self.type1_only else 1
+    def first_index(self, params: RunParams, ell: int) -> int:
+        """Smallest native index the evaluator takes; the table reads 0 below it.
+
+        For the nonoverlapping family this is the support start of run
+        overlap ``ell`` (a gap variant reaches the evaluator as ``ell = 0``
+        after its index shift); the other families start at trial 1.
+        """
+        if self.family is not EngineFamily.TYPE1:
+            return 1
+        return support_min(params, VariantSpec(overlap=ell), self.scheme)
 
     def check(self, params: RunParams, scheme: IndexScheme, variant: VariantSpec,
               n_min: int) -> None:
@@ -512,7 +535,9 @@ def pmf_table(params: RunParams, engine: PmfEngine, n_min: int, n_max: int,
     Rejects engine/scheme/variant combinations that have no meaning (see
     :meth:`EngineSpec.check`), maps each index into the engine's native
     scheme after the gap shift of ``variant``, pads exact zeros below the
-    engine's first index, and evaluates the rest in one call.
+    engine's first index (the support start of the family it evaluates, for
+    the root-based engine that of the requested overlap), and evaluates the
+    rest in one call.
     """
     if n_max < n_min:
         raise ValueError("n_max must be at least n_min")
@@ -522,7 +547,8 @@ def pmf_table(params: RunParams, engine: PmfEngine, n_min: int, n_max: int,
     spec.check(params, scheme, variant, n_min)
     shift = (params.r - 1) * variant.gap
     lo, hi = (convert_index(n - shift, scheme, spec.scheme, params) for n in (n_min, n_max))
-    first = max(lo, spec.first_index(params))
+    ell = max(variant.overlap, 0)
+    first = max(lo, spec.first_index(params, ell))
     pad = [Fraction(0) if params.exact else 0.0] * (min(first, hi + 1) - lo)
-    vals = spec.evaluate(params, first, hi, max(variant.overlap, 0), counter) if first <= hi else []
+    vals = spec.evaluate(params, first, hi, ell, counter) if first <= hi else []
     return PmfTable(params, scheme, variant, n_min, tuple(pad + vals))

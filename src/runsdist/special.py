@@ -6,9 +6,12 @@ the pmf engines disagree about negative upper arguments, and this is the
 choice the enumeration oracle validates. The terminating Gauss
 hypergeometric series rejects arguments whose series would not terminate or
 would divide by zero. :func:`homogeneous_horner` is the one integer kernel
-behind every exact alternating pmf sum. Everything in this module is pure and
-exact: integer arguments produce integers, :class:`~fractions.Fraction`
-arguments stay exact, floats and complex values work as well.
+behind every exact alternating pmf sum; it combines halves of the sum by
+binary splitting, so a long sum costs a few balanced big-integer products
+rather than one long-by-short product per term. Everything in this module is
+pure and exact: integer arguments produce integers,
+:class:`~fractions.Fraction` arguments stay exact, floats and complex values
+work as well.
 """
 
 from __future__ import annotations
@@ -27,22 +30,45 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+_HORNER_LEAF = 16  # below this many coefficients plain Horner beats splitting
+
+
 def homogeneous_horner(coeffs, x: int, d: int) -> int:
     """Exact ``sum_j coeffs[j] x^j d^(J-j)`` with ``J = len(coeffs) - 1``.
 
     This is the integer numerator of ``sum_j coeffs[j] (x/d)^j`` over the
     common denominator ``d^J``, so an alternating rational sum is evaluated
-    with plain integer additions and rounded by a single division. The
-    homogeneous Horner step ``acc = acc*d + coeffs[j]*x^j`` multiplies the
-    growing accumulator and power only by the fixed ``d`` and ``x`` or by one
-    coefficient; no rational is built per term. An empty list sums to 0.
+    with plain integer additions and rounded by a single division; no
+    rational is built per term. An empty list sums to 0.
+
+    The sum is split in halves, ``H(lo..hi) = H(lo..mid) d^(hi-mid) +
+    x^(mid-lo) H(mid..hi)``, so the big products pair operands of similar
+    size instead of multiplying a long power by each short coefficient in
+    turn. Each power of ``x`` and ``d`` is computed once per call, and short
+    runs use the homogeneous Horner step ``acc = acc*d + coeffs[j]*x^j``.
     """
-    acc = 0
-    xp = 1
-    for c in coeffs:
-        acc = acc * d + c * xp if c else acc * d
-        xp *= x
-    return acc
+    coeffs = list(coeffs)
+    xpow: dict = {}
+    dpow: dict = {}
+
+    def split(lo: int, hi: int) -> int:
+        if hi - lo <= _HORNER_LEAF:
+            acc = 0
+            xp = 1
+            for c in coeffs[lo:hi]:
+                acc = acc * d + c * xp if c else acc * d
+                xp *= x
+            return acc
+        mid = (lo + hi) // 2
+        nx, nd = mid - lo, hi - mid
+        if nx not in xpow:
+            xpow[nx] = x ** nx
+        if nd not in dpow:
+            dpow[nd] = d ** nd
+        return split(lo, mid) * dpow[nd] + xpow[nx] * split(mid, hi)
+
+    return split(0, len(coeffs))
+
 
 
 def falling(a, j: int):

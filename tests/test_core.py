@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,34 @@ class TestRunParams:
         assert params.to_exact().to_float() == params
         # exact_p of a float is its exact binary value
         assert RunParams(1, 1, 0.1).exact_p() == Fraction(0.1)
+
+
+class TestRatio:
+    def test_exact_mode_is_the_fraction(self):
+        params = RunParams(2, 1, Fraction(1, 3))
+        got = params.ratio(6 * 10 ** 40, 9 * 10 ** 40)
+        assert isinstance(got, Fraction) and got == Fraction(2, 3)
+
+    def test_float_mode_rounds_like_fraction(self):
+        params = RunParams(2, 1, 0.5)
+        rng = random.Random(20261019)
+        subnormal = 0
+        for _ in range(400):
+            num_bits = rng.randint(1, 20000)
+            # quotients near 2^-shift: ordinary values, then the subnormal
+            # range down to the underflow to zero
+            shift = rng.choice((rng.randint(-2, 60), rng.randint(1015, 1080)))
+            num = rng.getrandbits(num_bits)
+            den = rng.getrandbits(num_bits + shift) | 1
+            got = params.ratio(num, den)
+            exact = Fraction(num, den)
+            assert type(got) is float
+            assert got == float(exact)
+            # correctly rounded: no neighbouring double is closer
+            for other in (math.nextafter(got, 0.0), math.nextafter(got, 1.0)):
+                assert abs(Fraction(got) - exact) <= abs(Fraction(other) - exact)
+            subnormal += 0 < got < 2.2250738585072014e-308
+        assert subnormal > 50
 
 
 class TestVariantSpec:

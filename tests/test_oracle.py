@@ -7,6 +7,7 @@ from runsdist.oracle import (CountingMode, CountingSemantics, brute_force_pmf,
                              brute_force_run_count_dist, dp_waiting_time,
                              dp_waiting_time_pmf, monte_carlo,
                              sequence_waiting_time)
+from runsdist.pmf import support_min
 
 HALF = Fraction(1, 2)
 TYPE1 = CountingSemantics(CountingMode.NON_OVERLAPPING)
@@ -105,6 +106,25 @@ class TestBruteForce:
                     bf = brute_force_pmf(params, sem, 12)
                     dp = dp_waiting_time_pmf(params, sem, 12)
                     assert bf.values == dp.values
+
+    @pytest.mark.parametrize("pv", [Fraction(2, 7), Fraction(3, 10)])
+    def test_matches_dp_exactly_non_dyadic(self, pv):
+        # a denominator that is not a power of two, so the DP's scaling by
+        # powers of it is exercised
+        for k, r in ((1, 2), (2, 1), (2, 2), (3, 1)):
+            params = RunParams(k, r, pv)
+            for sem in ALL_SEMANTICS:
+                bf = brute_force_pmf(params, sem, 12)
+                dp, deficit = dp_waiting_time(params, sem, 12)
+                assert bf.values == dp.values
+                assert sum(dp.values) + deficit == 1
+                assert isinstance(deficit, Fraction) and deficit > 0
+                if sem.overlap > k - 1:  # no such variant, so no support to check
+                    continue
+                start = support_min(params, sem.to_variant())
+                below = dp.values[:start - 1]
+                assert all(type(v) is int and v == 0 for v in below)
+                assert isinstance(dp.value(start), Fraction) and dp.value(start) > 0
 
     def test_sixteen_trials_spot_check(self):
         params = RunParams(2, 2, HALF)

@@ -164,6 +164,22 @@ class TestDeepTail:
         assert pmf_pgf_expansion(params, 1000) == want
         assert pmf_hyp(params, 1000, F) == want
 
+    @pytest.mark.parametrize("engine, pv, n", [
+        (pmf_fullsum_ch, 0.4, 300),
+        (pmf_fullsum_ch, 0.375, 310),
+        (pmf_fullsum_ch, Fraction(3, 8), 300),
+        (pmf_nested_sum, 0.375, 1500),
+        (pmf_nested_sum, Fraction(3, 8), 1500),
+    ])
+    def test_deep_cut_index_is_exact_value_rounded_once(self, engine, pv, n):
+        # float p: the exact recurrence value rounded once; exact p: equal.
+        # The exact recurrence stays fast where p has a short expansion.
+        params = RunParams(3, 4, pv)
+        exact = pmf_recurrence_pg(params.to_exact(), n + 12).value(n + 12)
+        got = engine(params, n)
+        assert type(got) is type(pv) and 0 < got < 1
+        assert got == params.finalize(exact)
+
 
 class TestMuselli:
     def test_geometric_values(self):
@@ -274,6 +290,24 @@ class TestDispatcher:
         ref = pmf_table(params, PmfEngine.RECURRENCE_PG, 1, 60)
         t = pmf_table(params, PmfEngine.ROOT_BASED, 1, 60)
         assert max(abs(a - float(b)) for a, b in zip(t.values, ref.values)) < 1e-12
+
+    def test_root_engine_zero_below_support(self):
+        # the root sum leaves a fit residue below the support; the table pads
+        # exact zeros there and keeps every value from the support on
+        for k in range(1, 6):
+            for r in range(1, 5):
+                for pv in (0.2, 0.45, 0.6, 0.9):
+                    params = RunParams(k, r, pv)
+                    variants = [VariantSpec.with_overlap(ell) for ell in range(k)]
+                    for variant in variants + [VariantSpec.with_gap(2)]:
+                        start = support_min(params, variant)
+                        t = pmf_table(params, PmfEngine.ROOT_BASED, 1, start + 3,
+                                      variant=variant)
+                        assert t.values[:start - 1] == (0.0,) * (start - 1)
+                        tail = pmf_table(params, PmfEngine.ROOT_BASED, start, start + 3,
+                                         variant=variant)
+                        assert t.values[start - 1:] == tail.values
+                        assert tail.value(start) > 0
 
     def test_muselli_table(self):
         params = RunParams(2, 1, HALF)

@@ -152,6 +152,15 @@ class TestStirling2:
                 assert stirling2(n, j) == j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
 
 
+def horner_direct(coeffs, x, d):
+    """``sum_j coeffs[j] x^j d^(J-j)`` term by term, in integers."""
+    xs, ds = [1], [1]
+    for _ in coeffs[1:]:
+        xs.append(xs[-1] * x)
+        ds.append(ds[-1] * d)
+    return sum(c * xs[j] * ds[-1 - j] for j, c in enumerate(coeffs) if c)
+
+
 def horner_naive(coeffs, x, d):
     """``d^J sum_j coeffs[j] (x/d)^j`` by direct rational summation."""
     J = len(coeffs) - 1
@@ -196,3 +205,38 @@ class TestHomogeneousHorner:
             coeffs = [(-1) ** j * math.comb(J, j) for j in range(J + 1)]
             assert homogeneous_horner(coeffs, 10 ** 9, 10 ** 9 + 1) == 1
             assert homogeneous_horner(coeffs, 7, 3) == (-4) ** J
+
+    def test_long_lists_with_big_arguments(self):
+        # lengths well past the plain-Horner leaf, so the halves are combined
+        # at several levels
+        rng = random.Random(4112)
+        for _ in range(30):
+            J = rng.randint(0, 400)
+            bits = rng.randint(1, 400)
+            coeffs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(J)]
+            x = rng.getrandbits(rng.randint(1, 160)) | 1
+            d = rng.getrandbits(rng.randint(1, 160)) | 1
+            assert homogeneous_horner(coeffs, x, d) == horner_direct(coeffs, x, d)
+
+    def test_zero_runs_across_split_points(self):
+        rng = random.Random(77)
+        x, d = 3 ** 20 + 2, 2 ** 31 - 1
+        for n in (17, 32, 33, 100, 257, 400):
+            cuts = sorted({n // 2, n // 4, 3 * n // 4, 16, n - 16})
+            for cut in cuts:
+                for lo, hi in ((cut - 5, cut + 5), (0, cut), (cut, n), (cut - 1, cut + 1)):
+                    lo, hi = max(lo, 0), min(hi, n)
+                    coeffs = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(n)]
+                    coeffs[lo:hi] = [0] * (hi - lo)
+                    assert homogeneous_horner(coeffs, x, d) == horner_direct(coeffs, x, d)
+            # every coefficient zero but one, at each position of a long list
+            for j in range(0, n, 7):
+                coeffs = [0] * n
+                coeffs[j] = -5
+                assert homogeneous_horner(coeffs, x, d) == -5 * x ** j * d ** (n - 1 - j)
+
+    def test_long_alternating_binomial_cancellation(self):
+        # (d - x)^J with d - x = 1 and J = 400: every digit of the terms cancels
+        J = 400
+        coeffs = [(-1) ** j * math.comb(J, j) for j in range(J + 1)]
+        assert homogeneous_horner(coeffs, 10 ** 50, 10 ** 50 + 1) == 1
