@@ -237,20 +237,12 @@ def analytic_mean_variance(params: RunParams, variant: VariantSpec) -> tuple:
     """Reference mean and variance for a variant, for simulation reports."""
     fp = params.to_float()
     if variant.type2:
-        # No closed Type II moments here; sum the pmf until the mass closes.
-        from .pmf import pmf_muselli as _pmf2
-
-        mean_acc = var_acc = mass = 0.0
-        n = 0
-        tail = 0
-        while tail < 200 and n < 10_000_000:
-            n += 1
-            v = _pmf2(fp, n)
-            mass += v
-            mean_acc += n * v
-            var_acc += n * n * v
-            tail = tail + 1 if 1 - mass < 1e-12 else 0
-        return mean_acc, var_acc - mean_acc ** 2
+        # The wait is T + (r-1)(G + T): T the wait for one run of k, G >= 1
+        # the geometric wait for a failure, which re-arms the next run.
+        one = RunParams(params.k, 1, fp.exact_p())
+        r, p, q = params.r, one.p, one.q
+        return (float(r * mean(one) + (r - 1) / q),
+                float(r * variance(one) + (r - 1) * p / q ** 2))
     if variant.is_overlap:
         system = solve_roots(fp)
         coeffs = recover_coefficients(system, ell=variant.overlap)

@@ -8,7 +8,11 @@ sequence (the oracle for the oracle), and a vectorized Monte Carlo driven by
 the Philox counter-based generator (named so results are reproducible across
 machines). All three speak every counting semantics: nonoverlapping
 (Type I), at-least-one-failure-between (Type II), ell-overlapping (Type III
-at ell = k-1), and the minimum-gap variant.
+at ell = k-1), and the minimum-gap variant; an overlap of k or more, which
+no engine computes, is rejected with a ``ValueError`` before any work starts.
+
+Only :func:`monte_carlo` needs numpy, and it imports numpy when it runs, so
+importing this module (and the package) leaves numpy unloaded.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
 
 from .core import TYPE1, IndexScheme, PmfTable, RunParams, VariantSpec
 
@@ -112,6 +114,7 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
     trial multiplies by the numerators of ``p`` and ``q`` and a cooldown
     trial by ``den``; one fraction is built per absorbed entry.
     """
+    semantics.to_variant().check_against(params)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k, r = params.k, params.r
@@ -170,6 +173,7 @@ def dp_waiting_time_pmf(params: RunParams, semantics: CountingSemantics,
 def brute_force_pmf(params: RunParams, semantics: CountingSemantics,
                     n_max: int) -> PmfTable:
     """Enumerate all 2^n_max sequences and classify each by direct scan."""
+    semantics.to_variant().check_against(params)
     if not 1 <= n_max <= 22:
         raise ValueError("brute force is capped at n_max <= 22")
     k, r = params.k, params.r
@@ -233,20 +237,28 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
     """Simulate Bernoulli streams with a seeded Philox generator.
 
     Column-by-column vectorized stepping of the same state machine the DP
-    uses; absorbed samples are compacted away so the work scales with the
-    number of still-running streams. Deterministic for a fixed seed.
+    uses: each trial draws one uniform per still-running stream, in stream
+    order, and absorbed streams are compacted away so the work scales with
+    the number of streams left. A stream's state is its run progress and its
+    run count; a negative progress marks a stream that cannot advance yet (-1
+    a saturated Type II run waiting for a failure, -c a gap stream with c
+    cooldown trials left), so one trial is two in-place array operations on
+    the progress. Deterministic for a fixed seed.
     """
+    import numpy as np
+
+    semantics.to_variant().check_against(params)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     p = float(params.p)
     k, r = params.k, params.r
-    mode = semantics.mode
+    type2 = semantics.mode is CountingMode.FAILURE_SEPARATED
+    gap = semantics.gap
+    restart = -1 if type2 else -gap if gap else semantics.overlap
     idx = np.arange(samples)
     prog = np.zeros(samples, np.int32)
     runs = np.zeros(samples, np.int32)
-    cool = np.zeros(samples, np.int32)
-    sat = np.zeros(samples, bool)
     wait = np.zeros(samples, np.int64)
     t = 0
     while idx.size:
@@ -254,34 +266,29 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
         if t > 10_000_000:
             raise RuntimeError("simulation failed to absorb; check parameters")
         succ = rng.random(idx.size) < p
-        cooling = cool > 0
-        cool[cooling] -= 1
-        active = ~cooling
-        failed = active & ~succ
-        prog[failed] = 0
-        sat[failed] = False
-        advancing = active & succ & ~sat
-        prog[advancing] += 1
-        done = prog >= k
-        if done.any():
+        if type2:
+            prog += prog >= 0
+            prog *= succ
+        elif gap:
+            prog += 1
+            prog *= succ | (prog <= 0)
+        else:
+            prog += 1
+            prog *= succ
+        done = np.flatnonzero(prog >= k)
+        if done.size:
+            prog[done] = restart
             runs[done] += 1
-            fin = done & (runs >= r)
-            cont = done & ~fin
-            prog[cont] = 0
-            if mode is CountingMode.FAILURE_SEPARATED:
-                sat[cont] = True
-            elif mode is CountingMode.OVERLAP:
-                prog[cont] = semantics.overlap
-            elif mode is CountingMode.GAP:
-                cool[cont] = semantics.gap
-            if fin.any():
+            fin = done[runs[done] >= r]
+            if fin.size:
                 wait[idx[fin]] = t
-                keep = ~fin
+                # one index list gathers every array, faster than a mask each
+                keep = np.ones(idx.size, bool)
+                keep[fin] = False
+                keep = np.flatnonzero(keep)
                 idx = idx[keep]
                 prog = prog[keep]
                 runs = runs[keep]
-                cool = cool[keep]
-                sat = sat[keep]
     mean = float(wait.mean())
     var = float(wait.var(ddof=1)) if samples > 1 else 0.0
     centered = wait - mean

@@ -12,6 +12,10 @@ and the expansion coefficients are recovered by a linear solve against a
 reference pmf produced by power-series expansion of the generating function,
 so this module works in double precision; the series expansion itself is also
 available in exact mode and doubles as an oracle for the overlap variants.
+The two numeric steps, :func:`solve_roots` and :func:`recover_coefficients`,
+are the only users of numpy here and import it when they run, so the series
+expansion, the gap helpers and everything that imports this module stay
+free of it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
                    Scalar, VariantSpec, shift_moments)
@@ -79,6 +81,8 @@ def solve_roots(params: RunParams) -> RootSystem:
     polynomial residual, or the ``lambda^k (1 - lambda) = p^k q`` identity
     fail afterwards.
     """
+    import numpy as np
+
     coeffs = aux_polynomial(params)
     k = params.k
     if k == 1:
@@ -222,6 +226,8 @@ def recover_coefficients(system: RootSystem, ell: int = 0,
     ``k*r``. The solve uses unknowns rescaled by root powers so the matrix
     stays well-conditioned away from the support start.
     """
+    import numpy as np
+
     params = system.params
     k, r = params.k, params.r
     if ell < 0 or ell > k - 1:

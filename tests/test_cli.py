@@ -1,6 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from runsdist import cli
+from runsdist.core import RunParams, VariantSpec
+from runsdist.moments import mean, variance
+from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -210,3 +221,66 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--k", "2", "--r", "1",
                              "--p", "0.5", "--samples", "0")
         assert code == 2
+
+
+class TestTypeIIAnalytic:
+    TYPE2 = VariantSpec(type2=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0.4, 0.6, 0.85])
+    def test_matches_dp_sum(self, k, r, p):
+        params = RunParams(k, r, p)
+        table, deficit = dp_waiting_time(
+            params, CountingSemantics(CountingMode.FAILURE_SEPARATED), 3000)
+        assert deficit < 1e-15
+        mu = sum(n * v for n, v in enumerate(table.values, start=1))
+        var = sum(n * n * v for n, v in enumerate(table.values, start=1)) - mu * mu
+        got_mu, got_var = cli.analytic_mean_variance(params, self.TYPE2)
+        assert got_mu == pytest.approx(mu, rel=1e-11)
+        assert got_var == pytest.approx(var, rel=1e-9)
+
+    def test_simulate_k4_returns(self, capsys):
+        # the pmf summation this replaces ran for minutes at this point; one
+        # run (r = 1) has the Type I mean and variance
+        code, out, _ = run_cli(capsys, "simulate", "--k", "4", "--r", "1", "--p", "0.3",
+                               "--samples", "1000", "--variant", "type2")
+        assert code == 0
+        params = RunParams(4, 1, 0.3)
+        assert out.splitlines()[2] == (f"# analytic_mean={mean(params)!r} "
+                                       f"analytic_variance={variance(params)!r}")
+
+
+def _modules_after(*commands):
+    """Run CLI commands in a fresh interpreter; is numpy loaded afterwards?"""
+    script = (
+        "import contextlib, io, sys\n"
+        "import runsdist, runsdist.cli\n"
+        f"for argv in {list(commands)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert runsdist.cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+class TestNumpyLoading:
+    PARAMS = ["--k", "2", "--r", "2", "--p", "2/5"]
+
+    def test_import_and_exact_commands_leave_numpy_unloaded(self):
+        assert not _modules_after()
+        assert not _modules_after(
+            ["pmf", *self.PARAMS, "--n-min", "4", "--n-max", "9", "--engine", "nested-sum"],
+            ["moments", *self.PARAMS, "--kind", "raw", "--route", "partition"])
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--k", "2", "--r", "1", "--p", "0.5", "--samples", "10"],
+        ["moments", "--k", "2", "--r", "2", "--p", "0.4", "--kind", "factorial",
+         "--route", "root"],
+    ])
+    def test_numeric_commands_load_numpy(self, command):
+        assert _modules_after(command)

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from runsdist.core import RunParams
@@ -22,6 +24,15 @@ ALL_SEMANTICS = (
 )
 
 
+def assert_refused(params, sem):
+    """Every oracle rejects an overlap of k or more before any work."""
+    for oracle in (brute_force_pmf, dp_waiting_time_pmf, dp_waiting_time):
+        with pytest.raises(ValueError, match="overlap must be at most k-1"):
+            oracle(params, sem, 12)
+    with pytest.raises(ValueError, match="overlap must be at most k-1"):
+        monte_carlo(params.to_float(), sem, 10, seed=0)
+
+
 class TestSemanticsValidation:
     def test_overlap_and_gap_bounds(self):
         with pytest.raises(ValueError):
@@ -30,6 +41,11 @@ class TestSemanticsValidation:
             CountingSemantics(CountingMode.GAP)
         with pytest.raises(ValueError):
             CountingSemantics(CountingMode.NON_OVERLAPPING, overlap=1)
+
+    def test_oracles_refuse_overlap_of_k_or_more(self):
+        for k, ell in ((1, 1), (2, 2), (3, 5)):
+            assert_refused(RunParams(k, 2, HALF),
+                           CountingSemantics(CountingMode.OVERLAP, overlap=ell))
 
     def test_variant_round_trip(self):
         for sem in ALL_SEMANTICS:
@@ -103,6 +119,9 @@ class TestBruteForce:
             for k, r in ((1, 2), (2, 1), (2, 2), (3, 1)):
                 params = RunParams(k, r, pv)
                 for sem in ALL_SEMANTICS:
+                    if sem.overlap > k - 1:
+                        assert_refused(params, sem)
+                        continue
                     bf = brute_force_pmf(params, sem, 12)
                     dp = dp_waiting_time_pmf(params, sem, 12)
                     assert bf.values == dp.values
@@ -114,13 +133,14 @@ class TestBruteForce:
         for k, r in ((1, 2), (2, 1), (2, 2), (3, 1)):
             params = RunParams(k, r, pv)
             for sem in ALL_SEMANTICS:
+                if sem.overlap > k - 1:
+                    assert_refused(params, sem)
+                    continue
                 bf = brute_force_pmf(params, sem, 12)
                 dp, deficit = dp_waiting_time(params, sem, 12)
                 assert bf.values == dp.values
                 assert sum(dp.values) + deficit == 1
                 assert isinstance(deficit, Fraction) and deficit > 0
-                if sem.overlap > k - 1:  # no such variant, so no support to check
-                    continue
                 start = support_min(params, sem.to_variant())
                 below = dp.values[:start - 1]
                 assert all(type(v) is int and v == 0 for v in below)
@@ -166,6 +186,37 @@ class TestMonteCarlo:
         sem = CountingSemantics(CountingMode.GAP, gap=2)
         res = monte_carlo(RunParams(2, 2, 0.5), sem, 200_000, seed=9)
         assert abs(res.mean - 14.0) < 5 * (44.0 / 200_000) ** 0.5
+
+    @pytest.mark.parametrize("k, r, p, seed", [
+        (2, 2, 0.5, 3), (3, 2, 0.6, 11), (3, 3, 0.7, 2024), (4, 1, 0.55, 0)])
+    @pytest.mark.parametrize("family", ["type1", "type2", "overlap", "gap"])
+    def test_matches_scanner_on_same_draws(self, k, r, p, seed, family):
+        sem = {"type1": TYPE1, "type2": TYPE2,
+               "overlap": CountingSemantics(CountingMode.OVERLAP, overlap=k - 1),
+               "gap": CountingSemantics(CountingMode.GAP, gap=2)}[family]
+        params = RunParams(k, r, p)
+        samples = 300
+        # each trial hands one draw to every still-running stream, in stream
+        # order, and a stream stops at the trial where the scanner sees its
+        # r-th run complete
+        rng = np.random.Generator(np.random.Philox(seed))
+        seqs = [[] for _ in range(samples)]
+        running = list(range(samples))
+        waits = Counter()
+        t = 0
+        while running:
+            t += 1
+            for i, u in zip(running, rng.random(len(running))):
+                seqs[i].append(u < p)
+            still = []
+            for i in running:
+                if sequence_waiting_time(seqs[i], k, r, sem) == t:
+                    waits[t] += 1
+                else:
+                    still.append(i)
+            running = still
+        res = monte_carlo(params, sem, samples, seed)
+        assert res.counts == tuple(waits[n] for n in range(t + 1))
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
