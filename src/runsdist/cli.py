@@ -16,11 +16,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
-from .moments import MomentRoute, mean, moments_via_route, variance
+from .core import IndexScheme, MomentKind, RunParams, VariantSpec
+from .moments import MomentRoute, factorial_moments_pgf, moments_via_route
 from .oracle import CountingSemantics, monte_carlo
 from .pmf import ENGINES, EngineFamily, PmfEngine, pmf_table
-from .roots import factorial_moments_root, recover_coefficients, solve_roots
 
 ENGINE_IDS = tuple(e.value for e in PmfEngine)
 ROUTE_IDS = tuple(route.value for route in MomentRoute)
@@ -118,26 +117,9 @@ def cmd_moments(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--order-max must be >= 1")
 
     try:
-        if variant.type2:
-            parser.error("--variant type2: Type II moments are not supported")
-        if variant.is_overlap:
-            if route is not MomentRoute.ROOT:
-                parser.error("--variant overlap requires --route root")
-            if kind is not MomentKind.FACTORIAL:
-                parser.error("--variant overlap supports --kind factorial only")
-            if scheme is not IndexScheme.FULL:
-                parser.error("--variant overlap requires --scheme full")
-            system = solve_roots(params.to_float())
-            coeffs = recover_coefficients(system, ell=variant.overlap)
-            ms = factorial_moments_root(coeffs, order_max)
-        else:
-            if variant.is_gap and scheme is not IndexScheme.FULL:
-                parser.error("--variant gap requires --scheme full")
-            central = kind is MomentKind.CENTRAL
-            ms = moments_via_route(params, route, kind, scheme,
-                                   max(order_max, 4) if central else order_max)
-            if variant.is_gap and not central:
-                ms = shift_moments(ms, (params.r - 1) * variant.gap)
+        ms = moments_via_route(params, route, kind, scheme,
+                               max(order_max, 4) if kind is MomentKind.CENTRAL
+                               else order_max, variant)
     except ValueError as err:
         parser.error(str(err))
 
@@ -234,25 +216,10 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 
 
 def analytic_mean_variance(params: RunParams, variant: VariantSpec) -> tuple:
-    """Reference mean and variance for a variant, for simulation reports."""
-    fp = params.to_float()
-    if variant.type2:
-        # The wait is T + (r-1)(G + T): T the wait for one run of k, G >= 1
-        # the geometric wait for a failure, which re-arms the next run.
-        one = RunParams(params.k, 1, fp.exact_p())
-        r, p, q = params.r, one.p, one.q
-        return (float(r * mean(one) + (r - 1) / q),
-                float(r * variance(one) + (r - 1) * p / q ** 2))
-    if variant.is_overlap:
-        system = solve_roots(fp)
-        coeffs = recover_coefficients(system, ell=variant.overlap)
-        ms = factorial_moments_root(coeffs, 2)
-        mu = ms.value(1)
-        return mu, ms.value(2) + mu - mu * mu
-    mu = mean(fp)
-    if variant.is_gap:
-        mu += (params.r - 1) * variant.gap
-    return mu, variance(fp)
+    """Exact mean and variance of a variant, each rounded once, for simulation reports."""
+    fm = factorial_moments_pgf(params.to_exact(), 2, variant)
+    mu = fm.value(1)
+    return float(mu), float(fm.value(2) + mu - mu * mu)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,16 @@
-"""Factorial, raw, and central moments of the Type I family.
+"""Factorial, raw, and central moments of the waiting time.
 
-Three independent routes produce the same numbers: the order-mixing
-recurrence (cut scheme), closed-form partition sums driven by per-order
-coefficient families (either scheme), and a truncated generating-function
-derivative (full scheme). A fourth route sums directly against any pmf
-table. Coefficient families and the finite routes are evaluated in exact
-rational arithmetic internally, like the sum-type pmf engines.
+Four routes produce the same Type I numbers: the order-mixing recurrence
+(cut scheme), closed-form partition sums driven by per-order coefficient
+families (either scheme), a finite Taylor expansion of the rational
+generating function (full scheme), and direct summation against a pmf table.
+The generating-function route covers every counting family, since each
+family's pgf is rational (:func:`rational_pgf`); the others, and the root
+expansion of :mod:`runsdist.roots`, reach the minimum-gap variant by
+shifting Type I moments, and the root expansion also fits the overlap
+families. Coefficient families and the
+finite routes are evaluated in exact rational arithmetic internally, like the
+sum-type pmf engines.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .core import (IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
-                   convert_index, shift_moments)
+from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
+                   VariantSpec, convert_index, shift_moments)
 from .pmf import pmf_recurrence_pg
 from .special import binom, eulerian_poly, falling, stirling2
 
@@ -26,10 +31,6 @@ class MomentRoute(Enum):
     PGF = "pgf"
     ROOT = "root"
     SUMMATION = "summation"
-
-
-class NonConvergentTail(RuntimeError):
-    """The truncated generating-function sum failed to meet its tail bound."""
 
 
 def _exact_pq(params: RunParams):
@@ -315,126 +316,165 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
     raise RuntimeError("summation window failed to close the moment tail")
 
 
-def factorial_moments_pgf(params: RunParams, order_max: int,
-                          tail_tol: float = 1e-10,
-                          hard_cap: int = 10 ** 6) -> MomentSet:
-    """Full-scheme factorial moments from the generating-function derivative.
 
-    The infinite outer sum is truncated once a geometric envelope, with ratio
-    estimated from the last ten terms, bounds the remaining tail below
-    ``tail_tol`` relative to the partial sum for every order. The bound is
-    approximate (the envelope is an estimate); the tolerance should be read
-    as the route's accuracy target rather than a hard guarantee. Runs in
-    double precision.
+
+def _den_poly(order: int, p, q) -> list:
+    """Coefficients of ``1 - s + q p^order s^(order+1)``; order 0 gives ``1 - p s``."""
+    coeffs = [0] * (order + 2)
+    coeffs[0] = 1
+    coeffs[1] = coeffs[1] - 1
+    coeffs[order + 1] = coeffs[order + 1] + q * p ** order
+    return coeffs
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_pow(base: list, e: int) -> list:
+    out = [1]
+    for _ in range(e):
+        out = _poly_mul(out, base)
+    return out
+
+
+def _series_div(num: list, den: list, length: int) -> list:
+    """Power-series quotient to the given length; ``den[0]`` must be 1."""
+    out = []
+    for n in range(length):
+        acc = num[n] if n < len(num) else 0
+        for u in range(1, min(n, len(den) - 1) + 1):
+            if den[u]:
+                acc -= den[u] * out[n - u]
+        out.append(acc)
+    return out
+
+
+def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
+    """The variant's generating function as ``(scale, shift, num, den)``.
+
+    The pgf is ``scale * s^shift * num(s) / den(s)``: ``num`` and ``den`` are
+    coefficient lists, constant term first, with ``den[0] = 1``, and the
+    monomial stays factored out so a series expansion can apply it after the
+    division. With ``D_l(s) = 1 - s + q p^l s^(l+1)`` the single-run pgf is
+    ``G_k(s) = p^k s^k (1 - p s) / D_k(s)``, and the families are
+    ``G_k^r`` (Type I), ``s^((r-1) g) G_k^r`` (gap ``g``),
+    ``G_k^r / G_l^(r-1)`` (overlap ``l``) and
+    ``G_k^r (q s / (1 - p s))^(r-1)`` (Type II, whose ``(1 - p s)^(r-1)``
+    cancels). Exact in rational mode; float mode works on the stored double.
+    """
+    variant.check_against(params)
+    k, r = params.k, params.r
+    p = params.exact_p() if params.exact else float(params.p)
+    q = 1 - p
+    den = _poly_pow(_den_poly(k, p, q), r)
+    if variant.type2:
+        return p ** (r * k) * q ** (r - 1), r * k + r - 1, [1, -p], den
+    ell = max(variant.overlap, 0)
+    num = _poly_mul([1, -p], _poly_pow(_den_poly(ell, p, q), r - 1))
+    return (p ** (r * k - (r - 1) * ell),
+            r * k - (r - 1) * ell + (r - 1) * variant.gap, num, den)
+
+
+def _taylor_shift(poly: list, length: int) -> list:
+    """The first ``length`` coefficients of ``poly(1 + t)`` in powers of ``t``."""
+    return [sum(binom(i, j) * poly[i] for i in range(j, len(poly)))
+            for j in range(length)]
+
+
+def factorial_moments_pgf(params: RunParams, order_max: int,
+                          variant: VariantSpec = TYPE1) -> MomentSet:
+    """Full-scheme factorial moments of any family from its rational pgf.
+
+    The factorial moment of order ``j`` is ``j! [t^j] P(1 + t)``. Both
+    polynomials of :func:`rational_pgf` are Taylor-shifted to ``s = 1 + t``
+    and divided as power series to order ``order_max``: a finite expansion
+    with no tail. The shifted denominator's constant term is
+    ``D_k(1)^r = (q p^k)^r``, which is never zero. Always computed from
+    ``exact_p()``; float mode rounds each moment once.
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
-    k, r = params.k, params.r
-    p = float(params.p)
-    q = 1.0 - p
-    rk = r * k
-    pk = p ** k
+    scale, shift, num, den = rational_pgf(params.to_exact(), variant)
+    length = order_max + 1
+    num_t = _taylor_shift([0] * shift + num, length)
+    den_t = _taylor_shift(den, length)
+    lead = den_t[0]
+    quot = _series_div([scale * c / lead for c in num_t], [c / lead for c in den_t],
+                       length)
+    return MomentSet(MomentKind.FACTORIAL, IndexScheme.FULL,
+                     tuple(params.finalize(math.factorial(j) * quot[j])
+                           for j in range(1, length)))
 
-    # The summand's pmf factor is the coefficient of s^(v+rk) in the pgf
-    # power. The pgf denominator factors as (1 - p s) times a polynomial
-    # whose tail coefficients are all negative, so after cancelling the
-    # numerator the coefficient stream comes from r chained all-positive
-    # recurrences (one per pgf factor): cancellation-free, unlike the
-    # nested binomial double sum it equals (the double sum stays in
-    # runsdist.reference).
-    w = [q * p ** (u - 1) for u in range(1, k + 1)]
-    stages = [[] for _ in range(r + 1)]
-    sums = [0.0] * (order_max + 1)
-    window: list = []
-    burn_in = rk + order_max + 10
-    for v in range(hard_cap):
-        stages[0].append(1.0 if v == 0 else 0.0)
-        for m in range(1, r + 1):
-            acc = pk * stages[m - 1][v - k] if v >= k else 0.0
-            g = stages[m]
-            for u in range(1, min(k, v) + 1):
-                prev = g[v - u]
-                if prev:
-                    acc += w[u - 1] * prev
-            g.append(acc)
-        prob = stages[r][v]
-        n_full = v  # absolute index: stage r is supported on v >= rk
-        terms = [binom(n_full, j) * prob for j in range(1, order_max + 1)]
-        for j in range(1, order_max + 1):
-            sums[j] += terms[j - 1]
-        window.append(terms)
-        if len(window) > 10:
-            window.pop(0)
-        if len(window) < 10 or n_full < burn_in:
-            continue
-        ok = True
-        for j in range(1, order_max + 1):
-            recent = [w[j - 1] for w in window]
-            if max(abs(x) for x in recent) == 0.0:
-                continue  # tail underflowed; nothing left to add
-            if any(x <= 0 for x in recent):
-                ok = False
-                break
-            rho = max(recent[i + 1] / recent[i] for i in range(9))
-            if rho >= 1.0 or recent[-1] * rho / (1.0 - rho) > tail_tol * abs(sums[j]):
-                ok = False
-                break
-        if ok:
-            break
-    else:
-        raise NonConvergentTail(
-            f"tail bound not met within {hard_cap} terms (tail_tol={tail_tol})")
-    vals = tuple(math.factorial(j) * sums[j] for j in range(1, order_max + 1))
-    return MomentSet(MomentKind.FACTORIAL, IndexScheme.FULL, vals)
+
+def _from_factorial(fact: MomentSet, kind: MomentKind) -> MomentSet:
+    if kind is MomentKind.FACTORIAL:
+        return fact
+    raw = raw_from_factorial(fact)
+    return raw if kind is MomentKind.RAW else central_from_raw(raw)
 
 
 def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
                       scheme: IndexScheme, order_max: int,
-                      tail_tol: float = 1e-10) -> MomentSet:
-    """Uniform front end over the moment routes, with kind/scheme conversion.
+                      variant: VariantSpec = TYPE1, tail_tol=None) -> MomentSet:
+    """Uniform front end over the moment routes and families, with kind/scheme conversion.
 
-    The generating-function and root routes produce full-scheme moments and
-    cannot be converted to the cut scheme (there is no valid inverse shift),
-    so asking them for cut-scheme factorial or raw moments is an error.
+    The ``pgf`` route covers every family: it converts factorial to raw to
+    central moments in exact rationals and rounds each value once. The other
+    routes compute Type I moments and reach the gap variant by shifting
+    them; the ``root`` route also fits the overlap families, and the rest
+    reject overlap and Type II with ``ValueError``. The generating-function
+    and root routes produce full-scheme moments and cannot be converted to
+    the cut scheme (there is no valid inverse shift), so asking them for
+    cut-scheme factorial or raw moments is an error, as is the cut scheme
+    for a gap. ``tail_tol`` is accepted and ignored: no route truncates a
+    tail by a caller's tolerance.
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
-
-    if route is MomentRoute.SUMMATION:
-        return moments_by_summation(params, order_max, kind, scheme)
-
-    if route is MomentRoute.RECURRENCE:
-        fact_cut = factorial_moments_recurrence(params, order_max)
-        if kind is MomentKind.CENTRAL:
-            return central_from_raw(raw_from_factorial(fact_cut))
-        base = fact_cut if kind is MomentKind.FACTORIAL else raw_from_factorial(fact_cut)
-        if scheme is IndexScheme.CUT:
-            return base
-        return shift_moments(base, params.r * params.k)
-
-    if route is MomentRoute.PARTITION:
-        if kind is MomentKind.CENTRAL:
-            return central_from_raw(raw_moments_partition(params, order_max,
-                                                          IndexScheme.CUT))
-        if kind is MomentKind.FACTORIAL:
-            return factorial_moments_partition(params, order_max, scheme)
-        return raw_moments_partition(params, order_max, scheme)
+    variant.check_against(params)
+    central = kind is MomentKind.CENTRAL
+    if (route in (MomentRoute.PGF, MomentRoute.ROOT) and not central
+            and scheme is not IndexScheme.FULL):
+        raise ValueError(f"{route.value} route produces full-scheme moments only")
+    if variant.is_gap and scheme is not IndexScheme.FULL:
+        raise ValueError("gap moments are full-scheme only")
 
     if route is MomentRoute.PGF:
-        fact_full = factorial_moments_pgf(params, order_max, tail_tol)
+        ms = _from_factorial(factorial_moments_pgf(params.to_exact(), order_max, variant),
+                             kind)
+        return MomentSet(ms.kind, ms.scheme, tuple(params.finalize(v) for v in ms.values))
+    if variant.type2 or (variant.is_overlap and route is not MomentRoute.ROOT):
+        raise ValueError(f"the {route.value} route does not cover {variant.describe()}")
+
+    if route is MomentRoute.SUMMATION:
+        ms = moments_by_summation(params, order_max, kind, scheme)
+    elif route is MomentRoute.RECURRENCE:
+        ms = _from_factorial(factorial_moments_recurrence(params, order_max), kind)
+        if scheme is IndexScheme.FULL and not central:
+            ms = shift_moments(ms, params.r * params.k)
+    elif route is MomentRoute.PARTITION:
+        if central:
+            ms = central_from_raw(raw_moments_partition(params, order_max, IndexScheme.CUT))
+        elif kind is MomentKind.FACTORIAL:
+            ms = factorial_moments_partition(params, order_max, scheme)
+        else:
+            ms = raw_moments_partition(params, order_max, scheme)
     elif route is MomentRoute.ROOT:
         from . import roots
 
         system = roots.solve_roots(params.to_float())
-        coeffs = roots.recover_coefficients(system)
-        fact_full = roots.factorial_moments_root(coeffs, order_max)
+        coeffs = roots.recover_coefficients(system, ell=max(variant.overlap, 0))
+        ms = _from_factorial(roots.factorial_moments_root(coeffs, order_max), kind)
     else:
         raise ValueError(f"unknown route {route!r}")
 
-    if kind is MomentKind.CENTRAL:
-        return central_from_raw(raw_from_factorial(fact_full))
-    if scheme is not IndexScheme.FULL:
-        raise ValueError(f"{route.value} route produces full-scheme moments only")
-    return fact_full if kind is MomentKind.FACTORIAL else raw_from_factorial(fact_full)
+    if variant.is_gap and not central:
+        ms = shift_moments(ms, (params.r - 1) * variant.gap)
+    return ms

@@ -53,11 +53,11 @@ def mu_factorial_truncated(params: RunParams, j: int) -> Scalar:
 
 
 def pgf_expansion_inner_reference(params: RunParams, j: int) -> Scalar:
-    """The nested-binomial form of the pgf-expansion inner coefficient.
+    """The nested-binomial inner coefficient ``T_j`` of the ``pgf-expansion`` engine.
 
-    An independent reference for the recurrence used by
-    :func:`~runsdist.moments.factorial_moments_pgf`; the two are asserted
-    equal in the tests.
+    Read from that engine's integer kernel. ``T_j`` is the coefficient of
+    ``s^j`` in ``(1 - s + q p^k s^(k+1))^(-r)``, and the tests assert that it
+    equals the power-series division of that expansion.
     """
     den_exp = (params.k + 1) * (j // (params.k + 1))
     num = _pgf_inner_numerators(params, j, j)[0]

@@ -9,9 +9,11 @@ the Type III family), and, through an index shift, the minimum-gap variant.
 
 Root finding is numeric (companion-matrix eigenvalues polished by Newton),
 and the expansion coefficients are recovered by a linear solve against a
-reference pmf produced by power-series expansion of the generating function,
-so this module works in double precision; the series expansion itself is also
-available in exact mode and doubles as an oracle for the overlap variants.
+reference pmf produced by power-series expansion of the rational generating
+function (:func:`runsdist.moments.rational_pgf`, which the exact moment route
+expands around ``s = 1`` instead), so this module works in double precision;
+the series expansion itself is also available in exact mode and doubles as
+an oracle for the overlap, gap and Type II families.
 The two numeric steps, :func:`solve_roots` and :func:`recover_coefficients`,
 are the only users of numpy here and import it when they run, so the series
 expansion, the gap helpers and everything that imports this module stay
@@ -26,7 +28,8 @@ from fractions import Fraction
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
                    Scalar, VariantSpec, shift_moments)
-from .moments import (factorial_moments_partition, raw_moments_partition)
+from .moments import (_poly_pow, _series_div, factorial_moments_partition,
+                      raw_moments_partition, rational_pgf)
 from .pmf import TermCounter, support_min
 from .special import binom, hyp2f1
 
@@ -121,69 +124,16 @@ def solve_roots(params: RunParams) -> RootSystem:
     return system
 
 
-def _den_poly(order: int, p, q) -> list:
-    """Coefficients of ``1 - s + q p^order s^(order+1)``; order 0 gives ``1 - p s``."""
-    coeffs = [0] * (order + 2)
-    coeffs[0] = 1
-    coeffs[1] = coeffs[1] - 1
-    coeffs[order + 1] = coeffs[order + 1] + q * p ** order
-    return coeffs
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_pow(base: list, e: int) -> list:
-    out = [1]
-    for _ in range(e):
-        out = _poly_mul(out, base)
-    return out
-
-
-def _series_div(num: list, den: list, length: int) -> list:
-    """Power-series quotient to the given length; ``den[0]`` must be 1."""
-    out = []
-    for n in range(length):
-        acc = num[n] if n < len(num) else 0
-        for u in range(1, min(n, len(den) - 1) + 1):
-            if den[u]:
-                acc -= den[u] * out[n - u]
-        out.append(acc)
-    return out
-
-
 def pgf_series(params: RunParams, n_terms: int,
                variant: VariantSpec = TYPE1) -> list:
     """Coefficients of the variant generating function up to ``s^(n_terms-1)``.
 
-    The overlap-family generating function is the ratio of the single-run pgf
-    raised to r and the order-``ell`` pgf raised to r-1, which reduces to a
-    single polynomial division here; a gap enters as a pure index shift.
-    Exact in rational mode.
+    Expands :func:`~runsdist.moments.rational_pgf` around ``s = 0``: one
+    power-series division, with the monomial factor applied afterwards as a
+    scale and an index shift. Covers every family; exact in rational mode.
     """
-    variant.check_against(params)
-    if variant.type2:
-        raise ValueError("the Type II family has no product-form pgf here")
-    k, r = params.k, params.r
-    if params.exact:
-        p = params.exact_p()
-    else:
-        p = float(params.p)
-    q = 1 - p
-    ell = max(variant.overlap, 0)
-    shift = r * k - (r - 1) * ell + (r - 1) * variant.gap
-    num = _poly_mul([1, -p], _poly_pow(_den_poly(ell, p, q), r - 1))
-    den = _poly_pow(_den_poly(k, p, q), r)
-    body_len = max(n_terms - shift, 0)
-    body = _series_div(num, den, body_len)
-    scale = p ** (r * k - (r - 1) * ell)
+    scale, shift, num, den = rational_pgf(params, variant)
+    body = _series_div(num, den, max(n_terms - shift, 0))
     out = [0] * min(shift, n_terms)
     out.extend(scale * c for c in body)
     return out

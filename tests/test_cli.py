@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from runsdist import cli
 from runsdist.core import RunParams, VariantSpec
-from runsdist.moments import mean, variance
+from runsdist.moments import factorial_moments_pgf, mean, variance
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -172,6 +173,37 @@ class TestMomentsCommand:
         assert out.strip().splitlines()[1].endswith(",1,22")
 
 
+    def test_type2_via_pgf(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--k", "2", "--r", "3",
+                               "--p", "1/2", "--kind", "factorial",
+                               "--order-max", "1", "--route", "pgf",
+                               "--variant", "type2")
+        assert code == 0
+        # r * mean(k, 1, p) + (r - 1) / q = 3 * 6 + 2 * 2
+        assert out.strip().splitlines()[1].endswith(",1,22")
+
+    def test_overlap_central_via_pgf(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--k", "2", "--r", "2",
+                               "--p", "0.5", "--kind", "central",
+                               "--order-max", "2", "--route", "pgf",
+                               "--variant", "overlap=1")
+        assert code == 0
+        params = RunParams(2, 2, Fraction(1, 2))
+        fm = factorial_moments_pgf(params, 2, VariantSpec.with_overlap(1))
+        var = fm.value(2) + fm.value(1) - fm.value(1) ** 2
+        lines = out.strip().splitlines()
+        assert lines[2].endswith(f",2,{float(var)!r}")
+        assert any("skewness" in line for line in lines)
+
+    def test_pgf_route_at_small_p_matches_partition(self, capsys):
+        # the truncated float sum this route replaced did not finish here
+        args = ["moments", "--k", "6", "--r", "1", "--p", "0.1", "--kind", "factorial"]
+        code, out, _ = run_cli(capsys, *args, "--route", "pgf")
+        assert code == 0
+        _, want, _ = run_cli(capsys, *args, "--route", "partition")
+        assert out == want.replace(",partition,", ",pgf,")
+
+
 class TestCompareCommand:
     def test_all_type1_engines_pass(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--k", "3", "--r", "2",
@@ -221,6 +253,17 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--k", "2", "--r", "1",
                              "--p", "0.5", "--samples", "0")
         assert code == 2
+
+
+class TestGapAnalytic:
+    def test_mean_is_rounded_once(self, capsys):
+        # the shift (r-1) g was once added to an already rounded mean
+        code, out, _ = run_cli(capsys, "simulate", "--k", "1", "--r", "2", "--p", "0.6",
+                               "--samples", "10", "--variant", "gap=1")
+        assert code == 0
+        params = RunParams(1, 2, Fraction(0.6))
+        assert out.splitlines()[2] == (f"# analytic_mean={float(mean(params) + 1)!r} "
+                                       f"analytic_variance={float(variance(params))!r}")
 
 
 class TestTypeIIAnalytic:

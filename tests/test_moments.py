@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from runsdist.core import IndexScheme, MomentKind, RunParams, shift_moments
-from runsdist.moments import (MomentRoute, NonConvergentTail,
+from runsdist.core import TYPE2, IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
+from runsdist.moments import (MomentRoute, central_from_raw,
                               central_moments, coeff_C,
                               coeff_F, coeff_raw,
                               factorial_moments_partition,
@@ -12,6 +12,7 @@ from runsdist.moments import (MomentRoute, NonConvergentTail,
                               mean, moments_by_summation, moments_from_table,
                               moments_via_route, raw_from_factorial,
                               raw_moments_partition, skewness_kurtosis, variance)
+from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
 from runsdist.reference import (coeff_C_hyp, coeff_F_hyp, mu_factorial_truncated,
                                 pgf_expansion_inner_reference)
@@ -101,14 +102,14 @@ class TestFactorialMomentRoutes:
 
     def test_pgf_route(self):
         params = RunParams(2, 1, 0.5)
-        ms = factorial_moments_pgf(params, 2, 1e-12)
-        assert abs(ms.value(1) - 6) < 1e-9
-        assert abs(ms.value(2) - 52) < 1e-8
-        geo = factorial_moments_pgf(RunParams(1, 1, 0.25), 1, 1e-12)
-        assert abs(geo.value(1) - 4) < 1e-9  # geometric mean 1/p
+        ms = factorial_moments_pgf(params, 2)
+        assert ms.value(1) == 6
+        assert ms.value(2) == 52
+        geo = factorial_moments_pgf(RunParams(1, 1, 0.25), 1)
+        assert geo.value(1) == 4  # geometric mean 1/p
 
     def test_pgf_inner_reference_identity(self):
-        # the route's recurrence equals the literal nested binomial sum
+        # the pgf-expansion engine's nested binomial sums equal the series division
         for k, r, pv in ((1, 1, HALF), (2, 3, Fraction(3, 10)), (4, 2, Fraction(1, 5))):
             params = RunParams(k, r, pv)
             from runsdist.roots import _poly_pow
@@ -126,9 +127,85 @@ class TestFactorialMomentRoutes:
                 T.append(acc)
                 assert pgf_expansion_inner_reference(params, j) == acc
 
-    def test_pgf_tail_cap(self):
-        with pytest.raises(NonConvergentTail):
-            factorial_moments_pgf(RunParams(3, 2, 0.2), 2, 1e-12, hard_cap=50)
+
+class TestPgfRoute:
+    """The rational-pgf expansion: exact for every family, rounded once in floats."""
+
+    def test_equals_partition_exactly(self):
+        for k in range(1, 5):
+            for r in range(1, 4):
+                for pv in (Fraction(3, 10), Fraction(2, 7)):
+                    params = RunParams(k, r, pv)
+                    for order in range(1, 7):
+                        assert (factorial_moments_pgf(params, order).values
+                                == factorial_moments_partition(params, order, F).values)
+
+    def test_gap_is_shifted_type1(self):
+        for k, r, pv in GRID:
+            params = RunParams(k, r, pv)
+            base = factorial_moments_pgf(params, 5)
+            for g in (1, 3):
+                got = factorial_moments_pgf(params, 5, VariantSpec.with_gap(g))
+                assert got.values == shift_moments(base, (r - 1) * g).values
+
+    def test_type2_mean_and_variance(self):
+        for k, r, pv in GRID:
+            params = RunParams(k, r, pv)
+            one = RunParams(k, 1, pv)
+            q = 1 - pv
+            fm = factorial_moments_pgf(params, 2, TYPE2)
+            mu = fm.value(1)
+            assert mu == r * mean(one) + Fraction(r - 1) / q
+            assert fm.value(2) + mu - mu * mu == r * variance(one) + (r - 1) * pv / q ** 2
+
+    @pytest.mark.parametrize("p", [0.4, 0.6, 0.8])
+    def test_overlap_matches_dp_sum(self, p):
+        for k in range(2, 5):
+            for ell in range(1, k):
+                variant = VariantSpec.with_overlap(ell)
+                for r in range(1, 4):
+                    params = RunParams(k, r, p)
+                    table, deficit = dp_waiting_time(
+                        params, CountingSemantics.from_variant(variant), 3000)
+                    assert deficit < 1e-15
+                    want = moments_from_table(table, 3, MomentKind.FACTORIAL).values
+                    got = factorial_moments_pgf(params, 3, variant).values
+                    for a, b in zip(got, want):
+                        assert abs(a - b) <= 1e-13 * b
+
+    @pytest.mark.parametrize("point, order", [((2, 3, 0.6), 3), ((4, 3, 0.7), 5)])
+    def test_float_central_rounded_once(self, point, order):
+        # central moments from float raw moments cancel; from exact ones they do not
+        params = RunParams(*point)
+        exact = central_from_raw(raw_from_factorial(
+            factorial_moments_pgf(params.to_exact(), order)))
+        got = moments_via_route(params, MomentRoute.PGF, MomentKind.CENTRAL, F, order)
+        sd = math.sqrt(exact.value(2))
+        for j in range(1, order + 1):
+            assert got.value(j) == float(exact.value(j))
+            assert abs(got.value(j) - exact.value(j)) <= 1e-12 * sd ** j
+
+    def test_route_serves_every_family(self):
+        params = RunParams(3, 2, Fraction(2, 5))
+        for variant in (TYPE2, VariantSpec.with_overlap(2), VariantSpec.with_gap(2)):
+            raw = moments_via_route(params, MomentRoute.PGF, MomentKind.RAW, F, 4, variant)
+            fact = factorial_moments_pgf(params, 4, variant)
+            assert raw.values == raw_from_factorial(fact).values
+
+    def test_other_routes_shift_gap_and_reject_the_rest(self):
+        params = RunParams(3, 2, Fraction(2, 5))
+        gap = VariantSpec.with_gap(2)
+        want = moments_via_route(params, MomentRoute.PGF, MomentKind.RAW, F, 4, gap)
+        for route in (MomentRoute.RECURRENCE, MomentRoute.PARTITION):
+            assert moments_via_route(params, route, MomentKind.RAW, F, 4, gap) == want
+            with pytest.raises(ValueError):
+                moments_via_route(params, route, MomentKind.RAW, C, 4, gap)
+        rejected = [(route, TYPE2) for route in MomentRoute if route is not MomentRoute.PGF]
+        rejected += [(route, VariantSpec.with_overlap(1)) for route in
+                     (MomentRoute.RECURRENCE, MomentRoute.PARTITION, MomentRoute.SUMMATION)]
+        for route, variant in rejected:
+            with pytest.raises(ValueError):
+                moments_via_route(params.to_float(), route, MomentKind.RAW, F, 4, variant)
 
 
 class TestRawAndStirling:

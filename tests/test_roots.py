@@ -63,6 +63,14 @@ class TestGeneratingFunction:
                 worst = max(abs(coeffs[n] - rec.value(n)) for n in range(3 * r, 101))
                 assert worst <= 1e-12
 
+    def test_type2_series_matches_dp(self):
+        sem = CountingSemantics(CountingMode.FAILURE_SEPARATED)
+        for k in (1, 2, 3):
+            for r in (1, 2, 3):
+                params = RunParams(k, r, Fraction(2, 5))
+                want = dp_waiting_time_pmf(params, sem, 40).values
+                assert series_pmf(params, 40, VariantSpec.type_ii()).values == want
+
     def test_overlap_series_is_a_distribution(self):
         # nonnegative with essentially full mass over a wide window
         for k, ell, r, pv in ((2, 1, 2, 0.5), (3, 2, 2, 0.4), (4, 2, 3, 0.6)):
