@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import IndexScheme, MomentKind, RunParams, VariantSpec
-from .moments import MomentRoute, factorial_moments_pgf, moments_via_route
+from .moments import MomentRoute, factorial_moments_pgf, moments_via_route, shape_from_central
 from .oracle import CountingSemantics, monte_carlo
 from .pmf import ENGINES, EngineFamily, PmfEngine, pmf_table
 
@@ -129,12 +129,9 @@ def cmd_moments(parser: argparse.ArgumentParser, args) -> int:
     for order in range(1, order_max + 1):
         rows.append(dict(base, order=order, value=ms.value(order)))
     if kind is MomentKind.CENTRAL:
-        var = float(ms.value(2))
-        sigma = var ** 0.5
-        rows.append(dict(base, order="skewness",
-                         value=float(ms.value(3)) / sigma ** 3))
-        rows.append(dict(base, order="excess_kurtosis",
-                         value=(float(ms.value(4)) - 3 * var ** 2) / var ** 2))
+        skewness, excess = shape_from_central(ms)
+        rows.append(dict(base, order="skewness", value=skewness))
+        rows.append(dict(base, order="excess_kurtosis", value=excess))
     _emit(rows, ("k", "r", "p", "scheme", "variant", "kind", "route", "order",
                  "value"), args.format)
     return 0

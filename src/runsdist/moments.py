@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
                    VariantSpec, convert_index, shift_moments)
-from .pmf import pmf_recurrence_pg
+from .pmf import pmf_recurrence_pg, support_min
 from .special import binom, eulerian_poly, falling, stirling2
 
 
@@ -225,14 +225,18 @@ def central_moments(params: RunParams, order_max: int = 4) -> MomentSet:
                      tuple(params.finalize(v) for v in vals))
 
 
-def skewness_kurtosis(params: RunParams) -> tuple:
-    """Skewness and excess kurtosis (floats; the scale is a square root)."""
-    cm = central_moments(params.to_exact(), 4)
+def shape_from_central(cm: MomentSet) -> tuple:
+    """Skewness and excess kurtosis from central moments of orders 2..4, as floats."""
     var = float(cm.value(2))
     sigma = math.sqrt(var)
     gamma = float(cm.value(3)) / sigma ** 3
     excess = (float(cm.value(4)) - 3 * var ** 2) / var ** 2
     return gamma, excess
+
+
+def skewness_kurtosis(params: RunParams) -> tuple:
+    """Skewness and excess kurtosis (floats; the scale is a square root)."""
+    return shape_from_central(central_moments(params.to_exact(), 4))
 
 
 def raw_from_factorial(ms: MomentSet) -> MomentSet:
@@ -374,12 +378,12 @@ def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
     p = params.exact_p() if params.exact else float(params.p)
     q = 1 - p
     den = _poly_pow(_den_poly(k, p, q), r)
+    shift = support_min(params, variant)
     if variant.type2:
-        return p ** (r * k) * q ** (r - 1), r * k + r - 1, [1, -p], den
+        return p ** (r * k) * q ** (r - 1), shift, [1, -p], den
     ell = max(variant.overlap, 0)
     num = _poly_mul([1, -p], _poly_pow(_den_poly(ell, p, q), r - 1))
-    return (p ** (r * k - (r - 1) * ell),
-            r * k - (r - 1) * ell + (r - 1) * variant.gap, num, den)
+    return p ** (r * k - (r - 1) * ell), shift, num, den
 
 
 def _taylor_shift(poly: list, length: int) -> list:
@@ -422,7 +426,7 @@ def _from_factorial(fact: MomentSet, kind: MomentKind) -> MomentSet:
 
 def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
                       scheme: IndexScheme, order_max: int,
-                      variant: VariantSpec = TYPE1, tail_tol=None) -> MomentSet:
+                      variant: VariantSpec = TYPE1) -> MomentSet:
     """Uniform front end over the moment routes and families, with kind/scheme conversion.
 
     The ``pgf`` route covers every family: it converts factorial to raw to
@@ -433,8 +437,7 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
     and root routes produce full-scheme moments and cannot be converted to
     the cut scheme (there is no valid inverse shift), so asking them for
     cut-scheme factorial or raw moments is an error, as is the cut scheme
-    for a gap. ``tail_tol`` is accepted and ignored: no route truncates a
-    tail by a caller's tolerance.
+    for a gap.
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")

@@ -1,13 +1,14 @@
 """Interchangeable engines for the waiting-time pmf.
 
-Seven engines cover the nonoverlapping (Type I) family: two linear
-recurrences (one per indexing scheme), an O(n^2) double combinatorial sum, an
-O(n) nested sum, its hypergeometric condensation, a generating-function
-expansion, and the root-based engine that lives in :mod:`runsdist.roots`. Two
-further engines cover the at-least-one-failure-between-runs (Type II) family,
-each in two algebraic forms, plus the matching fixed-length run-count
-distribution. Each engine is one :class:`EngineSpec` record in
-:data:`ENGINES`, and :func:`pmf_table` and the CLI read only that record.
+Seven engines cover the nonoverlapping (Type I) family: the order-k linear
+recurrence in full indexing and the same table relabelled in cut indexing, an
+O(n^2) double combinatorial sum, an O(n) nested sum, its hypergeometric
+condensation, a generating-function expansion, and the root-based engine that
+lives in :mod:`runsdist.roots`. Two further engines cover the
+at-least-one-failure-between-runs (Type II) family, each in two algebraic
+forms, plus the matching fixed-length run-count distribution. Each engine is
+one :class:`EngineSpec` record in :data:`ENGINES`, and :func:`pmf_table` and
+the CLI read only that record.
 
 The alternating sums here cancel catastrophically in double precision (terms
 can exceed 1e10 while the result is below 1e-2), so every sum-type engine
@@ -94,24 +95,16 @@ def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
 
 
 def pmf_recurrence_ch(params: RunParams, n_max: int) -> PmfTable:
-    """Cut-scheme pmf by the equivalent recurrence, table over ``[0, n_max]``.
+    """Cut-scheme pmf over ``[0, n_max]``: the full-scheme recurrence re-indexed.
 
-    ``P_0 = p^rk`` and ``P_n = (q/p)/n * sum_j (n + rj - j) p^j P_{n-j}``
-    with ``j <= min(n, k)``.
+    In cut indexing the recurrence reads ``P_0 = p^rk`` and
+    ``P_n = (q/p)/n * sum_j (n + rj - j) p^j P_{n-j}``, term for term the
+    one :func:`pmf_recurrence_pg` runs, so its table is relabelled.
     """
-    k, r, p, q = params.k, params.r, params.p, params.q
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    ppow = [p ** j for j in range(k + 1)]
-    values = [p ** (r * k)]
-    for n in range(1, n_max + 1):
-        acc = 0
-        for j in range(1, min(n, k) + 1):
-            prev = values[n - j]
-            if prev:
-                acc += (n + r * j - j) * ppow[j] * prev
-        values.append((q / p) * acc / n)
-    return PmfTable(params, IndexScheme.CUT, TYPE1, 0, tuple(values))
+    full = pmf_recurrence_pg(params, n_max + params.r * params.k)
+    return PmfTable(params, IndexScheme.CUT, TYPE1, 0, full.values)
 
 
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
@@ -394,16 +387,13 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
 
 def support_min(params: RunParams, variant: VariantSpec = TYPE1,
                 scheme: IndexScheme = IndexScheme.FULL) -> int:
-    """Smallest index with positive probability under the variant."""
+    """Smallest index with positive probability under the variant.
+
+    Each run after the first adds ``k`` trials less its overlap with the one
+    before (a gap ``g`` is the overlap ``-g``); Type II adds one failure.
+    """
     k, r = params.k, params.r
-    if variant.type2:
-        base = r * k + (r - 1)
-    elif variant.overlap > 0:
-        base = k + (r - 1) * (k - variant.overlap)
-    elif variant.overlap < 0:
-        base = r * k + (r - 1) * variant.gap
-    else:
-        base = r * k
+    base = r * k + (r - 1) if variant.type2 else r * k - (r - 1) * variant.overlap
     return base if scheme is IndexScheme.FULL else base - r * k
 
 
@@ -432,7 +422,6 @@ class EngineSpec:
     evaluate: Callable
     exact: bool = True
     overlap: bool = False
-    form: MuselliForm | None = None
 
     @property
     def type1_only(self) -> bool:
@@ -481,14 +470,14 @@ def _root_values(params: RunParams, lo: int, hi: int, ell: int,
 
 def _type2(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
     """The Type II waiting-time engine of one Muselli form."""
-    return EngineSpec(engine, IndexScheme.FULL, EngineFamily.TYPE2, form=form, evaluate=(
+    return EngineSpec(engine, IndexScheme.FULL, EngineFamily.TYPE2, evaluate=(
         lambda params, lo, hi, ell, counter:
         [pmf_muselli(params, n, form) for n in range(lo, hi + 1)]))
 
 
 def _counts(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
     """The run-count engine of one Muselli form; ``params.r`` is the run count."""
-    return EngineSpec(engine, IndexScheme.FULL, EngineFamily.COUNTS, form=form, evaluate=(
+    return EngineSpec(engine, IndexScheme.FULL, EngineFamily.COUNTS, evaluate=(
         lambda params, lo, hi, ell, counter:
         [counts_muselli(params, n, params.r, form) for n in range(lo, hi + 1)]))
 

@@ -16,7 +16,7 @@ the series expansion itself is also available in exact mode and doubles as
 an oracle for the overlap, gap and Type II families.
 The two numeric steps, :func:`solve_roots` and :func:`recover_coefficients`,
 are the only users of numpy here and import it when they run, so the series
-expansion, the gap helpers and everything that imports this module stay
+expansion, :func:`gap_moments` and everything that imports this module stay
 free of it.
 """
 
@@ -26,10 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
-                   Scalar, VariantSpec, shift_moments)
-from .moments import (_poly_pow, _series_div, factorial_moments_partition,
-                      raw_moments_partition, rational_pgf)
+from .core import TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, VariantSpec
+from .moments import MomentRoute, _series_div, moments_via_route, rational_pgf
 from .pmf import TermCounter, support_min
 from .special import binom, hyp2f1
 
@@ -242,7 +240,7 @@ def _root_sum(coeffs: RootCoefficients, n: int) -> complex:
 def pmf_root_based(coeffs: RootCoefficients, n: int,
                    counter: TermCounter | None = None) -> float:
     """Pmf at one index as a sum of root powers: exactly ``k*r`` outer terms."""
-    if n < 1:
+    if n < coeffs.n_support:  # the root sum is rounding noise there
         return 0.0
     if counter is not None:
         counter.add(len(coeffs.a) * len(coeffs.a[0]))
@@ -280,37 +278,16 @@ def factorial_moments_root(coeffs: RootCoefficients, order_max: int) -> MomentSe
     return MomentSet(MomentKind.FACTORIAL, IndexScheme.FULL, tuple(vals))
 
 
-def gap_pmf(params: RunParams, g: int, n: int, base: PmfTable) -> Scalar:
-    """Minimum-gap pmf via the index shift ``f_gap(n) = f_0(n - (r-1) g)``."""
-    if g < 1:
-        raise ValueError("gap must be a positive integer")
-    if base.scheme is not IndexScheme.FULL or not base.variant.is_type1:
-        raise ValueError("base table must be the full-scheme nonoverlapping pmf")
-    m = n - (params.r - 1) * g
-    if m < support_min(params):
-        return Fraction(0) if params.exact else 0.0
-    return base.value(m)
+def gap_moments(params: RunParams, g: int, order_max: int, kind: MomentKind) -> MomentSet:
+    """Factorial or raw moments of the minimum-gap variant, by the partition route.
 
-
-def gap_moments(params: RunParams, g: int, order_max: int, kind: MomentKind,
-                base: MomentSet | None = None) -> MomentSet:
-    """Moments of the minimum-gap variant by shifting full-scheme moments.
-
-    Factorial moments shift through falling factorials of ``(r-1) g``, raw
-    moments through its plain powers; central moments are untouched by the
-    shift and can be taken straight from the nonoverlapping family.
+    The route shifts full-scheme moments by ``(r-1) g``; central moments are
+    untouched by the shift and can be taken straight from the nonoverlapping
+    family.
     """
     if g < 1:
         raise ValueError("gap must be a positive integer")
     if kind is MomentKind.CENTRAL:
         raise ValueError("gap central moments equal the nonoverlapping ones")
-    if base is None:
-        base = (factorial_moments_partition(params, order_max, IndexScheme.FULL)
-                if kind is MomentKind.FACTORIAL
-                else raw_moments_partition(params, order_max, IndexScheme.FULL))
-    if base.kind is not kind or base.scheme is not IndexScheme.FULL:
-        raise ValueError("base moments must be full-scheme of the requested kind")
-    if base.order_max < order_max:
-        raise ValueError("base moments cover too few orders")
-    base = MomentSet(kind, IndexScheme.FULL, base.values[:order_max])
-    return shift_moments(base, (params.r - 1) * g)
+    return moments_via_route(params, MomentRoute.PARTITION, kind, IndexScheme.FULL,
+                             order_max, VariantSpec.with_gap(g))

@@ -19,9 +19,8 @@ from runsdist.oracle import (CountingMode, CountingSemantics, brute_force_pmf,
                              dp_waiting_time_pmf, monte_carlo)
 from runsdist.pmf import (MuselliForm, PmfEngine, TermCounter, counts_muselli,
                           pmf_muselli, pmf_nested_sum, pmf_table)
-from runsdist.roots import (factorial_moments_root, gap_moments, gap_pmf,
-                            pmf_root_based, recover_coefficients, series_pmf,
-                            solve_roots)
+from runsdist.roots import (factorial_moments_root, gap_moments, pmf_root_based,
+                            recover_coefficients, series_pmf, solve_roots)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 FLOAT_PS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -85,13 +84,14 @@ def test_02_oracle_equivalence():
                 for form in MuselliForm:
                     got = tuple(pmf_muselli(params, n, form) for n in range(1, 26))
                     assert got == dp2.values, (pv, k, r, form)
-                # gap variants shift the nonoverlapping pmf exactly
-                base = pmf_table(params, PmfEngine.RECURRENCE_PG, 1, 25)
+                # every engine reaches the gap variants by an exact index shift
                 for g in (1, 2):
                     semg = CountingSemantics(CountingMode.GAP, gap=g)
                     dpg = dp_waiting_time_pmf(params, semg, 25)
-                    got = tuple(gap_pmf(params, g, n, base) for n in range(1, 26))
-                    assert got == dpg.values, (pv, k, r, g)
+                    gap = VariantSpec.with_gap(g)
+                    for e in EXACT_ENGINES:
+                        got = pmf_table(params, e, 1, 25, variant=gap)
+                        assert got.values == dpg.values, (pv, k, r, g, e)
 
     # overlapping families: the series pmf is the exact engine, the
     # root-based engine is numeric and held to its own 1e-10 contract
@@ -161,8 +161,7 @@ def test_04_moment_route_equivalence():
         for k in (1, 2, 3, 4):
             for r in (1, 2, 3):
                 params = RunParams(k, r, pv)
-                sets = [moments_via_route(params, route, MomentKind.FACTORIAL,
-                                          F, 5, tail_tol=1e-12)
+                sets = [moments_via_route(params, route, MomentKind.FACTORIAL, F, 5)
                         for route in (MomentRoute.RECURRENCE, MomentRoute.PARTITION,
                                       MomentRoute.PGF, MomentRoute.ROOT,
                                       MomentRoute.SUMMATION)]
@@ -246,9 +245,11 @@ def test_08_gap_identities():
                     params = RunParams(k, r, pv)
                     base = pmf_table(params, PmfEngine.RECURRENCE_PG, 1, 40)
                     shift = (r - 1) * g
+                    gapped = pmf_table(params, PmfEngine.RECURRENCE_PG, 1, 40,
+                                       variant=VariantSpec.with_gap(g))
                     for n in range(1, 41):
                         want = base.value(n - shift) if n - shift >= 1 else 0
-                        assert gap_pmf(params, g, n, base) == want
+                        assert gapped.value(n) == want
                     # mean shift and untouched variance, exactly
                     ms = gap_moments(params, g, 2, MomentKind.RAW)
                     mu1 = mean(RunParams(k, 1, pv))
@@ -288,9 +289,10 @@ def test_09_complexity_counts():
         for n in (5, 50, 500):
             counter = TermCounter()
             pmf_root_based(coeffs, n, counter=counter)
-            assert counter.count == k * r
+            # below the support start (n = 5 for k = 4, r = 2) nothing is summed
+            assert counter.count == (k * r if n >= coeffs.n_support else 0)
     _ok(9, "nested-sum term count within (r+1)(1+floor((n-1)/k)); root "
-           "engine evaluates exactly k*r outer terms per index")
+           "engine evaluates exactly k*r outer terms per supported index")
 
 
 def _mc_moment4(params, variant):

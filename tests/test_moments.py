@@ -112,7 +112,7 @@ class TestFactorialMomentRoutes:
         # the pgf-expansion engine's nested binomial sums equal the series division
         for k, r, pv in ((1, 1, HALF), (2, 3, Fraction(3, 10)), (4, 2, Fraction(1, 5))):
             params = RunParams(k, r, pv)
-            from runsdist.roots import _poly_pow
+            from runsdist.moments import _poly_pow
 
             p = params.exact_p()
             q = 1 - p

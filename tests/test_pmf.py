@@ -40,7 +40,7 @@ class TestRecurrences:
         assert pmf_recurrence_ch(params, 0).value(0) == Fraction(3, 10) ** 6
 
     def test_ch_equals_pg_after_shift(self):
-        for pv in (Fraction(1, 4), Fraction(7, 10)):
+        for pv in (Fraction(1, 4), Fraction(7, 10), 0.3, 0.85):
             for k in (1, 2, 3):
                 for r in (1, 2):
                     params = RunParams(k, r, pv)

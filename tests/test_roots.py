@@ -8,10 +8,10 @@ from runsdist.moments import (central_from_raw, factorial_moments_partition,
                               mean, moments_from_table,
                               raw_moments_partition, variance)
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
-from runsdist.pmf import TermCounter, pmf_recurrence_pg
+from runsdist.pmf import PmfEngine, TermCounter, pmf_recurrence_pg, pmf_table
 from runsdist.reference import PoleAtS, geometric_pgf, geometric_pmf_recurrence
 from runsdist.roots import (aux_polynomial,
-                            factorial_moments_root, gap_moments, gap_pmf,
+                            factorial_moments_root, gap_moments,
                             pgf_series,
                             pmf_root_based, recover_coefficients, series_pmf,
                             solve_roots)
@@ -165,6 +165,14 @@ class TestCoefficientRecovery:
         rec = pmf_recurrence_pg(params, 1000)
         assert abs(pmf_root_based(coeffs, 1000) - rec.value(1000)) < 1e-9
 
+    def test_zero_below_support(self):
+        # the root sum leaves noise up to ~5e-13 below the first support index
+        for k, r, pv, ell in ((3, 2, 0.4, 0), (3, 3, 0.3, 2)):
+            coeffs = recover_coefficients(solve_roots(RunParams(k, r, pv)), ell=ell)
+            assert all(pmf_root_based(coeffs, n) == 0.0
+                       for n in range(-2, coeffs.n_support))
+            assert pmf_root_based(coeffs, coeffs.n_support) > 0.0
+
     def test_outer_term_count(self):
         params = RunParams(3, 2, 0.5)
         coeffs = recover_coefficients(solve_roots(params))
@@ -233,16 +241,17 @@ class TestGapVariant:
     def test_r1_gap_is_identity(self):
         params = RunParams(2, 1, HALF)
         base = pmf_recurrence_pg(params, 30)
-        assert all(gap_pmf(params, 3, n, base) == base.value(n)
-                   for n in range(2, 31))
+        gapped = pmf_table(params, PmfEngine.RECURRENCE_PG, 2, 30,
+                           variant=VariantSpec.with_gap(3))
+        assert gapped.values == base.values
 
     def test_gap_pmf_matches_oracle(self):
         params = RunParams(2, 2, HALF)
-        base = pmf_recurrence_pg(params, 30)
         sem = CountingSemantics(CountingMode.GAP, gap=2)
         dp = dp_waiting_time_pmf(params, sem, 25)
-        for n in range(1, 26):
-            assert gap_pmf(params, 2, n, base) == dp.value(n)
+        gapped = pmf_table(params, PmfEngine.RECURRENCE_PG, 1, 25,
+                           variant=VariantSpec.with_gap(2))
+        assert gapped.values == dp.values
 
     def test_gap_pgf_is_coefficient_shift(self):
         params = RunParams(2, 3, Fraction(2, 5))
@@ -263,6 +272,14 @@ class TestGapVariant:
         params = RunParams(3, 2, Fraction(3, 10))
         raw = gap_moments(params, 4, 2, MomentKind.RAW)
         assert raw.value(2) - raw.value(1) ** 2 == variance(params)
+
+    def test_gap_moments_rejects_central_and_nonpositive_gap(self):
+        params = RunParams(2, 2, HALF)
+        with pytest.raises(ValueError, match="nonoverlapping"):
+            gap_moments(params, 2, 2, MomentKind.CENTRAL)
+        for g in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                gap_moments(params, g, 2, MomentKind.FACTORIAL)
 
     def test_gap_central_moments_match_summation(self):
         params = RunParams(2, 2, 0.5)
