@@ -9,6 +9,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -171,6 +172,9 @@ class VariantSpec:
 TYPE1 = VariantSpec()
 TYPE2 = VariantSpec(type2=True)
 
+# the mass bound of every pmf table, as the exact value of the double 1 + 1e-9
+_MASS_BOUND = Fraction(1 + 1e-9)
+
 
 @dataclass(frozen=True)
 class PmfTable:
@@ -187,6 +191,9 @@ class PmfTable:
     values: tuple
 
     def __post_init__(self) -> None:
+        if all(type(v) is Fraction or type(v) is int for v in self.values):
+            self._check_exact()
+            return
         total = 0
         for v in self.values:
             if v < 0 or v > 1 + 1e-9:
@@ -194,6 +201,32 @@ class PmfTable:
             total += v
         if total > 1 + 1e-9:
             raise ValueError(f"pmf mass exceeds 1: {total!r}")
+
+    def _check_exact(self) -> None:
+        """The same verdicts on exact values, computed on their integer parts.
+
+        Each value is compared with the exact rational ``1 + 1e-9`` by
+        cross-multiplying, and the mass is summed on integers over a running
+        common denominator. Values over powers of one denominator, as every
+        exact table is, step it by a small factor; two denominators of which
+        neither divides the other move it to their least common multiple.
+        """
+        bn, bd = _MASS_BOUND.numerator, _MASS_BOUND.denominator
+        total, top = 0, 1  # the mass so far is total / top
+        for v in self.values:
+            num, den = v.numerator, v.denominator
+            if num < 0 or (num > den and num * bd > bn * den):
+                raise ValueError(f"pmf value out of [0, 1]: {v!r}")
+            scale, rem = divmod(den, top) if den > top else divmod(top, den)
+            if rem:
+                g = math.gcd(top, den)
+                total, top = total * (den // g) + num * (top // g), top // g * den
+            elif den > top:
+                total, top = total * scale + num, den
+            else:
+                total += num * scale
+        if total * bd > bn * top:
+            raise ValueError(f"pmf mass exceeds 1: {sum(self.values)!r}")
 
     @property
     def n_max(self) -> int:

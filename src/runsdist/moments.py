@@ -322,11 +322,17 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
 
 
 
-def _den_poly(order: int, p, q) -> list:
-    """Coefficients of ``1 - s + q p^order s^(order+1)``; order 0 gives ``1 - p s``."""
+def _den_poly(order: int, p, q, unit) -> list:
+    """Coefficients of ``unit^(order+1) (1 - s) + q p^order s^(order+1)``.
+
+    With ``unit = 1`` this is ``D_order(s) = 1 - s + q p^order s^(order+1)``;
+    order 0 gives ``1 - p s``. With the numerators ``p = a``, ``q = b - a``
+    and ``unit = b`` it is the integer polynomial ``b^(order+1) D_order(s)``
+    of ``p = a/b``.
+    """
     coeffs = [0] * (order + 2)
-    coeffs[0] = 1
-    coeffs[1] = coeffs[1] - 1
+    coeffs[0] = unit ** (order + 1)
+    coeffs[1] = coeffs[1] - unit ** (order + 1)
     coeffs[order + 1] = coeffs[order + 1] + q * p ** order
     return coeffs
 
@@ -364,25 +370,32 @@ def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
     """The variant's generating function as ``(scale, shift, num, den)``.
 
     The pgf is ``scale * s^shift * num(s) / den(s)``: ``num`` and ``den`` are
-    coefficient lists, constant term first, with ``den[0] = 1``, and the
-    monomial stays factored out so a series expansion can apply it after the
-    division. With ``D_l(s) = 1 - s + q p^l s^(l+1)`` the single-run pgf is
+    coefficient lists, constant term first, and the monomial stays factored
+    out so a series expansion can apply it after the division. With
+    ``D_l(s) = 1 - s + q p^l s^(l+1)`` the single-run pgf is
     ``G_k(s) = p^k s^k (1 - p s) / D_k(s)``, and the families are
     ``G_k^r`` (Type I), ``s^((r-1) g) G_k^r`` (gap ``g``),
     ``G_k^r / G_l^(r-1)`` (overlap ``l``) and
     ``G_k^r (q s / (1 - p s))^(r-1)`` (Type II, whose ``(1 - p s)^(r-1)``
-    cancels). Exact in rational mode; float mode works on the stored double.
+    cancels). Float mode works on the stored double, with ``den[0] = 1``.
+    Exact mode multiplies out the integer polynomials ``b^(l+1) D_l(s)`` and
+    ``b - a s`` of ``p = a/b``, so ``scale``, ``num`` and ``den`` are
+    integers and ``den[0] = b^((k+1) r)``.
     """
     variant.check_against(params)
     k, r = params.k, params.r
-    p = params.exact_p() if params.exact else float(params.p)
-    q = 1 - p
-    den = _poly_pow(_den_poly(k, p, q), r)
+    if params.exact:
+        p, unit = params.p.numerator, params.p.denominator
+        q = unit - p
+    else:
+        p, unit = float(params.p), 1
+        q = 1 - p
+    den = _poly_pow(_den_poly(k, p, q, unit), r)
     shift = support_min(params, variant)
     if variant.type2:
-        return p ** (r * k) * q ** (r - 1), shift, [1, -p], den
+        return p ** (r * k) * q ** (r - 1), shift, [unit, -p], den
     ell = max(variant.overlap, 0)
-    num = _poly_mul([1, -p], _poly_pow(_den_poly(ell, p, q), r - 1))
+    num = _poly_mul([unit, -p], _poly_pow(_den_poly(ell, p, q, unit), r - 1))
     return p ** (r * k - (r - 1) * ell), shift, num, den
 
 
@@ -397,11 +410,12 @@ def factorial_moments_pgf(params: RunParams, order_max: int,
     """Full-scheme factorial moments of any family from its rational pgf.
 
     The factorial moment of order ``j`` is ``j! [t^j] P(1 + t)``. Both
-    polynomials of :func:`rational_pgf` are Taylor-shifted to ``s = 1 + t``
-    and divided as power series to order ``order_max``: a finite expansion
-    with no tail. The shifted denominator's constant term is
-    ``D_k(1)^r = (q p^k)^r``, which is never zero. Always computed from
-    ``exact_p()``; float mode rounds each moment once.
+    integer polynomials of :func:`rational_pgf` are Taylor-shifted to
+    ``s = 1 + t`` and divided as power series to order ``order_max``: a
+    finite expansion with no tail. The shifted denominator's constant term
+    is ``b^((k+1) r) D_k(1)^r = ((b - a) a^k)^r`` for ``p = a/b``, which is
+    never zero. Always computed from ``exact_p()``; float mode rounds each
+    moment once.
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
@@ -410,10 +424,10 @@ def factorial_moments_pgf(params: RunParams, order_max: int,
     num_t = _taylor_shift([0] * shift + num, length)
     den_t = _taylor_shift(den, length)
     lead = den_t[0]
-    quot = _series_div([scale * c / lead for c in num_t], [c / lead for c in den_t],
-                       length)
+    # num_t / den_t = quot / lead, with quot the series of num_t over den_t / lead
+    quot = _series_div(num_t, [Fraction(c, lead) for c in den_t], length)
     return MomentSet(MomentKind.FACTORIAL, IndexScheme.FULL,
-                     tuple(params.finalize(math.factorial(j) * quot[j])
+                     tuple(params.finalize(Fraction(math.factorial(j) * scale, lead) * quot[j])
                            for j in range(1, length)))
 
 

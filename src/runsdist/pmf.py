@@ -22,6 +22,12 @@ terms are binomials or products of binomials, as in the double sum and the
 nested sum, each is stepped from the last by one small exact ratio instead of
 being computed afresh, so a deep index costs a few big binomials and O(n)-bit
 small-factor steps.
+
+The recurrence has nonnegative terms, so it runs on doubles in float mode. In
+exact mode it steps the integer numerators of its values over powers of the
+denominator of ``p`` and builds one fraction per entry. Both recurrence
+engines read one list of values, so each of their tables is built and
+checked once.
 """
 
 from __future__ import annotations
@@ -69,18 +75,38 @@ class TermCounter:
         self.count += n
 
 
-def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
-    """Full-scheme pmf by the order-k recurrence, table over ``[r*k, n_max]``.
+def _recurrence_values(params: RunParams, n_max: int) -> list:
+    """Full-scheme pmf values at ``r*k .. n_max`` by the order-k recurrence.
 
     ``P_rk = p^rk`` and for ``n > rk``
     ``P_n = (q/p)/(n-rk) * sum_j (n - rk + j(r-1)) p^j P_{n-j}``, ``j <= k``.
-    Runs in the native numeric mode; all terms are nonnegative so double
-    precision is stable here.
+    All terms are nonnegative, so double precision is stable and float mode
+    runs the recurrence as written. Exact mode runs it on the integer
+    numerators ``N_n = P_n d^n`` of ``p = a/d``:
+    ``N_n = b sum_j (n - rk + j(r-1)) a^(j-1) N_{n-j} / (n-rk)`` with
+    ``b = d - a``, where the division is exact, and builds one fraction per
+    entry.
     """
-    k, r, p, q = params.k, params.r, params.p, params.q
+    k, r, p = params.k, params.r, params.p
     rk = r * k
     if n_max < rk:
         raise ValueError(f"n_max must be at least r*k = {rk}")
+    if params.exact:
+        a, d = p.numerator, p.denominator
+        b = d - a
+        apow = [a ** j for j in range(k)]
+        nums = [a ** rk]
+        den = d ** rk
+        values = [Fraction(nums[0], den)]
+        for m in range(1, n_max - rk + 1):
+            acc = 0
+            for j in range(1, min(k, m) + 1):
+                acc += (m + j * (r - 1)) * apow[j - 1] * nums[m - j]
+            nums.append(b * acc // m)
+            den *= d
+            values.append(Fraction(nums[m], den))
+        return values
+    q = params.q
     ppow = [p ** j for j in range(k + 1)]
     values = {rk: p ** rk}
     for n in range(rk + 1, n_max + 1):
@@ -90,8 +116,18 @@ def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
             if prev:
                 acc += (n - rk + j * (r - 1)) * ppow[j] * prev
         values[n] = (q / p) * acc / (n - rk)
-    return PmfTable(params, IndexScheme.FULL, TYPE1, rk,
-                    tuple(values[n] for n in range(rk, n_max + 1)))
+    return [values[n] for n in range(rk, n_max + 1)]
+
+
+def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
+    """Full-scheme pmf by the order-k recurrence, table over ``[r*k, n_max]``.
+
+    Float mode runs the recurrence on doubles, exact mode on the integer
+    numerators of the values over ``d^n`` for ``p = a/d`` (see
+    :func:`_recurrence_values`).
+    """
+    return PmfTable(params, IndexScheme.FULL, TYPE1, params.r * params.k,
+                    tuple(_recurrence_values(params, n_max)))
 
 
 def pmf_recurrence_ch(params: RunParams, n_max: int) -> PmfTable:
@@ -99,12 +135,12 @@ def pmf_recurrence_ch(params: RunParams, n_max: int) -> PmfTable:
 
     In cut indexing the recurrence reads ``P_0 = p^rk`` and
     ``P_n = (q/p)/n * sum_j (n + rj - j) p^j P_{n-j}``, term for term the
-    one :func:`pmf_recurrence_pg` runs, so its table is relabelled.
+    one :func:`pmf_recurrence_pg` runs, so its values are relabelled.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    full = pmf_recurrence_pg(params, n_max + params.r * params.k)
-    return PmfTable(params, IndexScheme.CUT, TYPE1, 0, full.values)
+    return PmfTable(params, IndexScheme.CUT, TYPE1, 0,
+                    tuple(_recurrence_values(params, n_max + params.r * params.k)))
 
 
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
@@ -486,10 +522,11 @@ ENGINES = {spec.engine: spec for spec in (
     EngineSpec(
         PmfEngine.RECURRENCE_PG, IndexScheme.FULL, EngineFamily.TYPE1,
         lambda params, lo, hi, ell, counter:
-            list(pmf_recurrence_pg(params, hi).values[lo - params.r * params.k:])),
+            _recurrence_values(params, hi)[lo - params.r * params.k:]),
     EngineSpec(
         PmfEngine.RECURRENCE_CH, IndexScheme.CUT, EngineFamily.TYPE1,
-        lambda params, lo, hi, ell, counter: list(pmf_recurrence_ch(params, hi).values[lo:])),
+        lambda params, lo, hi, ell, counter:
+            _recurrence_values(params, hi + params.r * params.k)[lo:]),
     EngineSpec(
         PmfEngine.FULLSUM_CH, IndexScheme.CUT, EngineFamily.TYPE1,
         lambda params, lo, hi, ell, counter:

@@ -131,6 +131,9 @@ def pgf_series(params: RunParams, n_terms: int,
     scale and an index shift. Covers every family; exact in rational mode.
     """
     scale, shift, num, den = rational_pgf(params, variant)
+    if params.exact:  # integer polynomials: divide by den(s) / den[0] and scale back
+        scale = Fraction(scale, den[0])
+        den = [Fraction(c, den[0]) for c in den]
     body = _series_div(num, den, max(n_terms - shift, 0))
     out = [0] * min(shift, n_terms)
     out.extend(scale * c for c in body)

@@ -109,6 +109,55 @@ class TestContainers:
         with pytest.raises(ValueError):
             PmfTable(params, F, TYPE1, 1, (-0.1,))
 
+    def test_exact_pmf_table_mass_bound_is_the_double(self):
+        # the bound is the exact value of the double 1 + 1e-9, as in float mode
+        params = RunParams(1, 1, Fraction(1, 2))
+        bound = Fraction(1 + 1e-9)
+        PmfTable(params, F, TYPE1, 1, (Fraction(1, 2), bound - Fraction(1, 2)))
+        over = bound - Fraction(1, 2) + Fraction(1, 10 ** 40)
+        with pytest.raises(ValueError) as err:
+            PmfTable(params, F, TYPE1, 1, (Fraction(1, 2), over))
+        assert str(err.value) == f"pmf mass exceeds 1: {Fraction(1, 2) + over!r}"
+        # a reduced value can have a smaller denominator than the ones before it
+        with pytest.raises(ValueError) as err:
+            PmfTable(params, F, TYPE1, 1, (Fraction(1, 8), Fraction(1, 2), Fraction(1, 2)))
+        assert str(err.value) == "pmf mass exceeds 1: Fraction(9, 8)"
+
+    def test_exact_pmf_table_rejects_bad_values(self):
+        params = RunParams(1, 1, Fraction(1, 2))
+        with pytest.raises(ValueError) as err:
+            PmfTable(params, F, TYPE1, 1, (Fraction(1, 4), Fraction(-1, 8)))
+        assert str(err.value) == "pmf value out of [0, 1]: Fraction(-1, 8)"
+        above = Fraction(1 + 1e-9) + Fraction(1, 2 ** 200)
+        with pytest.raises(ValueError) as err:
+            PmfTable(params, F, TYPE1, 1, (0, above))
+        assert str(err.value) == f"pmf value out of [0, 1]: {above!r}"
+        # a single value at the bound passes
+        PmfTable(params, F, TYPE1, 1, (Fraction(1 + 1e-9),))
+
+    def test_exact_pmf_table_takes_int_zeros(self):
+        # the DP oracle emits int 0 below the support
+        params = RunParams(2, 1, Fraction(1, 2))
+        t = PmfTable(params, F, TYPE1, 1, (0, Fraction(1, 4), Fraction(1, 8)))
+        assert t.total_mass() == Fraction(3, 8)
+        PmfTable(params, F, TYPE1, 1, (0, 0, 1))
+        with pytest.raises(ValueError) as err:
+            PmfTable(params, F, TYPE1, 1, (0, 1, 1))
+        assert str(err.value) == "pmf mass exceeds 1: 2"
+        with pytest.raises(ValueError) as err:
+            PmfTable(params, F, TYPE1, 1, (0, Fraction(1), 1))
+        assert str(err.value) == "pmf mass exceeds 1: Fraction(2, 1)"
+
+    def test_exact_pmf_table_without_a_common_denominator(self):
+        # 1/4 and 1/9 are reduced values over powers of 6, and neither
+        # denominator divides the other, so the mass moves to their multiple
+        params = RunParams(1, 1, Fraction(1, 6))
+        PmfTable(params, F, TYPE1, 1, (Fraction(1, 4), Fraction(1, 9), Fraction(1, 6)))
+        PmfTable(params, F, TYPE1, 1, (Fraction(1, 4), Fraction(3, 4) + Fraction(1, 10 ** 10)))
+        with pytest.raises(ValueError) as err:
+            PmfTable(params, F, TYPE1, 1, (Fraction(3, 4), Fraction(2, 9), Fraction(1, 27)))
+        assert str(err.value) == "pmf mass exceeds 1: Fraction(109, 108)"
+
     def test_moment_set(self):
         ms = MomentSet(MomentKind.RAW, C, (Fraction(2), Fraction(5)))
         assert ms.order_max == 2

@@ -1,4 +1,4 @@
-"""Property tests: the exact sum engines equal the DP oracle bit for bit.
+"""Property tests: the exact engines equal the DP oracle bit for bit.
 
 Parameters are drawn beyond the hand-picked grids of the other suites:
 ``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``.
@@ -13,7 +13,7 @@ from runsdist.core import IndexScheme, RunParams, VariantSpec
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
 from runsdist.pmf import (MuselliForm, PmfEngine, counts_muselli, pmf_fullsum_ch,
                           pmf_hyp, pmf_muselli, pmf_nested_sum, pmf_pgf_expansion,
-                          pmf_table)
+                          pmf_recurrence_ch, pmf_recurrence_pg, pmf_table)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 TYPE1_SEM = CountingSemantics(CountingMode.NON_OVERLAPPING)
@@ -52,6 +52,28 @@ def test_pgf_expansion_table_equals_dp(params, n_max, width):
     n_min = max(n_max - width, 1)
     table = pmf_table(params, PmfEngine.PGF_EXPANSION, n_min, n_max)
     assert table.values == dp.values[n_min - 1:]
+
+
+def _same(got, want) -> bool:
+    """Equal values of equal types, entry for entry."""
+    return list(map(type, got)) == list(map(type, want)) and got == want
+
+
+@PROPERTY
+@given(run_params(), st.integers(1, N_MAX), st.integers(0, 20))
+def test_recurrence_tables_equal_dp(params, n_max, width):
+    # on the support, where the oracle's entries are fractions too
+    rk = params.r * params.k
+    n_max = max(n_max, rk)
+    n_min = max(n_max - width, rk)
+    dp = dp_waiting_time_pmf(params, TYPE1_SEM, n_max).values
+    want = dp[n_min - 1:]
+    for engine in (PmfEngine.RECURRENCE_PG, PmfEngine.RECURRENCE_CH):
+        assert _same(pmf_table(params, engine, n_min, n_max).values, want)
+    cut = pmf_table(params, PmfEngine.RECURRENCE_CH, n_min - rk, n_max - rk, C)
+    assert _same(cut.values, want)
+    assert _same(pmf_recurrence_pg(params, n_max).values, dp[rk - 1:])
+    assert _same(pmf_recurrence_ch(params, n_max - rk).values, dp[rk - 1:])
 
 
 @PROPERTY
