@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
                    VariantSpec, convert_index, shift_moments)
@@ -277,11 +278,19 @@ def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
         mu = sum(n * v for n, v in pairs)
         vals = [sum((n - mu) ** j * v for n, v in pairs)
                 for j in range(1, order_max + 1)]
-    elif kind is MomentKind.RAW:
-        vals = [sum(n ** j * v for n, v in pairs) for j in range(1, order_max + 1)]
     else:
-        vals = [sum(falling(n, j) * v for n, v in pairs)
-                for j in range(1, order_max + 1)]
+        # each order's integer weights n^j or (n)_j from the order before;
+        # the sums add the same products in the same order as one sum per order
+        ns = [n for n, _ in pairs]
+        vs = [v for _, v in pairs]
+        weights = [1] * len(ns)
+        vals = []
+        for j in range(order_max):
+            if kind is MomentKind.RAW:
+                weights = list(map(mul, weights, ns))
+            else:
+                weights = [w * (n - j) for w, n in zip(weights, ns)]
+            vals.append(sum(map(mul, weights, vs)))
     return MomentSet(kind, scheme, tuple(vals))
 
 

@@ -18,10 +18,15 @@ return. No rational is built per term: each engine writes its terms as small
 integer brackets over powers of the denominator of ``p``, sums them with the
 one integer kernel :func:`~runsdist.special.homogeneous_horner`, and divides
 once at the end (:meth:`~runsdist.core.RunParams.ratio`). Where neighbouring
-terms are binomials or products of binomials, as in the double sum and the
-nested sum, each is stepped from the last by one small exact ratio instead of
-being computed afresh, so a deep index costs a few big binomials and O(n)-bit
-small-factor steps.
+terms are binomials or products of binomials, each is stepped from the last by
+one small exact ratio instead of being computed afresh. The run-placement
+binomials ``C(n-jk-1, j-1)`` that start the columns of the double sum, the
+nested sum and its condensation step along ``j`` the same way (see
+:func:`_column_starts`), so a deep index costs no big binomial, only O(n)-bit
+small-factor steps. The Type II tables step the same binomials across ``n``
+by Pascal's rule (see :func:`_run_binomial_rows`), and the double-sum tables
+step their inner brackets the same way (see :func:`_fullsum_brackets`), so
+such a table adds rows instead of computing binomials per term.
 
 The recurrence has nonnegative terms, so it runs on doubles in float mode. In
 exact mode it steps the integer numerators of its values over powers of the
@@ -33,9 +38,11 @@ checked once.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Callable
 
 from .core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar, VariantSpec, convert_index
@@ -143,45 +150,113 @@ def pmf_recurrence_ch(params: RunParams, n_max: int) -> PmfTable:
                     tuple(_recurrence_values(params, n_max + params.r * params.k)))
 
 
+_COMB_TOP = 100  # below this top one math.comb is quicker than a ratio step
+
+
+def _column_starts(m: int, k: int) -> list:
+    """``C(top, max(j-1, 0))`` with ``top = m-jk-1`` for the columns ``j = 0 .. m//(k+1)``.
+
+    Past ``j = m//(k+1)`` the top falls below ``j-1`` (``m >= 1``), so that
+    binomial and every later one vanish. While the top is big each binomial
+    follows from the one before by the exact small ratio
+    ``C(T-k, b+1) = C(T, b) (T-b)_(k+1) / ((b+1) (T)_k)``, falling factorials
+    of ``k+1`` and ``k`` factors, so the columns of a deep index cost no big
+    binomial; tops below ``_COMB_TOP`` take one small ``math.comb`` each.
+    """
+    last = m // (k + 1)
+    big = min(last, (m - 1 - _COMB_TOP) // k)  # the last column whose top is big
+    if big < 2:  # every column's top is small, or its bottom 0
+        return [1, *map(math.comb, range(m - k - 1, m - (last + 1) * k - 1, -k), range(last))]
+    starts = [1, 1]  # C(m-1, 0) and C(m-k-1, 0)
+    for j in range(2, big + 1):
+        top = m - j * k - 1
+        # C(top, j-1) from C(top+k, j-2)
+        starts.append(starts[-1] * math.perm(top + k - j + 2, k + 1)
+                      // ((j - 1) * math.perm(top + k, k)))
+    j = big + 1  # the small tops of columns j .. last, in one pass
+    starts += map(math.comb, range(m - j * k - 1, m - (last + 1) * k - 1, -k), range(j - 1, last))
+    return starts
+
+
+def _fullsum_ratio(params: RunParams, n: int, bracket: list, weights: list) -> Scalar:
+    """The cut-scheme pmf at ``n >= 1`` from its inner brackets ``bracket[0..n]``.
+
+    The outer term ``i`` carries ``C(r+i-1, r-1) q^i p^(n+rk-i)``, with the
+    weights ``C(r+i-1, r-1)`` in ``weights``, so the outer sum is one
+    integer-kernel call with ``x = qn``, ``d = pn`` (numerators of ``q`` and
+    ``p``) over the common denominator ``den^(n+rk)``.
+    """
+    rk = params.r * params.k
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    total = pn ** rk * homogeneous_horner(map(mul, bracket, weights), den - pn, pn)
+    return params.ratio(total, den ** (n + rk))
+
+
+def _fullsum_weights(r: int, n: int) -> list:
+    """``C(r+i-1, r-1)`` for ``i = 0 .. n``, stepped along ``i``."""
+    weights = [1]
+    for i in range(1, n + 1):
+        weights.append(weights[-1] * (r + i - 1) // i)
+    return weights
+
+
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     """Cut-scheme pmf by the O(n^2) double combinatorial sum.
 
     The inner bracket ``sum_j (-1)^j C(i, j) C(n-jk-1, i-1)`` is a pure
-    integer. It is filled column by column: for each ``j`` the term steps
-    along ``i`` by one small ratio, so the O(n^2/k) terms cost one pair of
-    big binomials per ``j``. The outer term ``i`` carries
-    ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so the outer sum is one integer-kernel
-    call with ``x = qn``, ``d = pn`` (numerators of ``q`` and ``p``) over the
-    common denominator ``den^(n+rk)``.
+    integer. It is filled column by column: each column starts at
+    ``C(top, j-1)`` from :func:`_column_starts` and steps along ``i`` by one
+    small ratio, so the O(n^2/k) terms cost no big binomial beyond the small
+    ratios. The outer sum is :func:`_fullsum_ratio`.
     """
     if n < 0:
         return params.finalize(0)
     k, r = params.k, params.r
-    rk = r * k
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    qn = den - pn
     if n == 0:
-        return params.ratio(pn ** rk, den ** rk)
+        p = params.exact_p()
+        return params.ratio(p.numerator ** (r * k), p.denominator ** (r * k))
     bracket = [0] * (n + 1)  # the i = 0 bracket is C(n-1, -1) = 0
-    for j in range(n // k + 1):
+    for j, t in enumerate(_column_starts(n, k)):
         top = n - j * k - 1
-        first = j or 1
-        if top < first - 1:  # tops fall with j, so every later column vanishes
-            break
-        t = math.comb(first, j) * math.comb(top, first - 1)
+        first = j or 1  # C(first, j) C(top, first-1) = C(top, j-1), or 1 at j = 0
         if j & 1:
             t = -t
         for i in range(first, top + 2):  # C(top, i-1) vanishes past i = top + 1
             bracket[i] += t
             # C(i+1, j) C(top, i) from C(i, j) C(top, i-1); the quotient is exact
             t = t * ((i + 1) * (top - i + 1)) // ((i + 1 - j) * i)
-    w = 1  # C(r+i-1, r-1), stepped along i
-    for i in range(1, n + 1):
-        w = w * (r + i - 1) // i
-        bracket[i] *= w
-    total = pn ** rk * homogeneous_horner(bracket, qn, pn)
-    return params.ratio(total, den ** (n + rk))
+    return _fullsum_ratio(params, n, bracket, _fullsum_weights(r, n))
+
+
+def _fullsum_brackets(k: int, hi: int):
+    """Yield the inner brackets of :func:`pmf_fullsum_ch` at ``n = 1 .. hi``.
+
+    Pascal's rule on ``C(n-jk-1, i-1)`` and then on ``C(i, j)`` gives
+    ``B_n[i] = B_(n-1)[i] + B_(n-1)[i-1] - B_(n-1-k)[i-1]`` for ``i >= 1``,
+    with ``B_n = 0`` for ``n <= 0``. The first rule fails only where the top
+    ``n-jk-1`` and the bottom ``i-1`` are both 0, which adds
+    ``[n = 1] - [n = k+1]`` to ``B_n[1]``. So a row costs two additions per
+    entry, where a single index takes O(n/k) ratio steps per entry.
+    """
+    rows = deque([[0]] * (k + 1), maxlen=k + 1)  # B_(n-1-k) .. B_(n-1)
+    for n in range(1, hi + 1):
+        prev, back = rows[-1], rows[0]
+        # B_n[i] for i = 1 .. n from B_(n-1)[i], B_(n-1)[i-1] and B_(n-1-k)[i-1]
+        row = [0, *map(sub, map(add, prev[1:] + [0], prev), back + [0] * (n - len(back)))]
+        row[1] += (n == 1) - (n == k + 1)
+        rows.append(row)
+        yield row
+
+
+def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
+    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``) from stepped brackets."""
+    values = [pmf_fullsum_ch(params, 0)] if lo == 0 else []
+    weights = _fullsum_weights(params.r, hi)
+    for n, bracket in enumerate(_fullsum_brackets(params.k, hi), start=1):
+        if n >= lo:
+            values.append(_fullsum_ratio(params, n, bracket, weights))
+    return values
 
 
 def _nested_outer(params: RunParams, outer: list) -> tuple:
@@ -221,14 +296,11 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
     cq = [math.comb(r, i) * qn ** i * den ** (r - i) for i in range(r + 1)]
     outer = []
     w = 1  # C(r+j-1, r-1), stepped along j
-    for j in range((m - 1) // k + 1):
+    for j, t in enumerate(_column_starts(m, k)):
         top = m - j * k - 1
-        if j - 1 > top:  # even the smallest bottom index exceeds the top
-            break
         first = 0 if j else 1  # the first i whose bottom j+i-1 is >= 0
         last = min(r, top - j + 1)  # the last i whose bottom is <= top
         b = j + first - 1
-        t = math.comb(top, b)
         inner = t * cq[first]
         for i in range(first + 1, last + 1):
             t = t * (top - b) // (b + 1)  # C(top, b+1) from C(top, b)
@@ -277,13 +349,11 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
         return params.ratio(pn ** rk, den ** rk)
     qn = den - pn
     qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+    starts = _column_starts(m, k)
     outer = [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])]  # j = 0 carries q^(i+1)
-    for j in range(1, (m - 1) // k + 1):
-        top = m - j * k - 1
-        if top < j - 1:  # C(top, j-1) vanishes here and for every later j
-            break
+    for j in range(1, len(starts)):
         outer.append(math.comb(r + j - 1, r - 1)
-                     * _hyp2f1_scaled(math.comb(top, j - 1), j - 1 - top, -r, j, qi))
+                     * _hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi))
     return params.ratio(*_nested_outer(params, outer))
 
 
@@ -343,24 +413,41 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     return _pgf_expansion_values(params, n, n)[0]
 
 
-def _type2_total(params: RunParams, lo: int, outer: list) -> tuple:
-    """``sum_m outer[m-lo] p^(mk) q^(m-1) / den`` over ``m >= lo`` as an integer pair.
+def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list) -> Callable:
+    """The Muselli series of one family, its per-table constants computed once.
 
-    ``outer[m-lo]`` holds the signed binomial weight times the bracket scaled
-    by ``den``. With ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms
-    the sum is ``x^lo H / (qn d^(lo+J))``, ``H`` one integer-kernel call.
-    Dividing by ``qn`` is exact: for ``lo >= 1`` ``x^lo`` carries it, and for
-    ``lo = 0`` the ``m = 0`` bracket is ``qn`` itself.
+    Returns ``value(pairs)``, where ``pairs`` yields the two bracket binomials
+    ``(first, second)`` of each ``m = lo, lo+1, ...``. The bracket is
+    ``den first + qn second`` (ORIGINAL) or ``den first - pn second`` (ALT),
+    i.e. scaled by ``den``, and term ``m`` is ``(-1)^(m-lo) weights[m-lo]``
+    times it; ``value`` sums ``term_m p^(mk) q^(m-1) / den``. With
+    ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms the sum is
+    ``x^lo H / (qn d^(lo+J))``, ``H`` one integer-kernel call. Dividing by
+    ``qn`` is exact: for ``lo >= 1`` ``x^lo`` carries it, and for ``lo = 0``
+    the ``m = 0`` bracket is ``qn`` itself.
     """
-    if not outer:
-        return 0, 1
-    k = params.k
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     qn = den - pn
-    x, d = pn ** k * qn, den ** (k + 1)
-    total = x ** lo * homogeneous_horner(outer, x, d) // qn
-    return total, d ** (lo + len(outer) - 1)
+    x, d = pn ** params.k * qn, den ** (params.k + 1)
+    head = x ** lo
+    second = qn if form is MuselliForm.ORIGINAL else -pn
+
+    def value(pairs) -> Scalar:
+        outer = [w * (den * a + second * b) for w, (a, b) in zip(weights, pairs)]
+        if not outer:
+            return params.ratio(0, 1)
+        outer[1::2] = [-c for c in outer[1::2]]
+        return params.ratio(head * homogeneous_horner(outer, x, d) // qn,
+                            d ** (lo + len(outer) - 1))
+
+    return value
+
+
+def _type2_weights(params: RunParams, n_max: int) -> list:
+    """``C(m-1, r-1)`` for the Type II terms ``m = r .. (n_max+1)//(k+1)``."""
+    r = params.r
+    return [math.comb(m - 1, r - 1) for m in range(r, (n_max + 1) // (params.k + 1) + 1)]
 
 
 def pmf_muselli(params: RunParams, n: int,
@@ -377,21 +464,57 @@ def pmf_muselli(params: RunParams, n: int,
     if n < 1:
         raise ValueError("Type II pmf needs n >= 1")
     k, r = params.k, params.r
-    p = params.exact_p()
     if r == 1 and n == k:
-        return params.finalize(p ** k)
-    pn, den = p.numerator, p.denominator
-    qn = den - pn
-    outer = []
-    for m in range(r, (n + 1) // (k + 1) + 1):
-        t = n - m * k
-        if form is MuselliForm.ORIGINAL:
-            bracket = den * binom(t - 1, m - 2) + qn * binom(t - 1, m - 1)
-        else:
-            bracket = den * binom(t, m - 1) - pn * binom(t - 1, m - 1)
-        c = binom(m - 1, r - 1) * bracket
-        outer.append(-c if (m - r) & 1 else c)
-    return params.ratio(*_type2_total(params, r, outer))
+        return params.finalize(params.exact_p() ** k)
+    ms = range(r, (n + 1) // (k + 1) + 1)
+    if form is MuselliForm.ORIGINAL:
+        pairs = [(binom(n - m * k - 1, m - 2), binom(n - m * k - 1, m - 1)) for m in ms]
+    else:
+        pairs = [(binom(n - m * k, m - 1), binom(n - m * k - 1, m - 1)) for m in ms]
+    return _type2_series(params, form, r, _type2_weights(params, n))(pairs)
+
+
+def _run_binomial_rows(k: int, lo: int, hi: int, width: int):
+    """Yield ``(U_(n-k), U_n, U_(n+1))`` for ``n = lo .. hi``, ``U_n[m] = C(n-mk-1, m-1)``.
+
+    Each row holds ``m = 0 .. width-1``. The ``k+1`` rows ``U_(lo-k) .. U_lo``
+    are computed directly; every later row follows by Pascal's rule
+    ``U_(n+1)[m] = U_n[m] + U_(n-k)[m-1]``, which holds wherever the top
+    ``n-mk-1`` of ``U_n[m]`` is nonnegative. Where it is negative the entry
+    is computed directly, which is at most ``C(0, 0)``.
+    """
+    rows = deque(([binom(n - m * k - 1, m - 1) for m in range(width)]
+                  for n in range(lo - k, lo + 1)), maxlen=k + 1)
+    for n in range(lo, hi + 1):
+        below, row = rows[0], rows[-1]
+        above = [0] * width
+        for m in range(1, min(width, (n + 1) // (k + 1) + 1)):  # zero past (n+1)/(k+1)
+            top = n - m * k - 1
+            above[m] = binom(top + 1, m - 1) if top < 0 else row[m] + below[m - 1]
+        rows.append(above)
+        yield below, row, above
+
+
+def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm) -> list:
+    """:func:`pmf_muselli` at ``lo .. hi`` (``lo >= 1``) from Pascal-stepped binomial rows.
+
+    ORIGINAL reads ``C(t-1, m-2) = U_(n-k)[m-1]`` and ``C(t-1, m-1) = U_n[m]``,
+    ALT reads ``C(t, m-1) = U_(n+1)[m]`` and ``U_n[m]``, with ``t = n-mk``;
+    each index sums its own series.
+    """
+    k, r = params.k, params.r
+    weights = _type2_weights(params, hi)
+    series = _type2_series(params, form, r, weights)
+    values = []
+    rows = _run_binomial_rows(k, lo, hi, (hi + 1) // (k + 1) + 1)  # every m a term reads
+    for n, (below, row, above) in zip(range(lo, hi + 1), rows):
+        if r == 1 and n == k:  # the closed form, as at a single index
+            values.append(pmf_muselli(params, n, form))
+            continue
+        end = (n + 1) // (k + 1) + 1  # past the last term m
+        firsts = below[r - 1:end - 1] if form is MuselliForm.ORIGINAL else above[r:end]
+        values.append(series(zip(firsts, row[r:end])))
+    return values
 
 
 def counts_muselli(params: RunParams, n: int, r_count: int,
@@ -406,19 +529,13 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
     if r_count < 0:
         raise ValueError("r_count must be nonnegative")
     k = params.k
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    qn = den - pn
-    outer = []
-    for m in range(r_count, (n + 1) // (k + 1) + 1):
-        t = n - m * k
-        if form is MuselliForm.ORIGINAL:
-            bracket = den * binom(t, m - 1) + qn * binom(t, m)
-        else:
-            bracket = den * binom(t + 1, m) - pn * binom(t, m)
-        c = binom(m, r_count) * bracket
-        outer.append(-c if (m - r_count) & 1 else c)
-    return params.ratio(*_type2_total(params, r_count, outer))
+    ms = range(r_count, (n + 1) // (k + 1) + 1)
+    if form is MuselliForm.ORIGINAL:
+        pairs = [(binom(n - m * k, m - 1), binom(n - m * k, m)) for m in ms]
+    else:
+        pairs = [(binom(n - m * k + 1, m), binom(n - m * k, m)) for m in ms]
+    weights = [binom(m, r_count) for m in ms]
+    return _type2_series(params, form, r_count, weights)(pairs)
 
 
 def support_min(params: RunParams, variant: VariantSpec = TYPE1,
@@ -450,6 +567,9 @@ class EngineSpec:
     :meth:`first_index`; ``ell`` is the run overlap, which only an engine
     with ``overlap`` reach reads. Evaluators look the engine functions up when
     called, so a module attribute replaced at run time is the one that runs.
+    The Type II and double-sum evaluators call :func:`_muselli_values` and
+    :func:`_fullsum_values`, which step rows across the range, not
+    :func:`pmf_muselli` or :func:`pmf_fullsum_ch` per index.
     """
 
     engine: PmfEngine
@@ -507,8 +627,7 @@ def _root_values(params: RunParams, lo: int, hi: int, ell: int,
 def _type2(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
     """The Type II waiting-time engine of one Muselli form."""
     return EngineSpec(engine, IndexScheme.FULL, EngineFamily.TYPE2, evaluate=(
-        lambda params, lo, hi, ell, counter:
-        [pmf_muselli(params, n, form) for n in range(lo, hi + 1)]))
+        lambda params, lo, hi, ell, counter: _muselli_values(params, lo, hi, form)))
 
 
 def _counts(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
@@ -529,8 +648,7 @@ ENGINES = {spec.engine: spec for spec in (
             _recurrence_values(params, hi + params.r * params.k)[lo:]),
     EngineSpec(
         PmfEngine.FULLSUM_CH, IndexScheme.CUT, EngineFamily.TYPE1,
-        lambda params, lo, hi, ell, counter:
-            [pmf_fullsum_ch(params, n) for n in range(lo, hi + 1)]),
+        lambda params, lo, hi, ell, counter: _fullsum_values(params, lo, hi)),
     EngineSpec(
         PmfEngine.NESTED_SUM, IndexScheme.CUT, EngineFamily.TYPE1,
         lambda params, lo, hi, ell, counter:

@@ -46,26 +46,38 @@ def homogeneous_horner(coeffs, x: int, d: int) -> int:
     size instead of multiplying a long power by each short coefficient in
     turn. Each power of ``x`` and ``d`` is computed once per call, and short
     runs use the homogeneous Horner step ``acc = acc*d + coeffs[j]*x^j``.
+    When ``d`` is a power of two, as for every float ``p``, each product
+    with a power of ``d`` is a shift.
     """
     coeffs = list(coeffs)
     xpow: dict = {}
     dpow: dict = {}
+    shift = d.bit_length() - 1 if d > 0 and not d & (d - 1) else None
 
     def split(lo: int, hi: int) -> int:
         if hi - lo <= _HORNER_LEAF:
             acc = 0
             xp = 1
-            for c in coeffs[lo:hi]:
-                acc = acc * d + c * xp if c else acc * d
-                xp *= x
+            if shift is None:
+                for c in coeffs[lo:hi]:
+                    acc = acc * d + c * xp if c else acc * d
+                    xp *= x
+            else:
+                for c in coeffs[lo:hi]:
+                    acc = (acc << shift) + c * xp if c else acc << shift
+                    xp *= x
             return acc
         mid = (lo + hi) // 2
         nx, nd = mid - lo, hi - mid
         if nx not in xpow:
             xpow[nx] = x ** nx
-        if nd not in dpow:
-            dpow[nd] = d ** nd
-        return split(lo, mid) * dpow[nd] + xpow[nx] * split(mid, hi)
+        if shift is not None:
+            head = split(lo, mid) << (shift * nd)
+        else:
+            if nd not in dpow:
+                dpow[nd] = d ** nd
+            head = split(lo, mid) * dpow[nd]
+        return head + xpow[nx] * split(mid, hi)
 
     return split(0, len(coeffs))
 

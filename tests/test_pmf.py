@@ -180,6 +180,36 @@ class TestDeepTail:
         assert type(got) is type(pv) and 0 < got < 1
         assert got == params.finalize(exact)
 
+    @pytest.mark.parametrize("k, r, pv, n", [
+        (2, 3, 0.45, 1003),
+        (3, 2, 0.55, 850),
+        (4, 2, 0.65, 1190),
+        (5, 1, 0.7, 960),
+    ])
+    def test_deep_float_nested_and_hyp_agree_bit_for_bit(self, k, r, pv, n):
+        # both round the same exact value once; their column binomials are
+        # stepped by ratios at these depths
+        params = RunParams(k, r, pv)
+        got = pmf_nested_sum(params, n, F)
+        assert type(got) is float and got > 0
+        assert pmf_hyp(params, n, F) == got
+        near = pmf_recurrence_pg(params, n).value(n)
+        assert abs(got - near) <= 1e-9 * near
+
+    @pytest.mark.parametrize("k, r, pv, n", [
+        (1, 3, Fraction(5, 7), 300),
+        (2, 2, Fraction(2, 5), 305),
+        (3, 3, Fraction(5, 9), 310),
+        (5, 2, Fraction(3, 4), 290),
+    ])
+    def test_deep_exact_nested_and_fullsum_equal_dp(self, k, r, pv, n):
+        params = RunParams(k, r, pv)
+        sem = CountingSemantics(CountingMode.NON_OVERLAPPING)
+        want = dp_waiting_time_pmf(params, sem, n).value(n)
+        assert want > 0
+        assert pmf_nested_sum(params, n, F) == want
+        assert pmf_fullsum_ch(params, n - r * k) == want
+
 
 class TestMuselli:
     def test_geometric_values(self):

@@ -1,7 +1,9 @@
 """Property tests: the exact engines equal the DP oracle bit for bit.
 
 Parameters are drawn beyond the hand-picked grids of the other suites:
-``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``.
+``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli
+and double-sum tables start anywhere in ``[1, 120]`` and ``[0, 100]`` and run
+up to 20 indices.
 """
 
 from fractions import Fraction
@@ -84,6 +86,33 @@ def test_muselli_forms_equal_dp(params, n):
     assert pmf_muselli(params, n, MuselliForm.ALT) == want
     table = pmf_table(params, PmfEngine.MUSELLI_ALT, 1, n, variant=VariantSpec.type_ii())
     assert table.value(n) == want
+
+
+@PROPERTY
+@given(run_params(), st.booleans(), st.integers(1, 120), st.integers(0, 20),
+       st.sampled_from(MuselliForm))
+def test_muselli_tables_equal_single_index_and_dp(params, exact, n_min, width, form):
+    # a table starting anywhere steps its binomial rows from its own first index
+    params = params if exact else params.to_float()
+    n_max = n_min + width
+    engine = PmfEngine.MUSELLI_ORIGINAL if form is MuselliForm.ORIGINAL else PmfEngine.MUSELLI_ALT
+    table = pmf_table(params, engine, n_min, n_max, variant=VariantSpec.type_ii()).values
+    assert _same(table, tuple(pmf_muselli(params, n, form) for n in range(n_min, n_max + 1)))
+    dp = dp_waiting_time_pmf(params.to_exact(), TYPE2_SEM, n_max).values[n_min - 1:]
+    assert table == tuple(map(params.finalize, dp))
+
+
+@PROPERTY
+@given(run_params(), st.booleans(), st.integers(0, 100), st.integers(0, 20))
+def test_fullsum_tables_equal_single_index_and_dp(params, exact, n_min, width):
+    # a cut-scheme table steps its brackets from n = 1 whatever its first index
+    params = params if exact else params.to_float()
+    rk = params.r * params.k
+    n_max = n_min + width
+    table = pmf_table(params, PmfEngine.FULLSUM_CH, n_min, n_max, C).values
+    assert _same(table, tuple(pmf_fullsum_ch(params, n) for n in range(n_min, n_max + 1)))
+    dp = dp_waiting_time_pmf(params.to_exact(), TYPE1_SEM, n_max + rk).values[n_min + rk - 1:]
+    assert table == tuple(map(params.finalize, dp))
 
 
 def _at_least(params: RunParams, count: int, n: int) -> Fraction:

@@ -215,8 +215,9 @@ class TestHomogeneousHorner:
             bits = rng.randint(1, 400)
             coeffs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(J)]
             x = rng.getrandbits(rng.randint(1, 160)) | 1
-            d = rng.getrandbits(rng.randint(1, 160)) | 1
-            assert homogeneous_horner(coeffs, x, d) == horner_direct(coeffs, x, d)
+            # an odd d multiplies, a power of two (a float p's) shifts
+            for d in (rng.getrandbits(rng.randint(1, 160)) | 1, 1 << rng.randint(0, 160)):
+                assert homogeneous_horner(coeffs, x, d) == horner_direct(coeffs, x, d)
 
     def test_zero_runs_across_split_points(self):
         rng = random.Random(77)
