@@ -14,8 +14,8 @@ live in ``runsdist.reference``, which is not re-exported.
 
 __version__ = "0.1.0"
 
-from .core import IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, VariantSpec
+from .core import IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, TermCounter, VariantSpec
 from .moments import MomentRoute, central_moments, mean, moments_via_route, variance
 from .oracle import (CountingMode, CountingSemantics, MonteCarloResult, brute_force_pmf,
                      dp_waiting_time_pmf, monte_carlo)
-from .pmf import PmfEngine, TermCounter, pmf_table
+from .pmf import PmfEngine, pmf_table

@@ -4,7 +4,15 @@ The library runs in one of two numeric modes, selected by the type of the
 success probability: a ``float`` gives double precision, a
 :class:`fractions.Fraction` gives exact rational arithmetic end to end. All
 types here are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+values can be shared freely across threads (:class:`TermCounter`, a mutable
+tally a caller passes in, is the one exception).
+
+Each fact about a counting variant lives here, next to :class:`VariantSpec`:
+its support start (:func:`support_min`) and its rational probability
+generating function (:func:`rational_pgf`), from which the series engine of
+:mod:`runsdist.roots` expands the pmf and :mod:`runsdist.moments` the
+factorial moments. The engine modules share these through this module
+instead of importing one another when they load.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .special import binom, falling
+from .special import _poly_mul, _poly_pow, binom, falling
 
 Scalar = Union[float, Fraction]
 
@@ -170,7 +178,79 @@ class VariantSpec:
 
 
 TYPE1 = VariantSpec()
-TYPE2 = VariantSpec(type2=True)
+
+
+def support_min(params: RunParams, variant: VariantSpec = TYPE1,
+                scheme: IndexScheme = IndexScheme.FULL) -> int:
+    """Smallest index with positive probability under the variant.
+
+    Each run after the first adds ``k`` trials less its overlap with the one
+    before (a gap ``g`` is the overlap ``-g``); Type II adds one failure.
+    """
+    k, r = params.k, params.r
+    base = r * k + (r - 1) if variant.type2 else r * k - (r - 1) * variant.overlap
+    return base if scheme is IndexScheme.FULL else base - r * k
+
+
+def _den_poly(order: int, p, q, unit) -> list:
+    """Coefficients of ``unit^(order+1) (1 - s) + q p^order s^(order+1)``.
+
+    With ``unit = 1`` this is ``D_order(s) = 1 - s + q p^order s^(order+1)``;
+    order 0 gives ``1 - p s``. With the numerators ``p = a``, ``q = b - a``
+    and ``unit = b`` it is the integer polynomial ``b^(order+1) D_order(s)``
+    of ``p = a/b``.
+    """
+    coeffs = [0] * (order + 2)
+    coeffs[0] = unit ** (order + 1)
+    coeffs[1] = coeffs[1] - unit ** (order + 1)
+    coeffs[order + 1] = coeffs[order + 1] + q * p ** order
+    return coeffs
+
+
+def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
+    """The variant's generating function as ``(scale, shift, num, den)``.
+
+    The pgf is ``scale * s^shift * num(s) / den(s)``: ``num`` and ``den`` are
+    coefficient lists, constant term first, and the monomial stays factored
+    out so a series expansion can apply it after the division. With
+    ``D_l(s) = 1 - s + q p^l s^(l+1)`` the single-run pgf is
+    ``G_k(s) = p^k s^k (1 - p s) / D_k(s)``, and the families are
+    ``G_k^r`` (Type I), ``s^((r-1) g) G_k^r`` (gap ``g``),
+    ``G_k^r / G_l^(r-1)`` (overlap ``l``) and
+    ``G_k^r (q s / (1 - p s))^(r-1)`` (Type II, whose ``(1 - p s)^(r-1)``
+    cancels). Float mode works on the stored double, with ``den[0] = 1``.
+    Exact mode multiplies out the integer polynomials ``b^(l+1) D_l(s)`` and
+    ``b - a s`` of ``p = a/b``, so ``scale``, ``num`` and ``den`` are
+    integers and ``den[0] = b^((k+1) r)``.
+    """
+    variant.check_against(params)
+    k, r = params.k, params.r
+    if params.exact:
+        p, unit = params.p.numerator, params.p.denominator
+        q = unit - p
+    else:
+        p, unit = float(params.p), 1
+        q = 1 - p
+    den = _poly_pow(_den_poly(k, p, q, unit), r)
+    shift = support_min(params, variant)
+    if variant.type2:
+        return p ** (r * k) * q ** (r - 1), shift, [unit, -p], den
+    ell = max(variant.overlap, 0)
+    num = _poly_mul([unit, -p], _poly_pow(_den_poly(ell, p, q, unit), r - 1))
+    return p ** (r * k - (r - 1) * ell), shift, num, den
+
+
+class TermCounter:
+    """Counts evaluated sum terms, for the complexity-bound assertions."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def add(self, n: int = 1) -> None:
+        self.count += n
+
 
 # the mass bound of every pmf table, as the exact value of the double 1 + 1e-9
 _MASS_BOUND = Fraction(1 + 1e-9)

@@ -5,12 +5,11 @@ Four routes produce the same Type I numbers: the order-mixing recurrence
 families (either scheme), a finite Taylor expansion of the rational
 generating function (full scheme), and direct summation against a pmf table.
 The generating-function route covers every counting family, since each
-family's pgf is rational (:func:`rational_pgf`); the others, and the root
-expansion of :mod:`runsdist.roots`, reach the minimum-gap variant by
-shifting Type I moments, and the root expansion also fits the overlap
-families. Coefficient families and the
-finite routes are evaluated in exact rational arithmetic internally, like the
-sum-type pmf engines.
+family's pgf is rational (:func:`runsdist.core.rational_pgf`); the others,
+and the root expansion of :mod:`runsdist.roots`, reach the minimum-gap
+variant by shifting Type I moments, and the root expansion also fits the
+overlap families. Coefficient families and the finite routes are evaluated
+in exact rational arithmetic internally, like the sum-type pmf engines.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from fractions import Fraction
 from operator import mul
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
-                   VariantSpec, convert_index, shift_moments)
-from .pmf import pmf_recurrence_pg, support_min
-from .special import binom, eulerian_poly, falling, stirling2
+                   VariantSpec, convert_index, rational_pgf, shift_moments)
+from .pmf import pmf_recurrence_pg
+from .special import _series_div, binom, eulerian_poly, falling, stirling2
 
 
 class MomentRoute(Enum):
@@ -294,26 +293,28 @@ def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
     return MomentSet(kind, scheme, tuple(vals))
 
 
-def summation_window(params: RunParams, sigmas: float = 30.0) -> int:
-    """Full-scheme index covering the mean plus ``sigmas`` standard deviations."""
+_WINDOW_SIGMAS = 30.0  # standard deviations past the mean that a summation window spans
+
+
+def summation_window(params: RunParams) -> int:
+    """Full-scheme index covering the mean plus 30 standard deviations."""
     fp = params.to_float()
-    return max(int(math.ceil(mean(fp) + sigmas * math.sqrt(variance(fp)))),
+    return max(int(math.ceil(mean(fp) + _WINDOW_SIGMAS * math.sqrt(variance(fp)))),
                params.r * params.k + 10)
 
 
 def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
-                         scheme: IndexScheme = IndexScheme.FULL,
-                         sigmas: float = 30.0) -> MomentSet:
+                         scheme: IndexScheme = IndexScheme.FULL) -> MomentSet:
     """Summation route over a recurrence table spanning at least mean + 30 sd.
 
-    ``mean + sigmas * sd`` can still truncate noticeably for high orders when
+    ``mean + 30 sd`` can still truncate noticeably for high orders when
     the distribution is narrow, so the window doubles until a geometric bound
     on the order-weighted tail falls below 1e-12 of the leading moment.
     Always runs in double precision: the window is far too wide for exact
     arithmetic to pay its way, and the truncation already caps the accuracy.
     """
     fp = params.to_float()
-    n_max = summation_window(fp, sigmas)
+    n_max = summation_window(fp)
     for _ in range(40):
         table = pmf_recurrence_pg(fp, n_max)
         ms = moments_from_table(table, order_max, kind, scheme)
@@ -329,85 +330,6 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
     raise RuntimeError("summation window failed to close the moment tail")
 
 
-
-
-def _den_poly(order: int, p, q, unit) -> list:
-    """Coefficients of ``unit^(order+1) (1 - s) + q p^order s^(order+1)``.
-
-    With ``unit = 1`` this is ``D_order(s) = 1 - s + q p^order s^(order+1)``;
-    order 0 gives ``1 - p s``. With the numerators ``p = a``, ``q = b - a``
-    and ``unit = b`` it is the integer polynomial ``b^(order+1) D_order(s)``
-    of ``p = a/b``.
-    """
-    coeffs = [0] * (order + 2)
-    coeffs[0] = unit ** (order + 1)
-    coeffs[1] = coeffs[1] - unit ** (order + 1)
-    coeffs[order + 1] = coeffs[order + 1] + q * p ** order
-    return coeffs
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_pow(base: list, e: int) -> list:
-    out = [1]
-    for _ in range(e):
-        out = _poly_mul(out, base)
-    return out
-
-
-def _series_div(num: list, den: list, length: int) -> list:
-    """Power-series quotient to the given length; ``den[0]`` must be 1."""
-    out = []
-    for n in range(length):
-        acc = num[n] if n < len(num) else 0
-        for u in range(1, min(n, len(den) - 1) + 1):
-            if den[u]:
-                acc -= den[u] * out[n - u]
-        out.append(acc)
-    return out
-
-
-def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
-    """The variant's generating function as ``(scale, shift, num, den)``.
-
-    The pgf is ``scale * s^shift * num(s) / den(s)``: ``num`` and ``den`` are
-    coefficient lists, constant term first, and the monomial stays factored
-    out so a series expansion can apply it after the division. With
-    ``D_l(s) = 1 - s + q p^l s^(l+1)`` the single-run pgf is
-    ``G_k(s) = p^k s^k (1 - p s) / D_k(s)``, and the families are
-    ``G_k^r`` (Type I), ``s^((r-1) g) G_k^r`` (gap ``g``),
-    ``G_k^r / G_l^(r-1)`` (overlap ``l``) and
-    ``G_k^r (q s / (1 - p s))^(r-1)`` (Type II, whose ``(1 - p s)^(r-1)``
-    cancels). Float mode works on the stored double, with ``den[0] = 1``.
-    Exact mode multiplies out the integer polynomials ``b^(l+1) D_l(s)`` and
-    ``b - a s`` of ``p = a/b``, so ``scale``, ``num`` and ``den`` are
-    integers and ``den[0] = b^((k+1) r)``.
-    """
-    variant.check_against(params)
-    k, r = params.k, params.r
-    if params.exact:
-        p, unit = params.p.numerator, params.p.denominator
-        q = unit - p
-    else:
-        p, unit = float(params.p), 1
-        q = 1 - p
-    den = _poly_pow(_den_poly(k, p, q, unit), r)
-    shift = support_min(params, variant)
-    if variant.type2:
-        return p ** (r * k) * q ** (r - 1), shift, [unit, -p], den
-    ell = max(variant.overlap, 0)
-    num = _poly_mul([unit, -p], _poly_pow(_den_poly(ell, p, q, unit), r - 1))
-    return p ** (r * k - (r - 1) * ell), shift, num, den
-
-
 def _taylor_shift(poly: list, length: int) -> list:
     """The first ``length`` coefficients of ``poly(1 + t)`` in powers of ``t``."""
     return [sum(binom(i, j) * poly[i] for i in range(j, len(poly)))
@@ -419,7 +341,7 @@ def factorial_moments_pgf(params: RunParams, order_max: int,
     """Full-scheme factorial moments of any family from its rational pgf.
 
     The factorial moment of order ``j`` is ``j! [t^j] P(1 + t)``. Both
-    integer polynomials of :func:`rational_pgf` are Taylor-shifted to
+    integer polynomials of :func:`~runsdist.core.rational_pgf` are Taylor-shifted to
     ``s = 1 + t`` and divided as power series to order ``order_max``: a
     finite expansion with no tail. The shifted denominator's constant term
     is ``b^((k+1) r) D_k(1)^r = ((b - a) a^k)^r`` for ``p = a/b``, which is

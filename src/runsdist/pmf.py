@@ -45,7 +45,8 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Callable
 
-from .core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar, VariantSpec, convert_index
+from .core import (TYPE1, IndexScheme, PmfTable, RunParams, Scalar, TermCounter, VariantSpec,
+                   convert_index, support_min)
 from .special import binom, homogeneous_horner
 
 
@@ -68,18 +69,6 @@ class PmfEngine(Enum):
 class MuselliForm(Enum):
     ORIGINAL = "original"
     ALT = "alt"
-
-
-class TermCounter:
-    """Counts evaluated sum terms, for the complexity-bound assertions."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, n: int = 1) -> None:
-        self.count += n
 
 
 def _recurrence_values(params: RunParams, n_max: int) -> list:
@@ -536,18 +525,6 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
         pairs = [(binom(n - m * k + 1, m), binom(n - m * k, m)) for m in ms]
     weights = [binom(m, r_count) for m in ms]
     return _type2_series(params, form, r_count, weights)(pairs)
-
-
-def support_min(params: RunParams, variant: VariantSpec = TYPE1,
-                scheme: IndexScheme = IndexScheme.FULL) -> int:
-    """Smallest index with positive probability under the variant.
-
-    Each run after the first adds ``k`` trials less its overlap with the one
-    before (a gap ``g`` is the overlap ``-g``); Type II adds one failure.
-    """
-    k, r = params.k, params.r
-    base = r * k + (r - 1) if variant.type2 else r * k - (r - 1) * variant.overlap
-    return base if scheme is IndexScheme.FULL else base - r * k
 
 
 class EngineFamily(Enum):

@@ -10,14 +10,18 @@ the Type III family), and, through an index shift, the minimum-gap variant.
 Root finding is numeric (companion-matrix eigenvalues polished by Newton),
 and the expansion coefficients are recovered by a linear solve against a
 reference pmf produced by power-series expansion of the rational generating
-function (:func:`runsdist.moments.rational_pgf`, which the exact moment route
+function (:func:`runsdist.core.rational_pgf`, which the exact moment route
 expands around ``s = 1`` instead), so this module works in double precision;
-the series expansion itself is also available in exact mode and doubles as
-an oracle for the overlap, gap and Type II families.
+the series expansion itself is also available in exact mode, where it runs
+on integers, and doubles as an oracle for the overlap, gap and Type II
+families.
 The two numeric steps, :func:`solve_roots` and :func:`recover_coefficients`,
 are the only users of numpy here and import it when they run, so the series
 expansion, :func:`gap_moments` and everything that imports this module stay
-free of it.
+free of it. At load time this module imports only :mod:`runsdist.core` and
+:mod:`runsdist.special`; :func:`gap_moments` reaches the moment routes of
+:mod:`runsdist.moments` when it runs, and :mod:`runsdist.pmf` and
+:mod:`runsdist.moments` reach this module the same way.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, VariantSpec
-from .moments import MomentRoute, _series_div, moments_via_route, rational_pgf
-from .pmf import TermCounter, support_min
-from .special import binom, hyp2f1
+from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, TermCounter,
+                   VariantSpec, rational_pgf, support_min)
+from .special import _series_div, binom, hyp2f1
 
 
 class RootToleranceExceeded(RuntimeError):
@@ -38,6 +41,10 @@ class RootToleranceExceeded(RuntimeError):
 
 class IllConditionedSystem(RuntimeError):
     """The coefficient-recovery system is numerically degenerate."""
+
+
+# above this condition number a failed validation is blamed on the system
+_COND_LIMIT = 1e12
 
 
 class ValidationFailed(RuntimeError):
@@ -126,17 +133,28 @@ def pgf_series(params: RunParams, n_terms: int,
                variant: VariantSpec = TYPE1) -> list:
     """Coefficients of the variant generating function up to ``s^(n_terms-1)``.
 
-    Expands :func:`~runsdist.moments.rational_pgf` around ``s = 0``: one
+    Expands :func:`~runsdist.core.rational_pgf` around ``s = 0``: one
     power-series division, with the monomial factor applied afterwards as a
     scale and an index shift. Covers every family; exact in rational mode.
+
+    For ``p = a/b`` the substitution ``s = b t`` makes ``den(b t) / den[0]``
+    a monic integer polynomial, so exact mode divides on integers and builds
+    each coefficient once, as ``scale N_i / (den[0] b^i)`` from the integer
+    series ``N_i`` of ``num(b t)`` over it.
     """
     scale, shift, num, den = rational_pgf(params, variant)
-    if params.exact:  # integer polynomials: divide by den(s) / den[0] and scale back
-        scale = Fraction(scale, den[0])
-        den = [Fraction(c, den[0]) for c in den]
-    body = _series_div(num, den, max(n_terms - shift, 0))
+    length = max(n_terms - shift, 0)
     out = [0] * min(shift, n_terms)
-    out.extend(scale * c for c in body)
+    if not params.exact:
+        out.extend(scale * c for c in _series_div(num, den, length))
+        return out
+    b, lead = params.p.denominator, den[0]
+    num = [c * b ** i for i, c in enumerate(num)]
+    den = [c * b ** i // lead for i, c in enumerate(den)]  # exact: b^((k+1)r) | den[i] b^i
+    d_i = lead
+    for c in _series_div(num, den, length):
+        out.append(Fraction(scale * c, d_i))
+        d_i *= b
     return out
 
 
@@ -167,15 +185,13 @@ class RootCoefficients:
         return self.system.params
 
 
-def recover_coefficients(system: RootSystem, ell: int = 0,
-                         reference: PmfTable | None = None,
-                         cond_limit: float = 1e12) -> RootCoefficients:
+def recover_coefficients(system: RootSystem, ell: int = 0) -> RootCoefficients:
     """Recover the root-expansion coefficients by a linear solve.
 
     Fits ``f(n) = sum_{j,m} C(n-1, m-1) a_jm lambda_j^(n-m)`` on the first
-    ``k*r`` support points of a reference pmf and validates on the next
-    ``k*r``. The solve uses unknowns rescaled by root powers so the matrix
-    stays well-conditioned away from the support start.
+    ``k*r`` support points of the float :func:`series_pmf` and validates on
+    the next ``k*r``. The solve uses unknowns rescaled by root powers so the
+    matrix stays well-conditioned away from the support start.
     """
     import numpy as np
 
@@ -185,11 +201,7 @@ def recover_coefficients(system: RootSystem, ell: int = 0,
         raise ValueError("overlap must lie in [0, k-1]")
     variant = VariantSpec(overlap=ell) if ell else TYPE1
     n0 = support_min(params, variant)
-    need = n0 + 2 * k * r
-    if reference is None:
-        reference = series_pmf(params.to_float(), need, variant)
-    if reference.n_min > n0 or reference.n_max < need - 1:
-        raise ValueError(f"reference pmf must cover [{n0}, {need - 1}]")
+    reference = series_pmf(params.to_float(), n0 + 2 * k * r, variant)
 
     lam = system.roots
     cols = [(j, m) for j in range(k) for m in range(1, r + 1)]
@@ -223,7 +235,7 @@ def recover_coefficients(system: RootSystem, ell: int = 0,
         z = _root_sum(coeffs, n)
         worst = max(worst, abs(z.imag), abs(z.real - float(reference.value(n))))
     if worst > 1e-10:
-        if cond > cond_limit:
+        if cond > _COND_LIMIT:
             raise IllConditionedSystem(
                 f"recovery matrix condition {cond:.3e}; residual {worst:.3e}")
         raise ValidationFailed(f"held-out residual {worst:.3e} > 1e-10")
@@ -288,9 +300,10 @@ def gap_moments(params: RunParams, g: int, order_max: int, kind: MomentKind) -> 
     untouched by the shift and can be taken straight from the nonoverlapping
     family.
     """
-    if g < 1:
-        raise ValueError("gap must be a positive integer")
+    from .moments import MomentRoute, moments_via_route  # loading roots never loads moments
+
+    variant = VariantSpec.with_gap(g)
     if kind is MomentKind.CENTRAL:
         raise ValueError("gap central moments equal the nonoverlapping ones")
     return moments_via_route(params, MomentRoute.PARTITION, kind, IndexScheme.FULL,
-                             order_max, VariantSpec.with_gap(g))
+                             order_max, variant)

@@ -8,7 +8,10 @@ hypergeometric series rejects arguments whose series would not terminate or
 would divide by zero. :func:`homogeneous_horner` is the one integer kernel
 behind every exact alternating pmf sum; it combines halves of the sum by
 binary splitting, so a long sum costs a few balanced big-integer products
-rather than one long-by-short product per term. Everything in this module is
+rather than one long-by-short product per term. The polynomial helpers
+(products, powers, and the power-series quotient) work on coefficient lists,
+constant term first; they multiply out and expand the rational generating
+function :func:`runsdist.core.rational_pgf`. Everything in this module is
 pure and exact: integer arguments produce integers,
 :class:`~fractions.Fraction` arguments stay exact, floats and complex values
 work as well.
@@ -81,6 +84,34 @@ def homogeneous_horner(coeffs, x: int, d: int) -> int:
 
     return split(0, len(coeffs))
 
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_pow(base: list, e: int) -> list:
+    out = [1]
+    for _ in range(e):
+        out = _poly_mul(out, base)
+    return out
+
+
+def _series_div(num: list, den: list, length: int) -> list:
+    """Power-series quotient to the given length; ``den[0]`` must be 1."""
+    out = []
+    for n in range(length):
+        acc = num[n] if n < len(num) else 0
+        for u in range(1, min(n, len(den) - 1) + 1):
+            if den[u]:
+                acc -= den[u] * out[n - u]
+        out.append(acc)
+    return out
 
 
 def falling(a, j: int):

@@ -144,7 +144,7 @@ def test_03_closed_form_mean_variance():
     grid += [(1, 2, 0.1), (2, 2, 0.1)]
     for k, r, pv in grid:
         params = RunParams(k, r, pv)
-        ms = moments_by_summation(params, 2, MomentKind.RAW, F, sigmas=30.0)
+        ms = moments_by_summation(params, 2, MomentKind.RAW, F)
         mu, var = mean(params), variance(params)
         assert abs(ms.value(1) - mu) <= 1e-8 * mu, (k, r, pv)
         var_sum = ms.value(2) - ms.value(1) ** 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from runsdist.core import TYPE2, IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
+from runsdist.core import IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
 from runsdist.moments import (MomentRoute, central_from_raw,
                               central_moments, coeff_C,
                               coeff_F, coeff_raw,
@@ -19,6 +19,7 @@ from runsdist.reference import (coeff_C_hyp, coeff_F_hyp, mu_factorial_truncated
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 HALF = Fraction(1, 2)
+TYPE2 = VariantSpec.type_ii()
 
 GRID = [(k, r, Fraction(num, 10)) for k in (1, 2, 3) for r in (1, 2, 3)
         for num in (2, 5, 8)]
@@ -112,7 +113,7 @@ class TestFactorialMomentRoutes:
         # the pgf-expansion engine's nested binomial sums equal the series division
         for k, r, pv in ((1, 1, HALF), (2, 3, Fraction(3, 10)), (4, 2, Fraction(1, 5))):
             params = RunParams(k, r, pv)
-            from runsdist.moments import _poly_pow
+            from runsdist.special import _poly_pow
 
             p = params.exact_p()
             q = 1 - p

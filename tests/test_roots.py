@@ -185,18 +185,22 @@ class TestCoefficientRecovery:
         with pytest.raises(ValueError):
             recover_coefficients(system, ell=2)
 
-    def test_corrupted_reference_fails_validation(self):
-        from runsdist.core import PmfTable, TYPE1 as T1
-        from runsdist.core import IndexScheme as IS
+    def test_corrupted_reference_fails_validation(self, monkeypatch):
+        from runsdist import roots
+        from runsdist.core import PmfTable
         from runsdist.roots import ValidationFailed
 
-        params = RunParams(2, 2, 0.5)
-        good = pmf_recurrence_pg(params, 20)
-        vals = list(good.values)
-        vals[10 - good.n_min] += 1e-4  # inside the held-out window
-        bad = PmfTable(params, IS.FULL, T1, good.n_min, tuple(vals))
+        series = roots.series_pmf
+
+        def corrupted(*args):
+            good = series(*args)
+            vals = list(good.values)
+            vals[10 - good.n_min] += 1e-4  # inside the held-out window
+            return PmfTable(good.params, good.scheme, good.variant, good.n_min, tuple(vals))
+
+        monkeypatch.setattr(roots, "series_pmf", corrupted)
         with pytest.raises(ValidationFailed):
-            recover_coefficients(solve_roots(params), reference=bad)
+            recover_coefficients(solve_roots(RunParams(2, 2, 0.5)))
 
 
 class TestRootMoments:
