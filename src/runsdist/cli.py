@@ -194,10 +194,11 @@ def cmd_compare(parser: argparse.ArgumentParser, args) -> int:
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
     variant = _variant(parser, args, params)
-    if args.samples < 1:
-        parser.error("--samples must be >= 1")
-    semantics = CountingSemantics.from_variant(variant)
-    result = monte_carlo(params, semantics, args.samples, args.seed)
+    try:
+        result = monte_carlo(params, CountingSemantics.from_variant(variant),
+                             args.samples, args.seed)
+    except ValueError as err:
+        parser.error(str(err))
     ana_mean, ana_var = analytic_mean_variance(params, variant)
     out = sys.stdout
     out.write(f"# k={params.k} r={params.r} p={_fmt(params.p)} "

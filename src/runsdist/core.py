@@ -121,6 +121,13 @@ class VariantSpec:
         return -self.overlap if self.overlap < 0 else 0
 
     @property
+    def restart(self) -> int:
+        """Run progress a completed run leaves behind: the overlap, ``-g`` for
+        a gap of ``g`` trials that cannot count, -1 for Type II (blocked until
+        a failure) and 0 for Type I."""
+        return -1 if self.type2 else self.overlap
+
+    @property
     def is_type1(self) -> bool:
         return not self.type2 and self.overlap == 0
 
@@ -165,16 +172,20 @@ class VariantSpec:
 
     @classmethod
     def parse(cls, text: str) -> "VariantSpec":
-        """Parse 'type1', 'type2', 'overlap=L' or 'gap=G'."""
-        if text == "type1":
-            return cls()
-        if text == "type2":
-            return cls.type_ii()
-        if text.startswith("overlap="):
-            return cls.with_overlap(int(text.split("=", 1)[1]))
-        if text.startswith("gap="):
-            return cls.with_gap(int(text.split("=", 1)[1]))
-        raise ValueError(f"unknown variant {text!r}")
+        """Parse 'type1', 'type2', 'overlap=L' (integer L >= 0) or 'gap=G' (integer G >= 1)."""
+        if text in ("type1", "type2"):
+            return cls(type2=text == "type2")
+        name, _, value = text.partition("=")
+        try:
+            n = int(value)
+        except ValueError:
+            n = -1
+        if name == "overlap" and n >= 0:
+            return cls(overlap=n)
+        if name == "gap" and n >= 1:
+            return cls(overlap=-n)
+        raise ValueError(f"unknown variant {text!r}; expected type1, type2, "
+                         "overlap=L with an integer L >= 0 or gap=G with an integer G >= 1")
 
 
 TYPE1 = VariantSpec()
@@ -184,11 +195,11 @@ def support_min(params: RunParams, variant: VariantSpec = TYPE1,
                 scheme: IndexScheme = IndexScheme.FULL) -> int:
     """Smallest index with positive probability under the variant.
 
-    Each run after the first adds ``k`` trials less its overlap with the one
-    before (a gap ``g`` is the overlap ``-g``); Type II adds one failure.
+    Each run after the first adds ``k`` trials less the progress the run
+    before leaves behind (:attr:`VariantSpec.restart`).
     """
     k, r = params.k, params.r
-    base = r * k + (r - 1) if variant.type2 else r * k - (r - 1) * variant.overlap
+    base = k + (r - 1) * (k - variant.restart)
     return base if scheme is IndexScheme.FULL else base - r * k
 
 

@@ -234,11 +234,6 @@ def shape_from_central(cm: MomentSet) -> tuple:
     return gamma, excess
 
 
-def skewness_kurtosis(params: RunParams) -> tuple:
-    """Skewness and excess kurtosis (floats; the scale is a square root)."""
-    return shape_from_central(central_moments(params.to_exact(), 4))
-
-
 def raw_from_factorial(ms: MomentSet) -> MomentSet:
     """Raw moments as the Stirling-number transform of factorial moments."""
     if ms.kind is not MomentKind.FACTORIAL:

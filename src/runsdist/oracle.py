@@ -11,6 +11,14 @@ machines). All three speak every counting semantics: nonoverlapping
 at ell = k-1), and the minimum-gap variant; an overlap of k or more, which
 no engine computes, is rejected with a ``ValueError`` before any work starts.
 
+The families differ in one fact, :attr:`VariantSpec.restart`: the run
+progress a completed run leaves behind (the overlap, ``-g`` for a gap, -1
+for Type II). All three oracles share one state, the runs done and a signed
+run progress: a negative progress marks a trial that cannot advance a run,
+which a gap leaves one trial at a time and Type II on a failure. Each public
+oracle turns its :class:`CountingSemantics` into a :class:`VariantSpec` once,
+on entry, and reads the dynamics off that.
+
 Only :func:`monte_carlo` needs numpy, and it imports numpy when it runs, so
 importing this module (and the package) leaves numpy unloaded.
 """
@@ -71,50 +79,47 @@ class CountingSemantics:
         return TYPE1
 
 
+def _completions(seq, k: int, variant: VariantSpec):
+    """Yield the trial at which each run of ``seq`` completes, by direct scan.
+
+    The progress is signed: a completed run restarts it at
+    ``variant.restart``, and a negative progress cannot advance a run. A gap
+    progress climbs back to 0 one trial at a time whatever the outcome; the
+    Type II -1 waits for a failure.
+    """
+    type2, restart = variant.type2, variant.restart
+    prog = 0
+    for t, success in enumerate(seq, start=1):
+        if prog < 0 and not type2:
+            prog += 1
+        elif not success:
+            prog = 0
+        elif prog >= 0:
+            prog += 1
+            if prog == k:
+                yield t
+                prog = restart
+
+
 def sequence_waiting_time(seq, k: int, r: int,
                           semantics: CountingSemantics) -> int | None:
     """Trial index at which the r-th run completes, by direct scan."""
-    mode = semantics.mode
-    runs = prog = cool = 0
-    sat = False
-    for t, success in enumerate(seq, start=1):
-        if cool:
-            cool -= 1
-            continue
-        if not success:
-            prog = 0
-            sat = False
-            continue
-        if sat:
-            continue
-        prog += 1
-        if prog == k:
-            runs += 1
-            if runs == r:
-                return t
-            prog = 0
-            if mode is CountingMode.FAILURE_SEPARATED:
-                sat = True
-            elif mode is CountingMode.OVERLAP:
-                prog = semantics.overlap
-            elif mode is CountingMode.GAP:
-                cool = semantics.gap
-    return None
+    return next(itertools.islice(_completions(seq, k, semantics.to_variant()), r - 1, None),
+                None)
 
 
 def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
                     n_max: int) -> tuple:
     """Exact pmf over ``[1, n_max]`` plus the not-yet-absorbed mass.
 
-    Forward DP over (runs done, run progress, cooldown, saturated); the
-    cooldown counter decrements on every trial regardless of outcome, and a
-    Type II run stays saturated (extra successes do not re-credit) until a
-    failure re-arms it. In exact mode every mass after ``t`` trials is kept
+    Forward DP over (runs done, signed run progress), with the moves of
+    :func:`_completions`. In exact mode every mass after ``t`` trials is kept
     as an integer over ``den^t`` (``den`` the denominator of ``p``), so a
-    trial multiplies by the numerators of ``p`` and ``q`` and a cooldown
-    trial by ``den``; one fraction is built per absorbed entry.
+    trial multiplies by the numerators of ``p`` and ``q`` and a gap trial by
+    ``den``; one fraction is built per absorbed entry.
     """
-    semantics.to_variant().check_against(params)
+    variant = semantics.to_variant()
+    variant.check_against(params)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k, r = params.k, params.r
@@ -123,35 +128,27 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
         p, q, stay = params.p.numerator, den - params.p.numerator, den
     else:
         p, q, stay = params.p, params.q, 1
-    mode = semantics.mode
-    states = {(0, 0, 0, False): 1}
+    type2, restart = variant.type2, variant.restart
+    states = {(0, 0): 1}
     absorbed = []
     scale = 1
     for _ in range(n_max):
         new = defaultdict(int)
         hit = 0
-        for (runs, prog, cool, sat), mass in states.items():
-            if cool:
-                new[(runs, 0, cool - 1, False)] += mass * stay
+        for (runs, prog), mass in states.items():
+            if prog < 0 and not type2:
+                new[(runs, prog + 1)] += mass * stay
                 continue
-            new[(runs, 0, 0, False)] += mass * q
+            new[(runs, 0)] += mass * q
             win = mass * p
-            if sat:
-                new[(runs, 0, 0, True)] += win
-                continue
-            if prog + 1 == k:
-                if runs + 1 == r:
-                    hit += win
-                elif mode is CountingMode.FAILURE_SEPARATED:
-                    new[(runs + 1, 0, 0, True)] += win
-                elif mode is CountingMode.OVERLAP:
-                    new[(runs + 1, semantics.overlap, 0, False)] += win
-                elif mode is CountingMode.GAP:
-                    new[(runs + 1, 0, semantics.gap, False)] += win
-                else:
-                    new[(runs + 1, 0, 0, False)] += win
+            if prog < 0:
+                new[(runs, prog)] += win
+            elif prog + 1 < k:
+                new[(runs, prog + 1)] += win
+            elif runs + 1 < r:
+                new[(runs + 1, restart)] += win
             else:
-                new[(runs, prog + 1, 0, False)] += win
+                hit += win
         states = dict(new)
         if params.exact:
             scale *= stay
@@ -160,9 +157,7 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
     deficit = sum(states.values())
     if params.exact:
         deficit = Fraction(deficit, scale)
-    table = PmfTable(params, IndexScheme.FULL, semantics.to_variant(), 1,
-                     tuple(absorbed))
-    return table, deficit
+    return PmfTable(params, IndexScheme.FULL, variant, 1, tuple(absorbed)), deficit
 
 
 def dp_waiting_time_pmf(params: RunParams, semantics: CountingSemantics,
@@ -173,7 +168,8 @@ def dp_waiting_time_pmf(params: RunParams, semantics: CountingSemantics,
 def brute_force_pmf(params: RunParams, semantics: CountingSemantics,
                     n_max: int) -> PmfTable:
     """Enumerate all 2^n_max sequences and classify each by direct scan."""
-    semantics.to_variant().check_against(params)
+    variant = semantics.to_variant()
+    variant.check_against(params)
     if not 1 <= n_max <= 22:
         raise ValueError("brute force is capped at n_max <= 22")
     k, r = params.k, params.r
@@ -182,38 +178,30 @@ def brute_force_pmf(params: RunParams, semantics: CountingSemantics,
     qpow = [q ** i for i in range(n_max + 1)]
     pmf = [0] * (n_max + 1)
     for seq in itertools.product((True, False), repeat=n_max):
-        w = sequence_waiting_time(seq, k, r, semantics)
+        w = next(itertools.islice(_completions(seq, k, variant), r - 1, None), None)
         if w is not None:
             ns = sum(seq)
             pmf[w] += ppow[ns] * qpow[n_max - ns]
-    return PmfTable(params, IndexScheme.FULL, semantics.to_variant(), 1,
-                    tuple(pmf[1:]))
-
-
-def count_runs_type2(seq, k: int) -> int:
-    """Number of maximal success blocks of length >= k in a fixed sequence."""
-    count = run = 0
-    for success in seq:
-        if success:
-            run += 1
-            if run == k:
-                count += 1
-        else:
-            run = 0
-    return count
+    return PmfTable(params, IndexScheme.FULL, variant, 1, tuple(pmf[1:]))
 
 
 def brute_force_run_count_dist(params: RunParams, n: int) -> dict:
-    """Exact distribution of the Type II run count over ``n`` trials."""
+    """Exact distribution of the Type II run count over ``n`` trials.
+
+    The count is the number of maximal success blocks of length ``>= k``: a
+    Type II scan completes one run in each.
+    """
     if not 1 <= n <= 22:
         raise ValueError("brute force is capped at n <= 22")
     p, q = params.p, params.q
     ppow = [p ** i for i in range(n + 1)]
     qpow = [q ** i for i in range(n + 1)]
+    type2 = VariantSpec.type_ii()
     dist: dict = defaultdict(int)
     for seq in itertools.product((True, False), repeat=n):
         ns = sum(seq)
-        dist[count_runs_type2(seq, params.k)] += ppow[ns] * qpow[n - ns]
+        runs = sum(1 for _ in _completions(seq, params.k, type2))
+        dist[runs] += ppow[ns] * qpow[n - ns]
     return dict(dist)
 
 
@@ -245,17 +233,18 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
     cooldown trials left), so one trial is two in-place array operations on
     the progress. Deterministic for a fixed seed.
     """
-    import numpy as np
-
-    semantics.to_variant().check_against(params)
+    variant = semantics.to_variant()
+    variant.check_against(params)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(seed))
     p = float(params.p)
     k, r = params.k, params.r
-    type2 = semantics.mode is CountingMode.FAILURE_SEPARATED
-    gap = semantics.gap
-    restart = -1 if type2 else -gap if gap else semantics.overlap
+    type2, gap, restart = variant.type2, variant.gap, variant.restart
     idx = np.arange(samples)
     prog = np.zeros(samples, np.int32)
     runs = np.zeros(samples, np.int32)

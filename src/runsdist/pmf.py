@@ -126,19 +126,6 @@ def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
                     tuple(_recurrence_values(params, n_max)))
 
 
-def pmf_recurrence_ch(params: RunParams, n_max: int) -> PmfTable:
-    """Cut-scheme pmf over ``[0, n_max]``: the full-scheme recurrence re-indexed.
-
-    In cut indexing the recurrence reads ``P_0 = p^rk`` and
-    ``P_n = (q/p)/n * sum_j (n + rj - j) p^j P_{n-j}``, term for term the
-    one :func:`pmf_recurrence_pg` runs, so its values are relabelled.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return PmfTable(params, IndexScheme.CUT, TYPE1, 0,
-                    tuple(_recurrence_values(params, n_max + params.r * params.k)))
-
-
 _COMB_TOP = 100  # below this top one math.comb is quicker than a ratio step
 
 
@@ -619,6 +606,9 @@ ENGINES = {spec.engine: spec for spec in (
         PmfEngine.RECURRENCE_PG, IndexScheme.FULL, EngineFamily.TYPE1,
         lambda params, lo, hi, ell, counter:
             _recurrence_values(params, hi)[lo - params.r * params.k:]),
+    # in cut indexing the recurrence reads P_0 = p^rk and
+    # P_n = (q/p)/n * sum_j (n + rj - j) p^j P_(n-j), term for term the one
+    # recurrence-pg runs, so its values are relabelled
     EngineSpec(
         PmfEngine.RECURRENCE_CH, IndexScheme.CUT, EngineFamily.TYPE1,
         lambda params, lo, hi, ell, counter:

@@ -14,7 +14,7 @@ from runsdist.core import IndexScheme, MomentKind, RunParams, TYPE1, VariantSpec
 from runsdist.moments import (MomentRoute, central_from_raw, central_moments,
                               mean, moments_by_summation, moments_from_table,
                               moments_via_route, raw_moments_partition,
-                              skewness_kurtosis, variance)
+                              shape_from_central, variance)
 from runsdist.oracle import (CountingMode, CountingSemantics, brute_force_pmf,
                              dp_waiting_time_pmf, monte_carlo)
 from runsdist.pmf import (MuselliForm, PmfEngine, TermCounter, counts_muselli,
@@ -179,7 +179,7 @@ def test_05_scaling_laws():
     for k, pv in ((2, 0.5), (3, 0.3), (1, 0.7)):
         base = None
         for r in range(1, 9):
-            gamma, excess = skewness_kurtosis(RunParams(k, r, pv))
+            gamma, excess = shape_from_central(central_moments(RunParams(k, r, pv).to_exact(), 4))
             probe = (gamma * math.sqrt(r), excess * r)
             if base is None:
                 base = probe

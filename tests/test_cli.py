@@ -254,6 +254,14 @@ class TestSimulateCommand:
                              "--p", "0.5", "--samples", "0")
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        # exit 1 is reserved for a failed comparison
+        code, out, err = run_cli(capsys, "simulate", "--k", "2", "--r", "1",
+                                 "--p", "0.5", "--samples", "10", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0" in err
+
 
 class TestGapAnalytic:
     def test_mean_is_rounded_once(self, capsys):

@@ -72,8 +72,13 @@ class TestVariantSpec:
         assert VariantSpec.parse("type2").type2
         assert VariantSpec.parse("overlap=2").overlap == 2
         assert VariantSpec.parse("gap=3").gap == 3
-        with pytest.raises(ValueError):
-            VariantSpec.parse("bogus")
+        # a rejected form names the accepted ones, not a Python-API hint
+        for bad in ("bogus", "overlap=-1", "overlap=x", "overlap=", "overlap", "gap=0",
+                    "gap=-2", "gap=1.5", "type3"):
+            with pytest.raises(ValueError, match=r"expected type1, type2, overlap=L with "
+                                                 r"an integer L >= 0 or gap=G with an "
+                                                 r"integer G >= 1"):
+                VariantSpec.parse(bad)
 
     def test_type2_excludes_overlap(self):
         with pytest.raises(ValueError):

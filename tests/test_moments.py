@@ -11,7 +11,7 @@ from runsdist.moments import (MomentRoute, central_from_raw,
                               factorial_moments_pgf, factorial_moments_recurrence,
                               mean, moments_by_summation, moments_from_table,
                               moments_via_route, raw_from_factorial,
-                              raw_moments_partition, skewness_kurtosis, variance)
+                              raw_moments_partition, shape_from_central, variance)
 from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
 from runsdist.reference import (coeff_C_hyp, coeff_F_hyp, mu_factorial_truncated,
@@ -285,7 +285,7 @@ class TestCentralMoments:
 
     def test_geometric_skewness_closed_form(self):
         params = RunParams(1, 1, 0.5)
-        gamma, excess = skewness_kurtosis(params)
+        gamma, excess = shape_from_central(central_moments(params.to_exact(), 4))
         p, q = 0.5, 0.5
         assert abs(gamma - (2 - p) / math.sqrt(1 - p)) < 1e-12
         assert abs(excess - (6 + p ** 2 / q)) < 1e-11
@@ -294,7 +294,7 @@ class TestCentralMoments:
         k, pv = 2, Fraction(2, 5)
         base = None
         for r in range(1, 9):
-            gamma, excess = skewness_kurtosis(RunParams(k, r, pv))
+            gamma, excess = shape_from_central(central_moments(RunParams(k, r, pv).to_exact(), 4))
             probe = (gamma * math.sqrt(r), excess * r)
             if base is None:
                 base = probe

@@ -219,5 +219,7 @@ class TestMonteCarlo:
         assert res.counts == tuple(waits[n] for n in range(t + 1))
 
     def test_rejects_bad_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
             monte_carlo(RunParams(1, 1, 0.5), TYPE1, 0, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            monte_carlo(RunParams(1, 1, 0.5), TYPE1, 10, seed=-1)

@@ -7,7 +7,7 @@ from runsdist.oracle import (CountingMode, CountingSemantics,
                              brute_force_run_count_dist, dp_waiting_time_pmf)
 from runsdist.pmf import (ENGINES, MuselliForm, PmfEngine, TermCounter, counts_muselli,
                           pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
-                          pmf_pgf_expansion, pmf_recurrence_ch, pmf_recurrence_pg,
+                          pmf_pgf_expansion, pmf_recurrence_pg,
                           pmf_table, support_min)
 from runsdist.special import binom
 
@@ -37,7 +37,7 @@ class TestRecurrences:
 
     def test_ch_starts_at_p_rk(self):
         params = RunParams(3, 2, Fraction(3, 10))
-        assert pmf_recurrence_ch(params, 0).value(0) == Fraction(3, 10) ** 6
+        assert pmf_table(params, PmfEngine.RECURRENCE_CH, 0, 0, C).value(0) == Fraction(3, 10) ** 6
 
     def test_ch_equals_pg_after_shift(self):
         for pv in (Fraction(1, 4), Fraction(7, 10), 0.3, 0.85):
@@ -46,7 +46,7 @@ class TestRecurrences:
                     params = RunParams(k, r, pv)
                     rk = r * k
                     full = pmf_recurrence_pg(params, rk + 40)
-                    cut = pmf_recurrence_ch(params, 40)
+                    cut = pmf_table(params, PmfEngine.RECURRENCE_CH, 0, 40, C)
                     assert all(cut.value(n) == full.value(n + rk) for n in range(41))
 
     def test_k1_is_classic_negative_binomial(self):
@@ -92,7 +92,7 @@ class TestSumEngines:
 
     def test_engines_agree_exactly(self):
         params = RunParams(2, 2, Fraction(2, 5))
-        cut = pmf_recurrence_ch(params, 25)
+        cut = pmf_table(params, PmfEngine.RECURRENCE_CH, 0, 25, C)
         for n in range(26):
             want = cut.value(n)
             assert pmf_fullsum_ch(params, n) == want

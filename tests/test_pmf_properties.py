@@ -3,7 +3,8 @@
 Parameters are drawn beyond the hand-picked grids of the other suites:
 ``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli
 and double-sum tables start anywhere in ``[1, 120]`` and ``[0, 100]`` and run
-up to 20 indices.
+up to 20 indices. The DP oracle itself is held to the exact rational pgf
+series for every family.
 """
 
 from fractions import Fraction
@@ -11,11 +12,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runsdist.core import IndexScheme, RunParams, VariantSpec
+from runsdist.core import TYPE1, IndexScheme, RunParams, VariantSpec, support_min
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
 from runsdist.pmf import (MuselliForm, PmfEngine, counts_muselli, pmf_fullsum_ch,
                           pmf_hyp, pmf_muselli, pmf_nested_sum, pmf_pgf_expansion,
-                          pmf_recurrence_ch, pmf_recurrence_pg, pmf_table)
+                          pmf_recurrence_pg, pmf_table)
+from runsdist.roots import series_pmf
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 TYPE1_SEM = CountingSemantics(CountingMode.NON_OVERLAPPING)
@@ -75,7 +77,22 @@ def test_recurrence_tables_equal_dp(params, n_max, width):
     cut = pmf_table(params, PmfEngine.RECURRENCE_CH, n_min - rk, n_max - rk, C)
     assert _same(cut.values, want)
     assert _same(pmf_recurrence_pg(params, n_max).values, dp[rk - 1:])
-    assert _same(pmf_recurrence_ch(params, n_max - rk).values, dp[rk - 1:])
+    assert _same(pmf_table(params, PmfEngine.RECURRENCE_CH, 0, n_max - rk, C).values,
+                 dp[rk - 1:])
+
+
+@PROPERTY
+@given(run_params(), st.data())
+def test_dp_equals_exact_pgf_series_for_every_family(params, data):
+    # the oracle's restart rule against the independently derived rational pgf
+    families = [st.just(TYPE1), st.just(VariantSpec.type_ii()),
+                st.integers(1, 3).map(VariantSpec.with_gap)]
+    if params.k > 1:
+        families.append(st.integers(1, params.k - 1).map(VariantSpec.with_overlap))
+    variant = data.draw(st.one_of(families))
+    dp = dp_waiting_time_pmf(params, CountingSemantics.from_variant(variant), N_MAX)
+    assert _same(dp.values, series_pmf(params, N_MAX, variant).values)
+    assert next(n for n, v in dp.items() if v) == support_min(params, variant)
 
 
 @PROPERTY
