@@ -103,9 +103,14 @@ def _completions(seq, k: int, variant: VariantSpec):
 
 def sequence_waiting_time(seq, k: int, r: int,
                           semantics: CountingSemantics) -> int | None:
-    """Trial index at which the r-th run completes, by direct scan."""
-    return next(itertools.islice(_completions(seq, k, semantics.to_variant()), r - 1, None),
-                None)
+    """Trial index at which the r-th run completes, by direct scan.
+
+    ``None`` when ``seq`` ends first. An overlap of ``k`` or more is
+    rejected with the ``ValueError`` of the other oracles.
+    """
+    variant = semantics.to_variant()
+    variant.check_run_length(k)
+    return next(itertools.islice(_completions(seq, k, variant), r - 1, None), None)
 
 
 def dp_waiting_time(params: RunParams, semantics: CountingSemantics,

@@ -23,10 +23,14 @@ one small exact ratio instead of being computed afresh. The run-placement
 binomials ``C(n-jk-1, j-1)`` that start the columns of the double sum, the
 nested sum and its condensation step along ``j`` the same way (see
 :func:`_column_starts`), so a deep index costs no big binomial, only O(n)-bit
-small-factor steps. The Type II tables step the same binomials across ``n``
-by Pascal's rule (see :func:`_run_binomial_rows`), and the double-sum tables
-step their inner brackets the same way (see :func:`_fullsum_brackets`), so
-such a table adds rows instead of computing binomials per term.
+small-factor steps. The Type II and hypergeometric tables step the same
+binomials across ``n`` by Pascal's rule (see :func:`_run_binomial_rows`),
+the nested-sum tables step their inner brackets on the same ring, and the
+double-sum tables step theirs by a rule of their own (see
+:func:`_fullsum_brackets`), so such a table adds rows instead of computing
+binomials per term. The outer sums of every sum-engine table share one
+:class:`~runsdist.special.HornerLadder`, which keeps the powers of the
+table's ``x`` and ``d`` from index to index.
 
 The recurrence has nonnegative terms, so it runs on doubles in float mode. In
 exact mode it steps the integer numerators of its values over powers of the
@@ -42,12 +46,13 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from operator import add, mul, sub
 from typing import Callable
 
 from .core import (TYPE1, IndexScheme, PmfTable, RunParams, Scalar, TermCounter, VariantSpec,
                    convert_index, support_min)
-from .special import binom, homogeneous_horner
+from .special import HornerLadder, binom, homogeneous_horner
 
 
 class PmfEngine(Enum):
@@ -154,19 +159,18 @@ def _column_starts(m: int, k: int) -> list:
     return starts
 
 
-def _fullsum_ratio(params: RunParams, n: int, bracket: list, weights: list) -> Scalar:
-    """The cut-scheme pmf at ``n >= 1`` from its inner brackets ``bracket[0..n]``.
+def _fullsum_ratio(params: RunParams, n: int, outer: int) -> Scalar:
+    """The cut-scheme pmf at ``n >= 1`` from the kernel sum of its inner brackets.
 
-    The outer term ``i`` carries ``C(r+i-1, r-1) q^i p^(n+rk-i)``, with the
-    weights ``C(r+i-1, r-1)`` in ``weights``, so the outer sum is one
-    integer-kernel call with ``x = qn``, ``d = pn`` (numerators of ``q`` and
-    ``p``) over the common denominator ``den^(n+rk)``.
+    The outer term ``i`` carries ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so the
+    outer sum over the brackets ``bracket[0..n]`` is the integer
+    ``outer = homogeneous_horner(map(mul, bracket, weights), qn, pn)``, with
+    the weights ``C(r+i-1, r-1)`` and the numerators ``qn``, ``pn`` of ``q``
+    and ``p``, over the common denominator ``den^(n+rk)``.
     """
     rk = params.r * params.k
     p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    total = pn ** rk * homogeneous_horner(map(mul, bracket, weights), den - pn, pn)
-    return params.ratio(total, den ** (n + rk))
+    return params.ratio(p.numerator ** rk * outer, p.denominator ** (n + rk))
 
 
 def _fullsum_weights(r: int, n: int) -> list:
@@ -202,7 +206,10 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
             bracket[i] += t
             # C(i+1, j) C(top, i) from C(i, j) C(top, i-1); the quotient is exact
             t = t * ((i + 1) * (top - i + 1)) // ((i + 1 - j) * i)
-    return _fullsum_ratio(params, n, bracket, _fullsum_weights(r, n))
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    return _fullsum_ratio(params, n, homogeneous_horner(
+        map(mul, bracket, _fullsum_weights(r, n)), den - pn, pn))
 
 
 def _fullsum_brackets(k: int, hi: int):
@@ -226,12 +233,17 @@ def _fullsum_brackets(k: int, hi: int):
 
 
 def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
-    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``) from stepped brackets."""
+    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``) from stepped brackets.
+
+    The outer sums of the table share one :class:`~runsdist.special.HornerLadder`.
+    """
     values = [pmf_fullsum_ch(params, 0)] if lo == 0 else []
-    weights = _fullsum_weights(params.r, hi)
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    outer = HornerLadder(den - pn, pn, _fullsum_weights(params.r, hi))
     for n, bracket in enumerate(_fullsum_brackets(params.k, hi), start=1):
         if n >= lo:
-            values.append(_fullsum_ratio(params, n, bracket, weights))
+            values.append(_fullsum_ratio(params, n, outer(bracket)))
     return values
 
 
@@ -248,6 +260,33 @@ def _nested_outer(params: RunParams, outer: list) -> tuple:
     signed = [-c if j & 1 else c for j, c in enumerate(outer)]
     total = pn ** (r * k) * homogeneous_horner(signed, pn ** k * (den - pn), den ** (k + 1))
     return total, den ** (r * k + (len(outer) - 1) * (k + 1) + r)
+
+
+def _nested_bracket(cq: list, top: int, j: int, t: int) -> int:
+    """The inner bracket ``sum_i cq[i] C(top, j+i-1)`` of column ``j``.
+
+    ``t`` is the column start ``C(top, max(j-1, 0))``. Each binomial follows
+    from the one before by one small ratio; the terms whose binomial
+    vanishes are skipped.
+    """
+    first = 0 if j else 1  # the first i whose bottom j+i-1 is >= 0
+    last = min(len(cq) - 1, top - j + 1)  # the last i whose bottom is <= top
+    b = j + first - 1
+    inner = t * cq[first]
+    for i in range(first + 1, last + 1):
+        t = t * (top - b) // (b + 1)  # C(top, b+1) from C(top, b)
+        b += 1
+        inner += t * cq[i]
+    return inner
+
+
+def _nested_terms(m: int, k: int, r: int) -> int:
+    """The bracket terms :func:`_nested_bracket` sums at cut index ``m >= 1``.
+
+    ``min(r, m)`` in column 0 and ``min(r, m - j(k+1)) + 1`` in each column
+    ``j = 1 .. m//(k+1)``.
+    """
+    return min(r, m) + sum(min(r, m - j * (k + 1)) + 1 for j in range(1, m // (k + 1) + 1))
 
 
 def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT,
@@ -273,20 +312,11 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
     outer = []
     w = 1  # C(r+j-1, r-1), stepped along j
     for j, t in enumerate(_column_starts(m, k)):
-        top = m - j * k - 1
-        first = 0 if j else 1  # the first i whose bottom j+i-1 is >= 0
-        last = min(r, top - j + 1)  # the last i whose bottom is <= top
-        b = j + first - 1
-        inner = t * cq[first]
-        for i in range(first + 1, last + 1):
-            t = t * (top - b) // (b + 1)  # C(top, b+1) from C(top, b)
-            b += 1
-            inner += t * cq[i]
-        if counter is not None:
-            counter.add(last - first + 1)
         if j:
             w = w * (r + j - 1) // j
-        outer.append(w * inner)
+        outer.append(w * _nested_bracket(cq, m - j * k - 1, j, t))
+    if counter is not None:
+        counter.add(_nested_terms(m, k, r))
     return params.ratio(*_nested_outer(params, outer))
 
 
@@ -333,6 +363,83 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     return params.ratio(*_nested_outer(params, outer))
 
 
+def _nested_ladder(params: RunParams, hi: int) -> Callable:
+    """:func:`_nested_outer` for the cut indices of a table up to ``hi``, on one ladder.
+
+    Returns ``value(inner)``: the pmf from the inner brackets ``inner[j]``,
+    ``j = 0 .. m//(k+1)``, each scaled by ``den^r``. The weights
+    ``(-1)^j C(r+j-1, r-1)`` sit in the :class:`~runsdist.special.HornerLadder`.
+    """
+    k, r = params.k, params.r
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    weights = [-w if j & 1 else w for j, w in enumerate(_fullsum_weights(r, hi // (k + 1)))]
+    outer = HornerLadder(pn ** k * (den - pn), den ** (k + 1), weights)
+    head = pn ** (r * k)
+
+    def value(inner: list) -> Scalar:
+        return params.ratio(head * outer(inner),
+                            den ** (r * k + (len(inner) - 1) * (k + 1) + r))
+
+    return value
+
+
+def _nested_values(params: RunParams, lo: int, hi: int,
+                   counter: TermCounter | None = None) -> list:
+    """:func:`pmf_nested_sum` at the cut indices ``lo .. hi`` from Pascal-stepped brackets.
+
+    The bracket ``D_m[j] = sum_i C(r,i) q^i C(m-jk-1, j+i-1)``, scaled by
+    ``den^r``, is made of the binomials ``C(top, j-1+i)``, so its rows step
+    across ``m`` by ``D_(m+1)[j] = D_m[j] + D_(m-k)[j-1]`` (see
+    :func:`_run_binomial_rows`), one addition per entry. A table narrower
+    than the ``k+1`` rows that seed the ring is evaluated index by index.
+    ``counter`` adds the terms :func:`pmf_nested_sum` counts at each index.
+    """
+    k, r = params.k, params.r
+    if hi - lo < k:
+        return [pmf_nested_sum(params, n, IndexScheme.CUT, counter) for n in range(lo, hi + 1)]
+    values = [pmf_nested_sum(params, 0)] if lo == 0 else []
+    lo = max(lo, 1)
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    cq = [math.comb(r, i) * (den - pn) ** i * den ** (r - i) for i in range(r + 1)]
+    value = _nested_ladder(params, hi)
+    rows = _run_binomial_rows(k, lo, hi, hi // (k + 1) + 1, partial(_nested_bracket, cq))
+    for m, (_, row, _) in zip(range(lo, hi + 1), rows):
+        if counter is not None:
+            counter.add(_nested_terms(m, k, r))
+        values.append(value(row[:m // (k + 1) + 1]))
+    return values
+
+
+def _hyp_values(params: RunParams, lo: int, hi: int) -> list:
+    """:func:`pmf_hyp` at the cut indices ``lo .. hi``, its constants computed once.
+
+    The column starts ``C(m-jk-1, j-1)`` are the rows of
+    :func:`_run_binomial_rows`; each column sums its own 2F1 series. A table
+    narrower than the ``k+1`` rows that seed them is evaluated index by
+    index.
+    """
+    k, r = params.k, params.r
+    if hi - lo < k:
+        return [pmf_hyp(params, n) for n in range(lo, hi + 1)]
+    values = [pmf_hyp(params, 0)] if lo == 0 else []
+    lo = max(lo, 1)
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    qn = den - pn
+    qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+    q1 = qi[1:]  # the j = 0 column carries q^(i+1)
+    value = _nested_ladder(params, hi)
+    rows = _run_binomial_rows(k, lo, hi, hi // (k + 1) + 1)
+    for m, (_, starts, _) in zip(range(lo, hi + 1), rows):
+        inner = [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, q1)]
+        inner += [_hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi)
+                  for j in range(1, m // (k + 1) + 1)]
+        values.append(value(inner))
+    return values
+
+
 def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
     """Integer numerators of the inner coefficients ``T_lo .. T_hi``.
 
@@ -344,16 +451,12 @@ def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
     k, r = params.k, params.r
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    x, d = pn ** k * (den - pn), den ** (k + 1)
     comb = math.comb
-    nums = []
-    for j in range(lo, hi + 1):
-        coeffs = []
-        for i in range(j // (k + 1) + 1):
-            c = comb(r + i - 1, r - 1) * comb(r + j - i * k - 1, r + i - 1)
-            coeffs.append(-c if i & 1 else c)
-        nums.append(homogeneous_horner(coeffs, x, d))
-    return nums
+    weights = [-comb(r + i - 1, r - 1) if i & 1 else comb(r + i - 1, r - 1)
+               for i in range(hi // (k + 1) + 1)]
+    inner = HornerLadder(pn ** k * (den - pn), den ** (k + 1), weights)
+    return [inner([comb(r + j - i * k - 1, r + i - 1) for i in range(j // (k + 1) + 1)])
+            for j in range(lo, hi + 1)]
 
 
 def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
@@ -389,7 +492,8 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     return _pgf_expansion_values(params, n, n)[0]
 
 
-def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list) -> Callable:
+def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list,
+                  table: bool = False) -> Callable:
     """The Muselli series of one family, its per-table constants computed once.
 
     Returns ``value(pairs)``, where ``pairs`` yields the two bracket binomials
@@ -400,7 +504,8 @@ def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list) 
     ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms the sum is
     ``x^lo H / (qn d^(lo+J))``, ``H`` one integer-kernel call. Dividing by
     ``qn`` is exact: for ``lo >= 1`` ``x^lo`` carries it, and for ``lo = 0``
-    the ``m = 0`` bracket is ``qn`` itself.
+    the ``m = 0`` bracket is ``qn`` itself. A ``table`` series, whose calls
+    never shorten, sums on one :class:`~runsdist.special.HornerLadder`.
     """
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
@@ -408,14 +513,18 @@ def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list) 
     x, d = pn ** params.k * qn, den ** (params.k + 1)
     head = x ** lo
     second = qn if form is MuselliForm.ORIGINAL else -pn
+    signed = [-w if i & 1 else w for i, w in enumerate(weights)]
+    if table:
+        outer = HornerLadder(x, d, signed)
+    else:
+        def outer(brackets: list) -> int:
+            return homogeneous_horner(map(mul, brackets, signed), x, d)
 
     def value(pairs) -> Scalar:
-        outer = [w * (den * a + second * b) for w, (a, b) in zip(weights, pairs)]
-        if not outer:
+        brackets = [den * a + second * b for a, b in pairs]
+        if not brackets:
             return params.ratio(0, 1)
-        outer[1::2] = [-c for c in outer[1::2]]
-        return params.ratio(head * homogeneous_horner(outer, x, d) // qn,
-                            d ** (lo + len(outer) - 1))
+        return params.ratio(head * outer(brackets) // qn, d ** (lo + len(brackets) - 1))
 
     return value
 
@@ -450,23 +559,38 @@ def pmf_muselli(params: RunParams, n: int,
     return _type2_series(params, form, r, _type2_weights(params, n))(pairs)
 
 
-def _run_binomial_rows(k: int, lo: int, hi: int, width: int):
-    """Yield ``(U_(n-k), U_n, U_(n+1))`` for ``n = lo .. hi``, ``U_n[m] = C(n-mk-1, m-1)``.
+def _run_start(top: int, m: int, start: int) -> int:
+    """The run binomial ``C(top, m-1)`` from its column start."""
+    return start if m else 0
 
-    Each row holds ``m = 0 .. width-1``. The ``k+1`` rows ``U_(lo-k) .. U_lo``
-    are computed directly; every later row follows by Pascal's rule
-    ``U_(n+1)[m] = U_n[m] + U_(n-k)[m-1]``, which holds wherever the top
-    ``n-mk-1`` of ``U_n[m]`` is nonnegative. Where it is negative the entry
-    is computed directly, which is at most ``C(0, 0)``.
+
+def _run_binomial_rows(k: int, lo: int, hi: int, width: int, entry: Callable = _run_start):
+    """Yield ``(U_(n-k), U_n, U_(n+1))`` for ``n = lo .. hi`` (``lo >= 1``).
+
+    ``U_n[m] = entry(top, m, C(top, max(m-1, 0)))`` with ``top = n-mk-1``,
+    for ``m = 0 .. width-1``: the entry of a column from its top and its
+    start binomial. The default is the run binomial ``C(n-mk-1, m-1)``. Any
+    entry ``sum_i c_i C(top, m-1+i)`` obeys Pascal's rule
+    ``entry(top+1, m) = entry(top, m) + entry(top, m-1)`` for ``top >= 0``
+    and vanishes for ``top < m-1``. So the ``k+1`` rows
+    ``U_(lo-k) .. U_lo`` are computed directly from the column starts of
+    :func:`_column_starts`, and so is the column ``m = 0``; every other
+    entry follows by ``U_(n+1)[m] = U_n[m] + U_(n-k)[m-1]``, zero past
+    ``m = (n+1)//(k+1)``. The top of ``U_n[m]`` is negative there only at
+    ``n = k``, ``m = 1``, whose entry is ``entry(0, 1, 1)``.
     """
-    rows = deque(([binom(n - m * k - 1, m - 1) for m in range(width)]
-                  for n in range(lo - k, lo + 1)), maxlen=k + 1)
+    def seed(n: int) -> list:
+        row = ([entry(n - m * k - 1, m, t) for m, t in enumerate(_column_starts(n, k)[:width])]
+               if n >= 1 else [])
+        return row + [0] * (width - len(row))
+
+    rows = deque(map(seed, range(lo - k, lo + 1)), maxlen=k + 1)
     for n in range(lo, hi + 1):
         below, row = rows[0], rows[-1]
-        above = [0] * width
-        for m in range(1, min(width, (n + 1) // (k + 1) + 1)):  # zero past (n+1)/(k+1)
-            top = n - m * k - 1
-            above[m] = binom(top + 1, m - 1) if top < 0 else row[m] + below[m - 1]
+        end = min(width, (n + 1) // (k + 1) + 1)
+        above = [entry(n, 0, 1), *map(add, row[1:end], below[:end - 1]), *[0] * (width - end)]
+        if n == k and end > 1:
+            above[1] = entry(0, 1, 1)
         rows.append(above)
         yield below, row, above
 
@@ -476,11 +600,11 @@ def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm) -> l
 
     ORIGINAL reads ``C(t-1, m-2) = U_(n-k)[m-1]`` and ``C(t-1, m-1) = U_n[m]``,
     ALT reads ``C(t, m-1) = U_(n+1)[m]`` and ``U_n[m]``, with ``t = n-mk``;
-    each index sums its own series.
+    the series of the indices share one ladder.
     """
     k, r = params.k, params.r
     weights = _type2_weights(params, hi)
-    series = _type2_series(params, form, r, weights)
+    series = _type2_series(params, form, r, weights, table=True)
     values = []
     rows = _run_binomial_rows(k, lo, hi, (hi + 1) // (k + 1) + 1)  # every m a term reads
     for n, (below, row, above) in zip(range(lo, hi + 1), rows):
@@ -531,9 +655,11 @@ class EngineSpec:
     :meth:`first_index`; ``ell`` is the run overlap, which only an engine
     with ``overlap`` reach reads. Evaluators look the engine functions up when
     called, so a module attribute replaced at run time is the one that runs.
-    The Type II and double-sum evaluators call :func:`_muselli_values` and
-    :func:`_fullsum_values`, which step rows across the range, not
-    :func:`pmf_muselli` or :func:`pmf_fullsum_ch` per index.
+    The Type II, double-sum, nested-sum and hypergeometric evaluators call
+    :func:`_muselli_values`, :func:`_fullsum_values`, :func:`_nested_values`
+    and :func:`_hyp_values`, which step rows across the range, not the
+    single-index functions per index; :func:`_pgf_expansion_values` computes
+    each inner coefficient once.
     """
 
     engine: PmfEngine
@@ -618,12 +744,10 @@ ENGINES = {spec.engine: spec for spec in (
         lambda params, lo, hi, ell, counter: _fullsum_values(params, lo, hi)),
     EngineSpec(
         PmfEngine.NESTED_SUM, IndexScheme.CUT, EngineFamily.TYPE1,
-        lambda params, lo, hi, ell, counter:
-            [pmf_nested_sum(params, n, IndexScheme.CUT, counter) for n in range(lo, hi + 1)]),
+        lambda params, lo, hi, ell, counter: _nested_values(params, lo, hi, counter)),
     EngineSpec(
         PmfEngine.HYP_SUM, IndexScheme.CUT, EngineFamily.TYPE1,
-        lambda params, lo, hi, ell, counter:
-            [pmf_hyp(params, n, IndexScheme.CUT) for n in range(lo, hi + 1)]),
+        lambda params, lo, hi, ell, counter: _hyp_values(params, lo, hi)),
     EngineSpec(
         PmfEngine.PGF_EXPANSION, IndexScheme.FULL, EngineFamily.TYPE1,
         lambda params, lo, hi, ell, counter: _pgf_expansion_values(params, lo, hi)),

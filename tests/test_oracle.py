@@ -31,6 +31,8 @@ def assert_refused(params, sem):
             oracle(params, sem, 12)
     with pytest.raises(ValueError, match="overlap must be at most k-1"):
         monte_carlo(params.to_float(), sem, 10, seed=0)
+    with pytest.raises(ValueError, match="overlap must be at most k-1"):
+        sequence_waiting_time([True] * 12, params.k, params.r, sem)
 
 
 class TestSemanticsValidation:
@@ -75,6 +77,17 @@ class TestSequenceScanner:
         assert sequence_waiting_time(seq, 2, 5, sem) == 6
         sem = CountingSemantics(CountingMode.OVERLAP, overlap=2)
         assert sequence_waiting_time(seq, 3, 4, sem) == 6
+
+    def test_overlap_of_k_raises_the_oracles_error(self):
+        # the restart 1 never reaches k = 1 again, so the scan would find no
+        # second run; it raises what the DP raises instead of returning None
+        sem = CountingSemantics(CountingMode.OVERLAP, overlap=1)
+        with pytest.raises(ValueError) as dp_error:
+            dp_waiting_time_pmf(RunParams(1, 2, HALF), sem, 6)
+        with pytest.raises(ValueError) as scan_error:
+            sequence_waiting_time([True] * 6, 1, 2, sem)
+        assert str(scan_error.value) == str(dp_error.value)
+        assert str(scan_error.value) == "overlap must be at most k-1 = 0, got 1"
 
     def test_gap_ignores_trials(self):
         sem = CountingSemantics(CountingMode.GAP, gap=2)

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from runsdist.core import IndexScheme, RunParams, VariantSpec
+from runsdist.core import TYPE1, IndexScheme, RunParams, VariantSpec
 from runsdist.oracle import (CountingMode, CountingSemantics,
                              brute_force_run_count_dist, dp_waiting_time_pmf)
-from runsdist.pmf import (ENGINES, MuselliForm, PmfEngine, TermCounter, counts_muselli,
-                          pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
+from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, TermCounter,
+                          counts_muselli, pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
                           pmf_pgf_expansion, pmf_recurrence_pg,
                           pmf_table, support_min)
-from runsdist.special import binom
+from runsdist import special
+from runsdist.special import binom, homogeneous_horner
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 HALF = Fraction(1, 2)
@@ -144,6 +145,20 @@ class TestTermCounter:
                         pmf_nested_sum(params, n, C, counter)
                         assert counter.count <= (r + 1) * (1 + (n - 1) // k)
 
+    @pytest.mark.parametrize("params, scheme, lo, hi", [
+        (RunParams(2, 3, HALF), C, 0, 41),
+        (RunParams(1, 2, Fraction(1, 4)), C, 5, 30),
+        (RunParams(3, 4, 0.4), F, 1000, 1012),
+        (RunParams(4, 1, Fraction(2, 7)), C, 7, 9),  # narrower than the k+1 seed rows
+    ])
+    def test_nested_table_counts_what_its_indices_count(self, params, scheme, lo, hi):
+        table = TermCounter()
+        pmf_table(params, PmfEngine.NESTED_SUM, lo, hi, scheme, counter=table)
+        indices = TermCounter()
+        for n in range(lo, hi + 1):
+            pmf_nested_sum(params, n, scheme, indices)
+        assert table.count == indices.count > 0
+
     def test_exact_counts_pinned(self):
         # the count is the number of (j, i) bracket terms with a nonzero
         # binomial; the bench's pmf.nested-sum.terms metric reads it
@@ -156,6 +171,37 @@ class TestTermCounter:
 
 
 class TestDeepTail:
+    @pytest.mark.parametrize("engine, params, scheme, lo, hi, single", [
+        (PmfEngine.NESTED_SUM, RunParams(2, 3, 0.45), C, 0, 300,
+         lambda params, n: pmf_nested_sum(params, n, C)),
+        (PmfEngine.NESTED_SUM, RunParams(1, 2, 0.37), C, 180, 240,
+         lambda params, n: pmf_nested_sum(params, n, C)),
+        (PmfEngine.HYP_SUM, RunParams(3, 2, 0.55), C, 0, 250,
+         lambda params, n: pmf_hyp(params, n, C)),
+        (PmfEngine.FULLSUM_CH, RunParams(2, 2, 0.4), C, 0, 120, pmf_fullsum_ch),
+        (PmfEngine.MUSELLI_ALT, RunParams(2, 2, 0.55), F, 1, 400,
+         lambda params, n: pmf_muselli(params, n, MuselliForm.ALT)),
+        (PmfEngine.MUSELLI_ORIGINAL, RunParams(1, 3, 0.3), F, 150, 300,
+         lambda params, n: pmf_muselli(params, n, MuselliForm.ORIGINAL)),
+    ])
+    def test_float_tables_past_the_ladder_crossover_equal_single_indices(
+            self, monkeypatch, engine, params, scheme, lo, hi, single):
+        # the table's shared ladder hands its deep sums to the split Horner
+        # of special; the single-index functions sum every index there
+        fallbacks = []
+
+        def counted(coeffs, x, d):
+            fallbacks.append(1)
+            return homogeneous_horner(coeffs, x, d)
+
+        monkeypatch.setattr(special, "homogeneous_horner", counted)
+        variant = VariantSpec.type_ii() if ENGINES[engine].family is EngineFamily.TYPE2 else TYPE1
+        table = pmf_table(params, engine, lo, hi, scheme, variant).values
+        assert fallbacks  # some sum was past the crossover
+        monkeypatch.undo()
+        want = tuple(single(params, n) for n in range(lo, hi + 1))
+        assert list(map(type, table)) == list(map(type, want)) and table == want
+
     def test_pgf_expansion_matches_nested_sum_at_n1000(self):
         # the single index computes only the r+1 inner coefficients it reads
         params = RunParams(3, 4, 0.4)

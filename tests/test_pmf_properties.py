@@ -1,10 +1,12 @@
 """Property tests: the exact engines equal the DP oracle bit for bit.
 
 Parameters are drawn beyond the hand-picked grids of the other suites:
-``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli
-and double-sum tables start anywhere in ``[1, 120]`` and ``[0, 100]`` and run
-up to 20 indices. The DP oracle itself is held to the exact rational pgf
-series for every family.
+``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli,
+double-sum, nested-sum, hypergeometric and pgf-expansion tables start
+anywhere in ``[1, 120]``, ``[0, 100]`` and ``[0, 120]`` and run up to 20
+indices. The DP oracle itself is held to the exact rational pgf series for
+every family. Each property draws ``max_examples`` from the loaded
+hypothesis profile (see ``conftest.py``).
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ TYPE1_SEM = CountingSemantics(CountingMode.NON_OVERLAPPING)
 TYPE2_SEM = CountingSemantics(CountingMode.FAILURE_SEPARATED)
 N_MAX = 60
 
-PROPERTY = settings(max_examples=100, deadline=None, database=None)
+PROPERTY = settings(deadline=None, database=None)
 
 
 @st.composite
@@ -130,6 +132,30 @@ def test_fullsum_tables_equal_single_index_and_dp(params, exact, n_min, width):
     assert _same(table, tuple(pmf_fullsum_ch(params, n) for n in range(n_min, n_max + 1)))
     dp = dp_waiting_time_pmf(params.to_exact(), TYPE1_SEM, n_max + rk).values[n_min + rk - 1:]
     assert table == tuple(map(params.finalize, dp))
+
+
+def _cut_single_index(params: RunParams, engine: PmfEngine):
+    """The single-index function of a type1 sum engine, at a cut index."""
+    rk = params.r * params.k
+    return {PmfEngine.NESTED_SUM: lambda n: pmf_nested_sum(params, n, C),
+            PmfEngine.HYP_SUM: lambda n: pmf_hyp(params, n, C),
+            PmfEngine.PGF_EXPANSION: lambda n: pmf_pgf_expansion(params, n + rk)}[engine]
+
+
+@PROPERTY
+@given(run_params(), st.booleans(), st.integers(0, 120), st.integers(0, 20),
+       st.sampled_from((PmfEngine.NESTED_SUM, PmfEngine.HYP_SUM, PmfEngine.PGF_EXPANSION)))
+def test_nested_hyp_pgf_tables_equal_single_index_and_dp(params, exact, n_min, width, engine):
+    # a table starting anywhere seeds its rows at its own first index
+    params = params if exact else params.to_float()
+    rk = params.r * params.k
+    n_max = n_min + width
+    table = pmf_table(params, engine, n_min, n_max, C).values
+    single = _cut_single_index(params, engine)
+    assert _same(table, tuple(single(n) for n in range(n_min, n_max + 1)))
+    if exact:
+        dp = dp_waiting_time_pmf(params, TYPE1_SEM, n_max + rk).values[n_min + rk - 1:]
+        assert table == dp
 
 
 def _at_least(params: RunParams, count: int, n: int) -> Fraction:

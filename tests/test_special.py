@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from runsdist.reference import EulerianTable
-from runsdist.special import (NonTerminatingSeries, ZeroDenominatorPochhammer,
+from operator import mul
+
+from runsdist import special
+from runsdist.special import (HornerLadder, NonTerminatingSeries, ZeroDenominatorPochhammer,
                               binom, eulerian_number, eulerian_poly, falling,
                               homogeneous_horner, hyp2f1, rising, stirling2)
 
@@ -241,3 +244,52 @@ class TestHomogeneousHorner:
         J = 400
         coeffs = [(-1) ** j * math.comb(J, j) for j in range(J + 1)]
         assert homogeneous_horner(coeffs, 10 ** 50, 10 ** 50 + 1) == 1
+
+
+class TestHornerLadder:
+    """Every call equals the split Horner sum of the weighted coefficients."""
+
+    @staticmethod
+    def expected(coeffs, weights, x, d):
+        return homogeneous_horner(map(mul, coeffs, weights), x, d)
+
+    def test_growing_lengths_across_the_crossover(self):
+        rng = random.Random(20261019)
+        below = above = 0
+        for _ in range(60):
+            x = rng.getrandbits(rng.randint(1, 120)) | 1
+            # an odd d multiplies the ladder, a power of two (a float p's) shifts it
+            d = rng.choice((rng.getrandbits(rng.randint(1, 120)) | 1, 1 << rng.randint(0, 120)))
+            w = 10 ** rng.randint(0, 6)
+            weights = [rng.randint(-w, w) for _ in range(120)]
+            ladder = HornerLadder(x, d, weights)
+            step = max(x.bit_length(), d.bit_length())
+            length = rng.randint(0, 3)
+            for _ in range(25):
+                length = min(length + rng.choice((0, 0, 1, 1, 2, 7)), 120)
+                bound = 10 ** rng.randint(0, 40)
+                coeffs = [rng.randint(-bound, bound) for _ in range(length)]
+                got = ladder(coeffs)
+                assert type(got) is int
+                assert got == self.expected(coeffs, weights, x, d)
+                if (length - 1) * step > special._LADDER_BITS:
+                    above += 1
+                else:
+                    below += 1
+        assert below > 100 and above > 100  # both sides of the crossover ran
+
+    def test_shorter_call_after_a_longer_one(self):
+        x, d, weights = 5, 9, [3, -1, 4, -1, 5, -9, 2, -6]
+        ladder = HornerLadder(x, d, weights)
+        for length in (6, 6, 2, 0, 7, 3, 8):
+            coeffs = list(range(1, length + 1))
+            assert ladder(coeffs) == self.expected(coeffs, weights, x, d)
+
+    def test_first_call_builds_the_whole_ladder(self):
+        # the ladder starts empty, so one long first call grows it in one go
+        coeffs = [(-1) ** j * math.comb(30, j) for j in range(31)]
+        ones = [1] * 31
+        assert HornerLadder(7, 3, ones)(coeffs) == (3 - 7) ** 30
+        assert HornerLadder(10 ** 9, 10 ** 9 + 1, ones)(coeffs) == 1
+        assert HornerLadder(3, 5, ones)([]) == 0
+        assert HornerLadder(3, 5, [4])([7]) == 28
