@@ -13,6 +13,11 @@ generating function (:func:`rational_pgf`), from which the series engine of
 :mod:`runsdist.roots` expands the pmf and :mod:`runsdist.moments` the
 factorial moments. The engine modules share these through this module
 instead of importing one another when they load.
+
+Every exact engine ends with an integer over a power of the denominator
+``d`` of ``p``. :class:`PowerRatio` turns such a pair into the canonical
+:class:`~fractions.Fraction` by stripping only the primes of ``d``, without
+the general gcd, and rounds it correctly in float mode.
 """
 
 from __future__ import annotations
@@ -93,6 +98,100 @@ class RunParams:
 
     def to_exact(self) -> "RunParams":
         return self if self.exact else RunParams(self.k, self.r, Fraction(self.p))
+
+
+_TRIAL_DIVISORS_TO = 1 << 10  # PowerRatio factors the denominator of p up to here
+
+
+def _odd_prime_powers(d: int) -> tuple | None:
+    """The pairs ``(prime, multiplicity)`` of an odd ``d >= 1``, or None.
+
+    Trial division stops at ``_TRIAL_DIVISORS_TO``; a cofactor it leaves
+    below the square of that bound is prime, and a larger one, which may
+    not be, gives None.
+    """
+    out = []
+    f = 3
+    while f * f <= d and f <= _TRIAL_DIVISORS_TO:
+        if d % f == 0:
+            a = 0
+            while d % f == 0:
+                d //= f
+                a += 1
+            out.append((f, a))
+        f += 2
+    if d >= _TRIAL_DIVISORS_TO ** 2:
+        return None
+    if d > 1:
+        out.append((d, 1))
+    return tuple(out)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """The :class:`~fractions.Fraction` ``num/den``, given in lowest terms with ``den > 0``."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
+class PowerRatio:
+    """``num / d^e`` in one numeric mode, for ``d`` the denominator of ``p``.
+
+    Every pmf engine in exact mode ends with an integer over a power of
+    ``d``, where only the primes of ``d`` can divide out. So the canonical
+    fraction strips just those: the trailing zero bits for 2 and a remainder
+    test by each odd prime, at most ``e`` times its multiplicity. It is then
+    built by setting the two slots :class:`~fractions.Fraction` has on every
+    supported Python, without the gcd of the constructor. The result equals
+    ``Fraction(num, d**e)`` in numerator, denominator, hash and type; a
+    ``d`` with a prime factor past trial division's reach takes the
+    constructor. Float mode returns the correctly rounded ``num / d**e``,
+    as :meth:`RunParams.ratio` does.
+
+    A table calls this with exponents that mostly rise, so the power of
+    ``d`` is kept and multiplied up by the difference; a lower exponent is
+    raised afresh.
+    """
+
+    __slots__ = ("d", "exact", "primes", "twos", "e", "power")
+
+    def __init__(self, params: RunParams) -> None:
+        self.d = params.exact_p().denominator
+        self.exact = params.exact
+        self.twos = (self.d & -self.d).bit_length() - 1  # the multiplicity of 2 in d
+        self.primes = _odd_prime_powers(self.d >> self.twos) if self.exact else None
+        self.e, self.power = 0, 1
+
+    def __call__(self, num: int, e: int) -> Scalar:
+        if e == self.e:
+            den = self.power
+        elif e > self.e:
+            den = self.power = self.power * self.d ** (e - self.e)
+            self.e = e
+        else:
+            den = self.d ** e
+        if not self.exact:
+            return num / den
+        if self.primes is None:
+            return Fraction(num, den)
+        if not num:
+            return _coprime_fraction(0, 1)
+        if self.twos:
+            strip = min((num & -num).bit_length() - 1, self.twos * e)
+            num >>= strip
+            den >>= strip
+        for prime, a in self.primes:  # the odd primes of d
+            if num % prime:
+                continue
+            strip, most = 0, a * e  # most: the multiplicity of the prime in den
+            while strip < most:
+                quot, rem = divmod(num, prime)
+                if rem:
+                    break
+                num = quot
+                strip += 1
+            den //= prime ** strip
+        return _coprime_fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,8 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .core import TYPE1, IndexScheme, PmfTable, RunParams, VariantSpec
+from .core import TYPE1, IndexScheme, PmfTable, PowerRatio, RunParams, VariantSpec
 
 
 class CountingMode(Enum):
@@ -121,7 +120,8 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
     :func:`_completions`. In exact mode every mass after ``t`` trials is kept
     as an integer over ``den^t`` (``den`` the denominator of ``p``), so a
     trial multiplies by the numerators of ``p`` and ``q`` and a gap trial by
-    ``den``; one fraction is built per absorbed entry.
+    ``den``; one fraction is built per absorbed entry, by
+    :class:`~runsdist.core.PowerRatio`.
     """
     variant = semantics.to_variant()
     variant.check_against(params)
@@ -134,10 +134,10 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
     else:
         p, q, stay = params.p, params.q, 1
     type2, restart = variant.type2, variant.restart
+    ratio = PowerRatio(params)
     states = {(0, 0): 1}
     absorbed = []
-    scale = 1
-    for _ in range(n_max):
+    for t in range(1, n_max + 1):
         new = defaultdict(int)
         hit = 0
         for (runs, prog), mass in states.items():
@@ -156,12 +156,11 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
                 hit += win
         states = dict(new)
         if params.exact:
-            scale *= stay
-            hit = Fraction(hit, scale) if hit else 0
+            hit = ratio(hit, t) if hit else 0
         absorbed.append(hit)
     deficit = sum(states.values())
     if params.exact:
-        deficit = Fraction(deficit, scale)
+        deficit = ratio(deficit, n_max)
     return PmfTable(params, IndexScheme.FULL, variant, 1, tuple(absorbed)), deficit
 
 

@@ -13,28 +13,41 @@ the CLI read only that record.
 The alternating sums here cancel catastrophically in double precision (terms
 can exceed 1e10 while the result is below 1e-2), so every sum-type engine
 evaluates its terms in exact rational arithmetic internally, converting a
-float success probability to its exact binary value, and rounds once on
-return. No rational is built per term: each engine writes its terms as small
-integer brackets over powers of the denominator of ``p``, sums them with the
-one integer kernel :func:`~runsdist.special.homogeneous_horner`, and divides
-once at the end (:meth:`~runsdist.core.RunParams.ratio`). Where neighbouring
-terms are binomials or products of binomials, each is stepped from the last by
-one small exact ratio instead of being computed afresh. The run-placement
-binomials ``C(n-jk-1, j-1)`` that start the columns of the double sum, the
-nested sum and its condensation step along ``j`` the same way (see
-:func:`_column_starts`), so a deep index costs no big binomial, only O(n)-bit
-small-factor steps. The Type II and hypergeometric tables step the same
+float success probability to its exact binary value, and returns the exact
+value, correctly rounded in float mode. No rational is built per term: each
+engine writes its terms as small integer brackets over powers of the
+denominator ``d`` of ``p``, sums them with the one integer kernel
+:func:`~runsdist.special.homogeneous_horner`, and divides once at the end by
+:class:`~runsdist.core.PowerRatio`, which in exact mode strips only the
+primes of ``d`` instead of taking a gcd. The nested sum and its
+hypergeometric condensation end in a sum over powers of ``y = p^k q <=
+1/4``; for a float ``p``, ``d`` is a power of two, and
+:func:`~runsdist.special.fixed_point_horner` sums them in fixed point with a
+few hundred bits beyond the cancellation and proves which double the exact
+value rounds to, so only a value too close to call pays for the exact sum,
+whose integers grow by the bits of ``d^(k+1)`` per term (see
+:func:`_nested_outer`). Where neighbouring terms are binomials or products of
+binomials, each is stepped from the last by one small exact ratio instead of
+being computed afresh. The run-placement binomials ``C(n-jk-1, j-1)`` that
+start the columns of the nested sum and its condensation step along ``j``
+the same way (see :func:`_column_starts`), so a deep index costs no big
+binomial, only O(n)-bit small-factor steps; the double sum starts each
+column at the first nonzero bracket with one ``math.comb`` pair (see
+:func:`pmf_fullsum_ch`). The Type II and hypergeometric tables step the same
 binomials across ``n`` by Pascal's rule (see :func:`_run_binomial_rows`),
 the nested-sum tables step their inner brackets on the same ring, and the
 double-sum tables step theirs by a rule of their own (see
 :func:`_fullsum_brackets`), so such a table adds rows instead of computing
 binomials per term. The outer sums of every sum-engine table share one
 :class:`~runsdist.special.HornerLadder`, which keeps the powers of the
-table's ``x`` and ``d`` from index to index.
+table's ``x`` and ``d`` from index to index, and one
+:class:`~runsdist.core.PowerRatio`, which steps the power of ``d`` from entry
+to entry.
 
 The recurrence has nonnegative terms, so it runs on doubles in float mode. In
 exact mode it steps the integer numerators of its values over powers of the
-denominator of ``p`` and builds one fraction per entry. Both recurrence
+denominator of ``p`` and builds one fraction per entry by
+:class:`~runsdist.core.PowerRatio`. Both recurrence
 engines read one list of values, so each of their tables is built and
 checked once.
 """
@@ -50,9 +63,9 @@ from functools import partial
 from operator import add, mul, sub
 from typing import Callable
 
-from .core import (TYPE1, IndexScheme, PmfTable, RunParams, Scalar, TermCounter, VariantSpec,
-                   convert_index, support_min)
-from .special import HornerLadder, binom, homogeneous_horner
+from .core import (TYPE1, IndexScheme, PmfTable, PowerRatio, RunParams, Scalar, TermCounter,
+                   VariantSpec, convert_index, support_min)
+from .special import HornerLadder, binom, fixed_point_horner, homogeneous_horner
 
 
 class PmfEngine(Enum):
@@ -86,7 +99,8 @@ def _recurrence_values(params: RunParams, n_max: int) -> list:
     numerators ``N_n = P_n d^n`` of ``p = a/d``:
     ``N_n = b sum_j (n - rk + j(r-1)) a^(j-1) N_{n-j} / (n-rk)`` with
     ``b = d - a``, where the division is exact, and builds one fraction per
-    entry.
+    entry by :class:`~runsdist.core.PowerRatio`, which strips only the
+    primes of ``d``.
     """
     k, r, p = params.k, params.r, params.p
     rk = r * k
@@ -97,15 +111,14 @@ def _recurrence_values(params: RunParams, n_max: int) -> list:
         b = d - a
         apow = [a ** j for j in range(k)]
         nums = [a ** rk]
-        den = d ** rk
-        values = [Fraction(nums[0], den)]
+        ratio = PowerRatio(params)
+        values = [ratio(nums[0], rk)]
         for m in range(1, n_max - rk + 1):
             acc = 0
             for j in range(1, min(k, m) + 1):
                 acc += (m + j * (r - 1)) * apow[j - 1] * nums[m - j]
             nums.append(b * acc // m)
-            den *= d
-            values.append(Fraction(nums[m], den))
+            values.append(ratio(nums[m], rk + m))
         return values
     q = params.q
     ppow = [p ** j for j in range(k + 1)]
@@ -159,20 +172,6 @@ def _column_starts(m: int, k: int) -> list:
     return starts
 
 
-def _fullsum_ratio(params: RunParams, n: int, outer: int) -> Scalar:
-    """The cut-scheme pmf at ``n >= 1`` from the kernel sum of its inner brackets.
-
-    The outer term ``i`` carries ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so the
-    outer sum over the brackets ``bracket[0..n]`` is the integer
-    ``outer = homogeneous_horner(map(mul, bracket, weights), qn, pn)``, with
-    the weights ``C(r+i-1, r-1)`` and the numerators ``qn``, ``pn`` of ``q``
-    and ``p``, over the common denominator ``den^(n+rk)``.
-    """
-    rk = params.r * params.k
-    p = params.exact_p()
-    return params.ratio(p.numerator ** rk * outer, p.denominator ** (n + rk))
-
-
 def _fullsum_weights(r: int, n: int) -> list:
     """``C(r+i-1, r-1)`` for ``i = 0 .. n``, stepped along ``i``."""
     weights = [1]
@@ -184,32 +183,42 @@ def _fullsum_weights(r: int, n: int) -> list:
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     """Cut-scheme pmf by the O(n^2) double combinatorial sum.
 
-    The inner bracket ``sum_j (-1)^j C(i, j) C(n-jk-1, i-1)`` is a pure
-    integer. It is filled column by column: each column starts at
-    ``C(top, j-1)`` from :func:`_column_starts` and steps along ``i`` by one
-    small ratio, so the O(n^2/k) terms cost no big binomial beyond the small
-    ratios. The outer sum is :func:`_fullsum_ratio`.
+    The inner bracket ``B_n[i] = sum_j (-1)^j C(i, j) C(n-jk-1, i-1)`` is a
+    pure integer. By inclusion and exclusion over the parts longer than
+    ``k`` it counts the compositions of ``n`` into ``i`` parts of size 1 to
+    ``k``, so it is 0 below ``i = ceil(n/k)``. Each column ``j`` therefore
+    starts at ``i = max(j, ceil(n/k))`` with one ``math.comb`` pair and steps
+    along ``i`` by one small ratio, so the O(n^2/k) terms cost no big
+    binomial beyond the column starts. The outer term ``i`` carries
+    ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so the outer sum is the integer
+    ``homogeneous_horner(map(mul, bracket, weights), qn, pn)``, with the
+    weights ``C(r+i-1, r-1)`` and the numerators ``qn``, ``pn`` of ``q`` and
+    ``p``, over the common denominator ``den^(n+rk)``.
     """
     if n < 0:
         return params.finalize(0)
     k, r = params.k, params.r
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    head = pn ** (r * k)
     if n == 0:
-        p = params.exact_p()
-        return params.ratio(p.numerator ** (r * k), p.denominator ** (r * k))
-    bracket = [0] * (n + 1)  # the i = 0 bracket is C(n-1, -1) = 0
-    for j, t in enumerate(_column_starts(n, k)):
+        return PowerRatio(params)(head, r * k)
+    bracket = [0] * (n + 1)
+    low = -(-n // k)  # the first i whose bracket is not 0
+    for j in range(n // k + 1):
         top = n - j * k - 1
-        first = j or 1  # C(first, j) C(top, first-1) = C(top, j-1), or 1 at j = 0
+        first = max(j, low)
+        if first > top + 1:  # C(top, i-1) vanishes from i = top + 2 on
+            break
+        t = math.comb(first, j) * math.comb(top, first - 1)
         if j & 1:
             t = -t
-        for i in range(first, top + 2):  # C(top, i-1) vanishes past i = top + 1
+        for i in range(first, top + 2):
             bracket[i] += t
             # C(i+1, j) C(top, i) from C(i, j) C(top, i-1); the quotient is exact
             t = t * ((i + 1) * (top - i + 1)) // ((i + 1 - j) * i)
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    return _fullsum_ratio(params, n, homogeneous_horner(
-        map(mul, bracket, _fullsum_weights(r, n)), den - pn, pn))
+    outer = homogeneous_horner(map(mul, bracket, _fullsum_weights(r, n)), den - pn, pn)
+    return PowerRatio(params)(head * outer, n + r * k)
 
 
 def _fullsum_brackets(k: int, hi: int):
@@ -238,28 +247,44 @@ def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
     The outer sums of the table share one :class:`~runsdist.special.HornerLadder`.
     """
     values = [pmf_fullsum_ch(params, 0)] if lo == 0 else []
+    rk = params.r * params.k
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
+    head = pn ** rk
     outer = HornerLadder(den - pn, pn, _fullsum_weights(params.r, hi))
+    ratio = PowerRatio(params)
     for n, bracket in enumerate(_fullsum_brackets(params.k, hi), start=1):
         if n >= lo:
-            values.append(_fullsum_ratio(params, n, outer(bracket)))
+            values.append(ratio(head * outer(bracket), n + rk))
     return values
 
 
-def _nested_outer(params: RunParams, outer: list) -> tuple:
-    """``p^rk sum_j (-1)^j outer[j] (p^k q)^j / den^r`` as an integer pair.
+def _nested_outer(params: RunParams, outer: list) -> Scalar:
+    """``p^rk sum_j (-1)^j outer[j] (p^k q)^j / den^r`` in the mode of ``params``.
 
     ``outer[j]`` is the integer ``C(r+j-1, r-1)`` times the inner bracket
     scaled by ``den^r``; the nested sum and its hypergeometric condensation
-    both end here. Returns the numerator and denominator of the value.
+    both end here. With ``x = pn^k qn`` the value is
+    ``pn^rk sum_j signed[j] (x/den^(k+1))^j / den^(rk+r)``. A float ``p``
+    has ``den = 2^z``, so dividing by ``den^(k+1)`` is a shift (and
+    ``p^k q <= 1/4``), and :func:`~runsdist.special.fixed_point_horner`
+    rounds the value from a fixed-point sum of a few hundred bits more than
+    its cancellation; only a value it cannot call takes the exact sum, whose
+    integers grow by ``z (k+1)`` bits per term. Either way the result is the
+    exact value correctly rounded.
     """
     k, r = params.k, params.r
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     signed = [-c if j & 1 else c for j, c in enumerate(outer)]
-    total = pn ** (r * k) * homogeneous_horner(signed, pn ** k * (den - pn), den ** (k + 1))
-    return total, den ** (r * k + (len(outer) - 1) * (k + 1) + r)
+    x, head = pn ** k * (den - pn), pn ** (r * k)
+    if not params.exact:
+        z = den.bit_length() - 1
+        value = fixed_point_horner(signed, x, z * (k + 1), head, z * (r * k + r))
+        if value is not None:
+            return value
+    total = head * homogeneous_horner(signed, x, den ** (k + 1))
+    return PowerRatio(params)(total, r * k + (len(outer) - 1) * (k + 1) + r)
 
 
 def _nested_bracket(cq: list, top: int, j: int, t: int) -> int:
@@ -306,7 +331,7 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
     pn, den = p.numerator, p.denominator
     qn = den - pn
     if m == 0:
-        return params.ratio(pn ** rk, den ** rk)
+        return PowerRatio(params)(pn ** rk, rk)
     # C(r, i) q^i scaled by den^r
     cq = [math.comb(r, i) * qn ** i * den ** (r - i) for i in range(r + 1)]
     outer = []
@@ -317,7 +342,7 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
         outer.append(w * _nested_bracket(cq, m - j * k - 1, j, t))
     if counter is not None:
         counter.add(_nested_terms(m, k, r))
-    return params.ratio(*_nested_outer(params, outer))
+    return _nested_outer(params, outer)
 
 
 def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
@@ -352,7 +377,7 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     if m == 0:
-        return params.ratio(pn ** rk, den ** rk)
+        return PowerRatio(params)(pn ** rk, rk)
     qn = den - pn
     qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
     starts = _column_starts(m, k)
@@ -360,7 +385,7 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     for j in range(1, len(starts)):
         outer.append(math.comb(r + j - 1, r - 1)
                      * _hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi))
-    return params.ratio(*_nested_outer(params, outer))
+    return _nested_outer(params, outer)
 
 
 def _nested_ladder(params: RunParams, hi: int) -> Callable:
@@ -376,10 +401,10 @@ def _nested_ladder(params: RunParams, hi: int) -> Callable:
     weights = [-w if j & 1 else w for j, w in enumerate(_fullsum_weights(r, hi // (k + 1)))]
     outer = HornerLadder(pn ** k * (den - pn), den ** (k + 1), weights)
     head = pn ** (r * k)
+    ratio = PowerRatio(params)
 
     def value(inner: list) -> Scalar:
-        return params.ratio(head * outer(inner),
-                            den ** (r * k + (len(inner) - 1) * (k + 1) + r))
+        return ratio(head * outer(inner), r * k + (len(inner) - 1) * (k + 1) + r)
 
     return value
 
@@ -464,19 +489,20 @@ def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
     k, r = params.k, params.r
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    d = den ** (k + 1)
     first = max(lo - r * k - r, 0)
     nums = _pgf_inner_numerators(params, first, hi - r * k)
+    # (-1)^i C(r, i) p^i scaled by den^r, and the powers of den^(k+1) that bring
+    # T_(v-i) to the denominator of T_v (at most ceil(r/(k+1)) apart)
+    cp = [(-1) ** i * math.comb(r, i) * pn ** i * den ** (r - i) for i in range(r + 1)]
+    lift = [den ** ((k + 1) * e) for e in range(-(-r // (k + 1)) + 1)]
+    head = pn ** (r * k)
+    ratio = PowerRatio(params)
     vals = []
     for v in range(lo - r * k, hi - r * k + 1):
         e_top = v // (k + 1)
-        total = 0
-        for i in range(min(r, v) + 1):
-            # bring T_(v-i) to the denominator den^((k+1) e_top) and p^i to den^r
-            term = (math.comb(r, i) * pn ** i * den ** (r - i)
-                    * d ** (e_top - (v - i) // (k + 1)) * nums[v - i - first])
-            total += -term if i & 1 else term
-        vals.append(params.ratio(pn ** (r * k) * total, den ** (r * k + r + (k + 1) * e_top)))
+        total = sum(cp[i] * lift[e_top - (v - i) // (k + 1)] * nums[v - i - first]
+                    for i in range(min(r, v) + 1))
+        vals.append(ratio(head * total, r * k + r + (k + 1) * e_top))
     return vals
 
 
@@ -512,6 +538,7 @@ def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list,
     qn = den - pn
     x, d = pn ** params.k * qn, den ** (params.k + 1)
     head = x ** lo
+    ratio = PowerRatio(params)
     second = qn if form is MuselliForm.ORIGINAL else -pn
     signed = [-w if i & 1 else w for i, w in enumerate(weights)]
     if table:
@@ -524,7 +551,7 @@ def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list,
         brackets = [den * a + second * b for a, b in pairs]
         if not brackets:
             return params.ratio(0, 1)
-        return params.ratio(head * outer(brackets) // qn, d ** (lo + len(brackets) - 1))
+        return ratio(head * outer(brackets) // qn, (params.k + 1) * (lo + len(brackets) - 1))
 
     return value
 

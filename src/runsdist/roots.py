@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, TermCounter,
-                   VariantSpec, rational_pgf, support_min)
+from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, PowerRatio, RunParams,
+                   TermCounter, VariantSpec, rational_pgf, support_min)
 from .special import _series_div, binom, hyp2f1
 
 
@@ -151,10 +151,9 @@ def pgf_series(params: RunParams, n_terms: int,
     b, lead = params.p.denominator, den[0]
     num = [c * b ** i for i, c in enumerate(num)]
     den = [c * b ** i // lead for i, c in enumerate(den)]  # exact: b^((k+1)r) | den[i] b^i
-    d_i = lead
-    for c in _series_div(num, den, length):
-        out.append(Fraction(scale * c, d_i))
-        d_i *= b
+    ratio = PowerRatio(params)
+    e = (params.k + 1) * params.r  # lead = b^e
+    out.extend(ratio(scale * c, e + i) for i, c in enumerate(_series_div(num, den, length)))
     return out
 
 

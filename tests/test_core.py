@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from runsdist.core import (IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
-                           TYPE1, VariantSpec, convert_index,
+from runsdist.core import (IndexScheme, MomentKind, MomentSet, PmfTable, PowerRatio,
+                           RunParams, TYPE1, VariantSpec, convert_index,
                            shift_moments)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
@@ -64,6 +64,57 @@ class TestRatio:
                 assert abs(Fraction(got) - exact) <= abs(Fraction(other) - exact)
             subnormal += 0 < got < 2.2250738585072014e-308
         assert subnormal > 50
+
+
+def _same_fraction(got, want) -> bool:
+    """Equal in type, numerator, denominator and hash: the canonical fraction."""
+    return (type(got) is Fraction and got.numerator == want.numerator
+            and got.denominator == want.denominator and hash(got) == hash(want))
+
+
+class TestPowerRatio:
+    @pytest.mark.parametrize("d", [2, 4, 12, 18, 20, 49])
+    def test_exact_mode_is_the_canonical_fraction(self, d):
+        rng = random.Random(d)
+        ratio = PowerRatio(RunParams(2, 1, Fraction(1, d)))
+        primes = [f for f in (2, 3, 5, 7) if d % f == 0]
+        for _ in range(600):
+            e = rng.randint(0, 40)
+            # numerators of either sign carrying up to twice as many factors
+            # of each prime of d as d^e holds (at most 2e here)
+            num = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 300))
+            for f in primes:
+                num *= f ** rng.randint(0, 4 * e + 2)
+            want = Fraction(num, d ** e)
+            assert _same_fraction(ratio(num, e), want)
+        for num in (0, 1, -1, d, -(d ** 3), 10 ** 50):
+            assert _same_fraction(ratio(num, 3), Fraction(num, d ** 3))
+            assert _same_fraction(ratio(num, 0), Fraction(num))
+
+    def test_zero_is_zero_over_one(self):
+        got = PowerRatio(RunParams(2, 1, Fraction(3, 20)))(0, 17)
+        assert _same_fraction(got, Fraction(0)) and got.denominator == 1
+
+    def test_exponents_that_fall_and_repeat(self):
+        ratio = PowerRatio(RunParams(2, 1, Fraction(5, 12)))
+        for e in (9, 9, 3, 12, 0, 12, 40):
+            assert _same_fraction(ratio(6 ** 7 * 5, e), Fraction(6 ** 7 * 5, 12 ** e))
+
+    def test_denominator_past_trial_division_takes_the_constructor(self):
+        d = 1031 * 1033  # both primes past the trial divisors, product past their square
+        ratio = PowerRatio(RunParams(1, 1, Fraction(1, d)))
+        for num in (1031 ** 3 * 7, -(d ** 2), 12345):
+            assert _same_fraction(ratio(num, 4), Fraction(num, d ** 4))
+
+    def test_float_mode_rounds_like_ratio(self):
+        params = RunParams(2, 1, 0.3)
+        d = params.exact_p().denominator
+        ratio = PowerRatio(params)
+        rng = random.Random(7)
+        for e in (1, 2, 5, 9, 9, 20):
+            num = rng.getrandbits(d.bit_length() * e)
+            got = ratio(num, e)
+            assert type(got) is float and got == params.ratio(num, d ** e)
 
 
 class TestVariantSpec:

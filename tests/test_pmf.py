@@ -9,7 +9,7 @@ from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, TermCou
                           counts_muselli, pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
                           pmf_pgf_expansion, pmf_recurrence_pg,
                           pmf_table, support_min)
-from runsdist import special
+from runsdist import pmf as pmf_module, special
 from runsdist.special import binom, homogeneous_horner
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
@@ -164,9 +164,19 @@ class TestTermCounter:
         # binomial; the bench's pmf.nested-sum.terms metric reads it
         for params, n, scheme, want in ((RunParams(2, 3, HALF), 41, C, 54),
                                         (RunParams(1, 2, Fraction(1, 4)), 23, C, 34),
-                                        (RunParams(3, 4, 0.4), 1000, F, 1235)):
+                                        (RunParams(3, 4, 0.4), 1000, F, 1235),
+                                        (RunParams(2, 3, 0.45), 1003, F, 1329),
+                                        (RunParams(5, 4, 0.35), 2017, F, 1664),
+                                        (RunParams(3, 1, Fraction(2, 5)), 250, F, 123)):
             counter = TermCounter()
             pmf_nested_sum(params, n, scheme, counter)
+            assert counter.count == want
+
+    def test_table_counts_pinned(self):
+        for params, lo, hi, want in ((RunParams(3, 2, Fraction(3, 7)), 6, 90, 2688),
+                                     (RunParams(2, 2, 0.3), 4, 400, 78606)):
+            counter = TermCounter()
+            pmf_table(params, PmfEngine.NESTED_SUM, lo, hi, counter=counter)
             assert counter.count == want
 
 
@@ -201,6 +211,30 @@ class TestDeepTail:
         monkeypatch.undo()
         want = tuple(single(params, n) for n in range(lo, hi + 1))
         assert list(map(type, table)) == list(map(type, want)) and table == want
+
+    @pytest.mark.parametrize("k, r, pv, n", [
+        (2, 3, 0.45, 1003),
+        (3, 4, 0.4, 1000),
+        (5, 2, 0.7, 2013),
+        (1, 1, 0.15, 700),
+    ])
+    def test_float_nested_and_hyp_exact_fallback_gives_the_same_bits(
+            self, monkeypatch, k, r, pv, n):
+        # with no fixed-point precision left, the outer sum is rounded from
+        # the exact integer kernel; the value must not move
+        params = RunParams(k, r, pv)
+        fixed = (pmf_nested_sum(params, n, F), pmf_hyp(params, n, F))
+        fallbacks = []
+
+        def counted(coeffs, x, d):
+            fallbacks.append(1)
+            return homogeneous_horner(coeffs, x, d)
+
+        monkeypatch.setattr(special, "_FIXED_POINT_BITS", ())
+        monkeypatch.setattr(pmf_module, "homogeneous_horner", counted)
+        exact = (pmf_nested_sum(params, n, F), pmf_hyp(params, n, F))
+        assert len(fallbacks) == 2
+        assert all(type(v) is float for v in fixed + exact) and fixed == exact
 
     def test_pgf_expansion_matches_nested_sum_at_n1000(self):
         # the single index computes only the r+1 inner coefficients it reads

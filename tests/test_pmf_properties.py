@@ -4,8 +4,10 @@ Parameters are drawn beyond the hand-picked grids of the other suites:
 ``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli,
 double-sum, nested-sum, hypergeometric and pgf-expansion tables start
 anywhere in ``[1, 120]``, ``[0, 100]`` and ``[0, 120]`` and run up to 20
-indices. The DP oracle itself is held to the exact rational pgf series for
-every family. Each property draws ``max_examples`` from the loaded
+indices. Float ``p`` with a full 53-bit significand holds the rounded
+nested and hypergeometric sums to the exact value at cut indices up to 800.
+The DP oracle itself is held to the exact rational pgf series for every
+family. Each property draws ``max_examples`` from the loaded
 hypothesis profile (see ``conftest.py``).
 """
 
@@ -187,3 +189,20 @@ def test_float_p_engines_round_the_same_exact_value(params, cut):
     assert pmf_hyp(fparams, cut, C) == want
     assert pmf_fullsum_ch(fparams, cut) == want
     assert pmf_pgf_expansion(fparams, cut + params.r * params.k) == want
+
+
+@st.composite
+def float_params(draw):
+    """Float ``p`` with a full 53-bit significand, in ``[1/16, 1)``."""
+    significand = draw(st.integers(2 ** 52, 2 ** 53 - 1)) | 1
+    p = significand / 2 ** (53 + draw(st.integers(0, 3)))
+    return RunParams(draw(st.integers(1, 6)), draw(st.integers(1, 5)), p)
+
+
+@PROPERTY
+@given(float_params(), st.integers(0, 800))
+def test_float_nested_and_hyp_round_the_exact_value_deep(params, cut):
+    # the fixed-point outer sum of a float p rounds the exact value correctly
+    want = float(pmf_nested_sum(params.to_exact(), cut, C))
+    for got in (pmf_nested_sum(params, cut, C), pmf_hyp(params, cut, C)):
+        assert type(got) is float and got == want

@@ -10,7 +10,8 @@ from operator import mul
 from runsdist import special
 from runsdist.special import (HornerLadder, NonTerminatingSeries, ZeroDenominatorPochhammer,
                               binom, eulerian_number, eulerian_poly, falling,
-                              homogeneous_horner, hyp2f1, rising, stirling2)
+                              fixed_point_horner, homogeneous_horner, hyp2f1, rising,
+                              stirling2)
 
 
 class TestBinom:
@@ -244,6 +245,52 @@ class TestHomogeneousHorner:
         J = 400
         coeffs = [(-1) ** j * math.comb(J, j) for j in range(J + 1)]
         assert homogeneous_horner(coeffs, 10 ** 50, 10 ** 50 + 1) == 1
+
+
+class TestFixedPointHorner:
+    @staticmethod
+    def exact(coeffs, x, s, head, t):
+        """``head * sum_j coeffs[j] (x/2^s)^j / 2^t`` rounded once."""
+        J = len(coeffs) - 1
+        return float(Fraction(head * homogeneous_horner(coeffs, x, 1 << s), 1 << (s * J + t)))
+
+    def test_rounds_the_exact_value_of_cancelling_sums(self):
+        rng = random.Random(20261019)
+        rounded = 0
+        for _ in range(300):
+            s = rng.randint(2, 400)
+            x = rng.randrange(1 << (s - 1))
+            J = rng.randint(0, 60)
+            big = rng.randint(1, 600)
+            coeffs = [rng.choice((1, -1)) * rng.getrandbits(big) for _ in range(J + 1)]
+            head, t = rng.getrandbits(rng.randint(1, 200)) | 1, rng.randint(0, 900)
+            got = fixed_point_horner(coeffs, x, s, head, t)
+            assert got is None or got == self.exact(coeffs, x, s, head, t)
+            rounded += got is not None
+        assert rounded > 290
+
+    def test_binomial_alternating_sum_cancels_to_a_tiny_value(self):
+        # sum_j (-1)^j C(J, j) (1/4)^j = (3/4)^J, from terms up to C(J, J/2)/4^(J/2)
+        J = 400
+        coeffs = [(-1) ** j * math.comb(J, j) for j in range(J + 1)]
+        assert fixed_point_horner(coeffs, 1, 2, 1, 0) == 0.75 ** J
+        assert fixed_point_horner(coeffs, 1, 2, 3, 5) == float(Fraction(3, 32) * Fraction(3, 4) ** J)
+
+    def test_signs_and_zero(self):
+        assert fixed_point_horner([-5, 1], 1, 3, 1, 0) == -4.875
+        # a zero sum is too close to call at any precision
+        assert fixed_point_horner([1, -4], 1, 2, 1, 0) is None
+        assert fixed_point_horner([], 1, 2, 1, 0) is None
+
+    def test_no_precision_left_gives_none(self, monkeypatch):
+        monkeypatch.setattr(special, "_FIXED_POINT_BITS", ())
+        assert fixed_point_horner([3, 1], 1, 2, 1, 0) is None
+
+    def test_needs_a_ratio_below_one_half(self):
+        with pytest.raises(ValueError):
+            fixed_point_horner([1, 1], 4, 3, 1, 0)
+        with pytest.raises(ValueError):
+            fixed_point_horner([1, 1], -1, 3, 1, 0)
 
 
 class TestHornerLadder:
