@@ -85,14 +85,6 @@ class RunParams:
         """An exact internal result in this mode: unchanged when exact, else rounded once."""
         return value if self.exact else float(value)
 
-    def ratio(self, num: int, den: int) -> Scalar:
-        """The exact quotient ``num / den`` of two integers in this mode.
-
-        Float mode rounds the quotient once, correctly, with the same bits as
-        ``float(Fraction(num, den))`` but without reducing the fraction first.
-        """
-        return Fraction(num, den) if self.exact else num / den
-
     def to_float(self) -> "RunParams":
         return self if not self.exact else RunParams(self.k, self.r, float(self.p))
 
@@ -146,7 +138,8 @@ class PowerRatio:
     ``Fraction(num, d**e)`` in numerator, denominator, hash and type; a
     ``d`` with a prime factor past trial division's reach takes the
     constructor. Float mode returns the correctly rounded ``num / d**e``,
-    as :meth:`RunParams.ratio` does.
+    with the same bits as ``float(Fraction(num, d**e))`` but without
+    reducing the fraction first.
 
     A table calls this with exponents that mostly rise, so the power of
     ``d`` is kept and multiplied up by the difference; a lower exponent is
@@ -156,7 +149,7 @@ class PowerRatio:
     __slots__ = ("d", "exact", "primes", "twos", "e", "power")
 
     def __init__(self, params: RunParams) -> None:
-        self.d = params.exact_p().denominator
+        self.d = params.p.as_integer_ratio()[1]  # exact_p's denominator, without a Fraction
         self.exact = params.exact
         self.twos = (self.d & -self.d).bit_length() - 1  # the multiplicity of 2 in d
         self.primes = _odd_prime_powers(self.d >> self.twos) if self.exact else None

@@ -16,33 +16,34 @@ evaluates its terms in exact rational arithmetic internally, converting a
 float success probability to its exact binary value, and returns the exact
 value, correctly rounded in float mode. No rational is built per term: each
 engine writes its terms as small integer brackets over powers of the
-denominator ``d`` of ``p``, sums them with the one integer kernel
-:func:`~runsdist.special.homogeneous_horner`, and divides once at the end by
-:class:`~runsdist.core.PowerRatio`, which in exact mode strips only the
-primes of ``d`` instead of taking a gcd. The nested sum and its
-hypergeometric condensation end in a sum over powers of ``y = p^k q <=
-1/4``; for a float ``p``, ``d`` is a power of two, and
-:func:`~runsdist.special.fixed_point_horner` sums them in fixed point with a
-few hundred bits beyond the cancellation and proves which double the exact
-value rounds to, so only a value too close to call pays for the exact sum,
-whose integers grow by the bits of ``d^(k+1)`` per term (see
-:func:`_nested_outer`). Where neighbouring terms are binomials or products of
-binomials, each is stepped from the last by one small exact ratio instead of
-being computed afresh. The run-placement binomials ``C(n-jk-1, j-1)`` that
-start the columns of the nested sum and its condensation step along ``j``
-the same way (see :func:`_column_starts`), so a deep index costs no big
-binomial, only O(n)-bit small-factor steps; the double sum starts each
-column at the first nonzero bracket with one ``math.comb`` pair (see
-:func:`pmf_fullsum_ch`). The Type II and hypergeometric tables step the same
-binomials across ``n`` by Pascal's rule (see :func:`_run_binomial_rows`),
-the nested-sum tables step their inner brackets on the same ring, and the
-double-sum tables step theirs by a rule of their own (see
-:func:`_fullsum_brackets`), so such a table adds rows instead of computing
-binomials per term. The outer sums of every sum-engine table share one
-:class:`~runsdist.special.HornerLadder`, which keeps the powers of the
-table's ``x`` and ``d`` from index to index, and one
-:class:`~runsdist.core.PowerRatio`, which steps the power of ``d`` from entry
-to entry.
+denominator ``d`` of ``p``. Where neighbouring terms are binomials or
+products of binomials, each is stepped from the last by one small exact
+ratio instead of being computed afresh. The run-placement binomials
+``C(n-jk-1, j-1)`` that start the columns of the nested sum and its
+condensation step along ``j`` the same way (see :func:`_column_starts`), so
+a deep index costs no big binomial, only O(n)-bit small-factor steps; the
+double sum starts each column at the first nonzero bracket with one
+``math.comb`` pair (see :func:`pmf_fullsum_ch`). The Type II and
+hypergeometric tables step the same binomials across ``n`` by Pascal's rule
+(see :func:`_run_binomial_rows`), the nested-sum tables step their inner
+brackets on the same ring, and the double-sum tables step theirs by a rule
+of their own (see :func:`_fullsum_brackets`), so such a table adds rows
+instead of computing binomials per term.
+
+The nested sum, its condensation and the Type II forms end in one
+alternating outer sum in powers of ``y = p^k q <= 1/4``, and the double sum
+ends in one in powers of ``q/p``. One finisher, :class:`_OuterSum`,
+evaluates them all, for a single index and a table alike. It sums on one
+:class:`~runsdist.special.HornerLadder`, whose powers a table's indices
+share, and builds the value by :class:`~runsdist.core.PowerRatio`, which in
+exact mode strips only the primes of ``d`` instead of taking a gcd. For a
+float ``p``, ``d`` is a power of two, and the sums in ``y`` are first
+rounded by :func:`~runsdist.special.fixed_point_horner`, a fixed-point sum
+a few hundred bits past the cancellation that proves which double the exact
+value rounds to; only a value too close to call pays for the exact sum,
+whose integers grow by the bits of ``d^(k+1)`` per term. The
+generating-function expansion sums its inner coefficients on one ladder too
+and combines a window of ``r+1`` of them per index.
 
 The recurrence has nonnegative terms, so it runs on doubles in float mode. In
 exact mode it steps the integer numerators of its values over powers of the
@@ -65,7 +66,7 @@ from typing import Callable
 
 from .core import (TYPE1, IndexScheme, PmfTable, PowerRatio, RunParams, Scalar, TermCounter,
                    VariantSpec, convert_index, support_min)
-from .special import HornerLadder, binom, fixed_point_horner, homogeneous_horner
+from .special import HornerLadder, binom, fixed_point_horner
 
 
 class PmfEngine(Enum):
@@ -172,12 +173,48 @@ def _column_starts(m: int, k: int) -> list:
     return starts
 
 
-def _fullsum_weights(r: int, n: int) -> list:
-    """``C(r+i-1, r-1)`` for ``i = 0 .. n``, stepped along ``i``."""
+def _run_weights(r: int, n: int, sign: int = 1) -> list:
+    """``sign^i C(r+i-1, r-1)`` for ``i = 0 .. n``, stepped along ``i``."""
     weights = [1]
     for i in range(1, n + 1):
-        weights.append(weights[-1] * (r + i - 1) // i)
+        weights.append(sign * weights[-1] * (r + i - 1) // i)
     return weights
+
+
+class _OuterSum:
+    """``head sum_j weights[j] c_j x^j d^(J-j) / (div den^(base + step J))``, in ``params``' mode.
+
+    The nested, hypergeometric, double and Type II sums end here: called
+    with the coefficients ``c_0 .. c_J`` of one index, it returns that
+    index's value. ``den`` is the denominator of ``p``, and ``div`` divides
+    the integer numerator exactly. The sum runs on one
+    :class:`~runsdist.special.HornerLadder`, so the indices of a table share
+    its powers, and :class:`~runsdist.core.PowerRatio` builds the value. A
+    float ``p`` has ``den = 2^z``; where ``d = den^step`` and ``x/d < 1/2``,
+    as in the sums over powers of ``p^k q <= 1/4``,
+    :func:`~runsdist.special.fixed_point_horner` first rounds the value from
+    a fixed-point sum a few hundred bits past its cancellation, and only a
+    value it cannot call takes the exact sum. Either way the result is the
+    exact value, correctly rounded in float mode.
+    """
+
+    def __init__(self, params: RunParams, x: int, d: int, weights: list, head: int,
+                 base: int, step: int, div: int = 1) -> None:
+        self.ratio = PowerRatio(params)
+        z = self.ratio.twos  # den = 2^z for a float p
+        self.fixed = not params.exact and div == 1 and d == 1 << z * step and 2 * x < d
+        self.x, self.s, self.t = x, z * step, z * base
+        self.weights, self.head, self.base, self.step, self.div = weights, head, base, step, div
+        self.ladder = HornerLadder(x, d, weights)
+
+    def __call__(self, coeffs: list) -> Scalar:
+        if self.fixed:
+            value = fixed_point_horner(list(map(mul, coeffs, self.weights)), self.x, self.s,
+                                       self.head, self.t)
+            if value is not None:
+                return value
+        total = self.head * self.ladder(coeffs) // self.div
+        return self.ratio(total, self.base + self.step * (len(coeffs) - 1))
 
 
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
@@ -190,10 +227,9 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     starts at ``i = max(j, ceil(n/k))`` with one ``math.comb`` pair and steps
     along ``i`` by one small ratio, so the O(n^2/k) terms cost no big
     binomial beyond the column starts. The outer term ``i`` carries
-    ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so the outer sum is the integer
-    ``homogeneous_horner(map(mul, bracket, weights), qn, pn)``, with the
-    weights ``C(r+i-1, r-1)`` and the numerators ``qn``, ``pn`` of ``q`` and
-    ``p``, over the common denominator ``den^(n+rk)``.
+    ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so :class:`_OuterSum` finishes it
+    with ``x``, ``d`` the numerators ``qn``, ``pn`` of ``q`` and ``p`` over
+    the common denominator ``den^(n+rk)``.
     """
     if n < 0:
         return params.finalize(0)
@@ -217,8 +253,7 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
             bracket[i] += t
             # C(i+1, j) C(top, i) from C(i, j) C(top, i-1); the quotient is exact
             t = t * ((i + 1) * (top - i + 1)) // ((i + 1 - j) * i)
-    outer = homogeneous_horner(map(mul, bracket, _fullsum_weights(r, n)), den - pn, pn)
-    return PowerRatio(params)(head * outer, n + r * k)
+    return _OuterSum(params, den - pn, pn, _run_weights(r, n), head, r * k, 1)(bracket)
 
 
 def _fullsum_brackets(k: int, hi: int):
@@ -242,49 +277,31 @@ def _fullsum_brackets(k: int, hi: int):
 
 
 def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
-    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``) from stepped brackets.
-
-    The outer sums of the table share one :class:`~runsdist.special.HornerLadder`.
-    """
+    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``), stepped brackets on one outer sum."""
     values = [pmf_fullsum_ch(params, 0)] if lo == 0 else []
     rk = params.r * params.k
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    head = pn ** rk
-    outer = HornerLadder(den - pn, pn, _fullsum_weights(params.r, hi))
-    ratio = PowerRatio(params)
+    outer = _OuterSum(params, den - pn, pn, _run_weights(params.r, hi), pn ** rk, rk, 1)
     for n, bracket in enumerate(_fullsum_brackets(params.k, hi), start=1):
         if n >= lo:
-            values.append(ratio(head * outer(bracket), n + rk))
+            values.append(outer(bracket))
     return values
 
 
-def _nested_outer(params: RunParams, outer: list) -> Scalar:
-    """``p^rk sum_j (-1)^j outer[j] (p^k q)^j / den^r`` in the mode of ``params``.
+def _nested_sum(params: RunParams, j_max: int) -> _OuterSum:
+    """The outer sum of the nested sum and its condensation, over columns ``j <= j_max``.
 
-    ``outer[j]`` is the integer ``C(r+j-1, r-1)`` times the inner bracket
-    scaled by ``den^r``; the nested sum and its hypergeometric condensation
-    both end here. With ``x = pn^k qn`` the value is
-    ``pn^rk sum_j signed[j] (x/den^(k+1))^j / den^(rk+r)``. A float ``p``
-    has ``den = 2^z``, so dividing by ``den^(k+1)`` is a shift (and
-    ``p^k q <= 1/4``), and :func:`~runsdist.special.fixed_point_horner`
-    rounds the value from a fixed-point sum of a few hundred bits more than
-    its cancellation; only a value it cannot call takes the exact sum, whose
-    integers grow by ``z (k+1)`` bits per term. Either way the result is the
-    exact value correctly rounded.
+    Column ``j`` carries ``(-1)^j C(r+j-1, r-1) (p^k q)^j`` times its inner
+    bracket, which the callers scale by ``den^r``, and the sum carries
+    ``p^rk``; with ``x = pn^k qn`` and ``d = den^(k+1)`` the value is
+    ``pn^rk sum_j w_j c_j x^j d^(J-j) / den^(rk + r + (k+1) J)``.
     """
     k, r = params.k, params.r
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    signed = [-c if j & 1 else c for j, c in enumerate(outer)]
-    x, head = pn ** k * (den - pn), pn ** (r * k)
-    if not params.exact:
-        z = den.bit_length() - 1
-        value = fixed_point_horner(signed, x, z * (k + 1), head, z * (r * k + r))
-        if value is not None:
-            return value
-    total = head * homogeneous_horner(signed, x, den ** (k + 1))
-    return PowerRatio(params)(total, r * k + (len(outer) - 1) * (k + 1) + r)
+    return _OuterSum(params, pn ** k * (den - pn), den ** (k + 1), _run_weights(r, j_max, -1),
+                     pn ** (r * k), r * k + r, k + 1)
 
 
 def _nested_bracket(cq: list, top: int, j: int, t: int) -> int:
@@ -334,15 +351,10 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
         return PowerRatio(params)(pn ** rk, rk)
     # C(r, i) q^i scaled by den^r
     cq = [math.comb(r, i) * qn ** i * den ** (r - i) for i in range(r + 1)]
-    outer = []
-    w = 1  # C(r+j-1, r-1), stepped along j
-    for j, t in enumerate(_column_starts(m, k)):
-        if j:
-            w = w * (r + j - 1) // j
-        outer.append(w * _nested_bracket(cq, m - j * k - 1, j, t))
+    inner = [_nested_bracket(cq, m - j * k - 1, j, t) for j, t in enumerate(_column_starts(m, k))]
     if counter is not None:
         counter.add(_nested_terms(m, k, r))
-    return _nested_outer(params, outer)
+    return _nested_sum(params, m // (k + 1))(inner)
 
 
 def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
@@ -359,6 +371,16 @@ def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
         total += t * qp
         t = t * ((a + i) * (b + i)) // ((c + i) * (i + 1))
     return total
+
+
+def _hyp_columns(m: int, k: int, r: int, starts: list, qi: list) -> list:
+    """The inner brackets of :func:`pmf_hyp` at cut index ``m``, from the column starts.
+
+    ``qi[i]`` is ``q^i`` scaled by ``den^r``; the ``j = 0`` column carries
+    ``q^(i+1)``.
+    """
+    return [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])] + [
+        _hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi) for j in range(1, m // (k + 1) + 1)]
 
 
 def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) -> Scalar:
@@ -378,35 +400,8 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     pn, den = p.numerator, p.denominator
     if m == 0:
         return PowerRatio(params)(pn ** rk, rk)
-    qn = den - pn
-    qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
-    starts = _column_starts(m, k)
-    outer = [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])]  # j = 0 carries q^(i+1)
-    for j in range(1, len(starts)):
-        outer.append(math.comb(r + j - 1, r - 1)
-                     * _hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi))
-    return _nested_outer(params, outer)
-
-
-def _nested_ladder(params: RunParams, hi: int) -> Callable:
-    """:func:`_nested_outer` for the cut indices of a table up to ``hi``, on one ladder.
-
-    Returns ``value(inner)``: the pmf from the inner brackets ``inner[j]``,
-    ``j = 0 .. m//(k+1)``, each scaled by ``den^r``. The weights
-    ``(-1)^j C(r+j-1, r-1)`` sit in the :class:`~runsdist.special.HornerLadder`.
-    """
-    k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    weights = [-w if j & 1 else w for j, w in enumerate(_fullsum_weights(r, hi // (k + 1)))]
-    outer = HornerLadder(pn ** k * (den - pn), den ** (k + 1), weights)
-    head = pn ** (r * k)
-    ratio = PowerRatio(params)
-
-    def value(inner: list) -> Scalar:
-        return ratio(head * outer(inner), r * k + (len(inner) - 1) * (k + 1) + r)
-
-    return value
+    qi = [(den - pn) ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+    return _nested_sum(params, m // (k + 1))(_hyp_columns(m, k, r, _column_starts(m, k), qi))
 
 
 def _nested_values(params: RunParams, lo: int, hi: int,
@@ -428,12 +423,12 @@ def _nested_values(params: RunParams, lo: int, hi: int,
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     cq = [math.comb(r, i) * (den - pn) ** i * den ** (r - i) for i in range(r + 1)]
-    value = _nested_ladder(params, hi)
+    outer = _nested_sum(params, hi // (k + 1))
     rows = _run_binomial_rows(k, lo, hi, hi // (k + 1) + 1, partial(_nested_bracket, cq))
     for m, (_, row, _) in zip(range(lo, hi + 1), rows):
         if counter is not None:
             counter.add(_nested_terms(m, k, r))
-        values.append(value(row[:m // (k + 1) + 1]))
+        values.append(outer(row[:m // (k + 1) + 1]))
     return values
 
 
@@ -452,16 +447,11 @@ def _hyp_values(params: RunParams, lo: int, hi: int) -> list:
     lo = max(lo, 1)
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    qn = den - pn
-    qi = [qn ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
-    q1 = qi[1:]  # the j = 0 column carries q^(i+1)
-    value = _nested_ladder(params, hi)
+    qi = [(den - pn) ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+    outer = _nested_sum(params, hi // (k + 1))
     rows = _run_binomial_rows(k, lo, hi, hi // (k + 1) + 1)
     for m, (_, starts, _) in zip(range(lo, hi + 1), rows):
-        inner = [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, q1)]
-        inner += [_hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi)
-                  for j in range(1, m // (k + 1) + 1)]
-        values.append(value(inner))
+        values.append(outer(_hyp_columns(m, k, r, starts, qi)))
     return values
 
 
@@ -477,9 +467,7 @@ def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     comb = math.comb
-    weights = [-comb(r + i - 1, r - 1) if i & 1 else comb(r + i - 1, r - 1)
-               for i in range(hi // (k + 1) + 1)]
-    inner = HornerLadder(pn ** k * (den - pn), den ** (k + 1), weights)
+    inner = HornerLadder(pn ** k * (den - pn), den ** (k + 1), _run_weights(r, hi // (k + 1), -1))
     return [inner([comb(r + j - i * k - 1, r + i - 1) for i in range(j // (k + 1) + 1)])
             for j in range(lo, hi + 1)]
 
@@ -518,8 +506,7 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     return _pgf_expansion_values(params, n, n)[0]
 
 
-def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list,
-                  table: bool = False) -> Callable:
+def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list) -> Callable:
     """The Muselli series of one family, its per-table constants computed once.
 
     Returns ``value(pairs)``, where ``pairs`` yields the two bracket binomials
@@ -527,31 +514,24 @@ def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list,
     ``den first + qn second`` (ORIGINAL) or ``den first - pn second`` (ALT),
     i.e. scaled by ``den``, and term ``m`` is ``(-1)^(m-lo) weights[m-lo]``
     times it; ``value`` sums ``term_m p^(mk) q^(m-1) / den``. With
-    ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms the sum is
-    ``x^lo H / (qn d^(lo+J))``, ``H`` one integer-kernel call. Dividing by
-    ``qn`` is exact: for ``lo >= 1`` ``x^lo`` carries it, and for ``lo = 0``
-    the ``m = 0`` bracket is ``qn`` itself. A ``table`` series, whose calls
-    never shorten, sums on one :class:`~runsdist.special.HornerLadder`.
+    ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms that is the
+    :class:`_OuterSum` ``x^lo sum_j w_j b_j x^j d^(J-j) / (qn d^(lo+J))``.
+    Dividing by ``qn`` is exact: for ``lo >= 1`` ``x^lo`` carries it, and
+    for ``lo = 0`` the ``m = 0`` bracket is ``qn`` itself.
     """
+    k = params.k
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     qn = den - pn
-    x, d = pn ** params.k * qn, den ** (params.k + 1)
-    head = x ** lo
-    ratio = PowerRatio(params)
-    second = qn if form is MuselliForm.ORIGINAL else -pn
+    x = pn ** k * qn
+    head, div = (x ** lo // qn, 1) if lo else (1, qn)
     signed = [-w if i & 1 else w for i, w in enumerate(weights)]
-    if table:
-        outer = HornerLadder(x, d, signed)
-    else:
-        def outer(brackets: list) -> int:
-            return homogeneous_horner(map(mul, brackets, signed), x, d)
+    outer = _OuterSum(params, x, den ** (k + 1), signed, head, (k + 1) * lo, k + 1, div)
+    second = qn if form is MuselliForm.ORIGINAL else -pn
 
     def value(pairs) -> Scalar:
         brackets = [den * a + second * b for a, b in pairs]
-        if not brackets:
-            return params.ratio(0, 1)
-        return ratio(head * outer(brackets) // qn, (params.k + 1) * (lo + len(brackets) - 1))
+        return outer(brackets) if brackets else params.finalize(Fraction(0))
 
     return value
 
@@ -631,7 +611,7 @@ def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm) -> l
     """
     k, r = params.k, params.r
     weights = _type2_weights(params, hi)
-    series = _type2_series(params, form, r, weights, table=True)
+    series = _type2_series(params, form, r, weights)
     values = []
     rows = _run_binomial_rows(k, lo, hi, (hi + 1) // (k + 1) + 1)  # every m a term reads
     for n, (below, row, above) in zip(range(lo, hi + 1), rows):

@@ -12,9 +12,11 @@ rather than one long-by-short product per term. A table of such sums with
 lengths that never fall runs on one :class:`HornerLadder`, which keeps the
 power terms of the current length and costs one C-level dot product per
 sum, growing by one multiplication per entry when the length grows. Its
-products are long by short, so past ``_LADDER_BITS`` = 2048 bits per ladder
-entry it hands each sum to :func:`homogeneous_horner`. That crossover was
-measured per call on the float and exact tables of the nested, double,
+first call sums by the split Horner and builds no ladder, because a single
+index makes only that one call; the ladder grows from the second call on.
+Its products are long by short, so past ``_LADDER_BITS`` = 2048 bits per
+ladder entry it hands each sum to :func:`homogeneous_horner`. That crossover
+was measured per call on the float and exact tables of the nested, double,
 hypergeometric and Type II sums to index 250 (k 1 to 5, r 1 and 3), on a
 2-vCPU x86-64 machine under CPython 3.11: the ladder took 0.51 to 0.78 of
 the split Horner's time below 1024 bits and 0.64 to 0.93 below 2048, and
@@ -25,10 +27,12 @@ in fixed point instead, with a fraction precision that doubles from 256 bits
 until its error bound decides the rounding, so its integers stay a few
 hundred bits above the cancellation of the sum instead of growing with every
 term; its caller rounds the exact sum where no precision up to 4096 bits
-decides. Starting at 64, 128, 256 and 512 bits, the 84 outer sums of the
-single-index nested and hypergeometric ops of three float benchmark blocks
-(n 250 to 2,020) took 24.7, 20.6, 18.3 and 18.0 ms (best of 5, same
-machine), so the schedule starts at 256. The polynomial helpers
+decides. The pmf engines try it first for every float nested,
+hypergeometric and Type II sum, single index and table alike. Starting at
+64, 128, 256 and 512 bits, the 84 outer sums of the single-index nested
+and hypergeometric ops of three float benchmark blocks (n 250 to 2,020)
+took 24.7, 20.6, 18.3 and 18.0 ms (best of 5, same machine), so the
+schedule starts at 256. The polynomial helpers
 (products, powers, and the power-series quotient) work on coefficient lists,
 constant term first; they multiply out and expand the rational generating
 function :func:`runsdist.core.rational_pgf`. Everything in this module is
@@ -155,12 +159,14 @@ class HornerLadder:
     power of two) once per added term and appends the new entries. The
     result is the same integer either way.
 
-    The ladder costs ``J`` products per call, each of an entry of about
-    ``J * max(bits(x), bits(d))`` bits by a coefficient, where the split
-    Horner costs a few balanced products of that size. A call whose entries
-    would pass ``_LADDER_BITS`` therefore goes to :func:`homogeneous_horner`,
-    and so does a call shorter than the ladder. ``weights`` must reach the
-    longest call.
+    The first call sums by :func:`homogeneous_horner` and builds no ladder:
+    it may be the only call, and building the ladder costs two products per
+    term. The ladder grows from the second call on. It costs ``J`` products
+    per call, each of an entry of about ``J * max(bits(x), bits(d))`` bits
+    by a coefficient, where the split Horner costs a few balanced products
+    of that size. A call whose entries would pass ``_LADDER_BITS`` therefore
+    goes to :func:`homogeneous_horner`, and so does a call shorter than the
+    ladder. ``weights`` must reach the longest call.
     """
 
     def __init__(self, x: int, d: int, weights: list) -> None:
@@ -169,11 +175,13 @@ class HornerLadder:
         self.xpow = 1  # x^J, and 1 while the ladder is empty
         self.step = max(x.bit_length(), d.bit_length())
         self.shift = d.bit_length() - 1 if d > 0 and not d & (d - 1) else None
+        self.called = False
 
     def __call__(self, coeffs) -> int:
         top = len(coeffs) - 1
         have = len(self.ladder) - 1
-        if top < have or top * self.step > _LADDER_BITS:
+        if not self.called or top < have or top * self.step > _LADDER_BITS:
+            self.called = True
             return homogeneous_horner(map(mul, coeffs, self.weights), self.x, self.d)
         if top > have:
             self._grow(have, top)

@@ -9,7 +9,7 @@ from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, TermCou
                           counts_muselli, pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
                           pmf_pgf_expansion, pmf_recurrence_pg,
                           pmf_table, support_min)
-from runsdist import pmf as pmf_module, special
+from runsdist import special
 from runsdist.special import binom, homogeneous_horner
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
@@ -196,18 +196,21 @@ class TestDeepTail:
     ])
     def test_float_tables_past_the_ladder_crossover_equal_single_indices(
             self, monkeypatch, engine, params, scheme, lo, hi, single):
-        # the table's shared ladder hands its deep sums to the split Horner
-        # of special; the single-index functions sum every index there
+        # with no fixed-point precision the table sums every entry exactly on
+        # its shared ladder, which hands its first and its deep sums to the
+        # split Horner of special; each single index is a ladder's first call
+        # and rounds in fixed point again once the patch is undone
         fallbacks = []
 
         def counted(coeffs, x, d):
             fallbacks.append(1)
             return homogeneous_horner(coeffs, x, d)
 
+        monkeypatch.setattr(special, "_FIXED_POINT_BITS", ())
         monkeypatch.setattr(special, "homogeneous_horner", counted)
         variant = VariantSpec.type_ii() if ENGINES[engine].family is EngineFamily.TYPE2 else TYPE1
         table = pmf_table(params, engine, lo, hi, scheme, variant).values
-        assert fallbacks  # some sum was past the crossover
+        assert len(fallbacks) > 1  # the first call, and some sum past the crossover
         monkeypatch.undo()
         want = tuple(single(params, n) for n in range(lo, hi + 1))
         assert list(map(type, table)) == list(map(type, want)) and table == want
@@ -231,7 +234,7 @@ class TestDeepTail:
             return homogeneous_horner(coeffs, x, d)
 
         monkeypatch.setattr(special, "_FIXED_POINT_BITS", ())
-        monkeypatch.setattr(pmf_module, "homogeneous_horner", counted)
+        monkeypatch.setattr(special, "homogeneous_horner", counted)
         exact = (pmf_nested_sum(params, n, F), pmf_hyp(params, n, F))
         assert len(fallbacks) == 2
         assert all(type(v) is float for v in fixed + exact) and fixed == exact

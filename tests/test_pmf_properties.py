@@ -5,7 +5,8 @@ Parameters are drawn beyond the hand-picked grids of the other suites:
 double-sum, nested-sum, hypergeometric and pgf-expansion tables start
 anywhere in ``[1, 120]``, ``[0, 100]`` and ``[0, 120]`` and run up to 20
 indices. Float ``p`` with a full 53-bit significand holds the rounded
-nested and hypergeometric sums to the exact value at cut indices up to 800.
+nested, hypergeometric, Type II and run-count sums to the exact value at cut
+indices up to 800.
 The DP oracle itself is held to the exact rational pgf series for every
 family. Each property draws ``max_examples`` from the loaded
 hypothesis profile (see ``conftest.py``).
@@ -202,7 +203,16 @@ def float_params(draw):
 @PROPERTY
 @given(float_params(), st.integers(0, 800))
 def test_float_nested_and_hyp_round_the_exact_value_deep(params, cut):
-    # the fixed-point outer sum of a float p rounds the exact value correctly
-    want = float(pmf_nested_sum(params.to_exact(), cut, C))
+    # the fixed-point outer sum of a float p rounds the exact value correctly,
+    # in the nested sum, its condensation and the Type II forms alike
+    exact = params.to_exact()
+    want = float(pmf_nested_sum(exact, cut, C))
     for got in (pmf_nested_sum(params, cut, C), pmf_hyp(params, cut, C)):
         assert type(got) is float and got == want
+    n = cut + params.r * params.k
+    pairs = [(pmf_muselli, (form,)) for form in MuselliForm]
+    pairs += [(counts_muselli, (r_count, form))
+              for r_count in (0, params.r) for form in MuselliForm]
+    for engine, args in pairs:
+        got = engine(params, n, *args)
+        assert type(got) is float and got == float(engine(exact, n, *args))

@@ -332,11 +332,16 @@ class TestHornerLadder:
             coeffs = list(range(1, length + 1))
             assert ladder(coeffs) == self.expected(coeffs, weights, x, d)
 
-    def test_first_call_builds_the_whole_ladder(self):
-        # the ladder starts empty, so one long first call grows it in one go
+    def test_first_call_sums_by_split_horner_and_builds_no_ladder(self):
+        # a first call may be the only one, so it builds no ladder; the
+        # second call grows the ladder to its length, a longer one past it
         coeffs = [(-1) ** j * math.comb(30, j) for j in range(31)]
-        ones = [1] * 31
-        assert HornerLadder(7, 3, ones)(coeffs) == (3 - 7) ** 30
+        ones = [1] * 32
+        ladder = HornerLadder(7, 3, ones)
+        assert ladder(coeffs) == (3 - 7) ** 30 and ladder.ladder == []
+        assert ladder(coeffs) == (3 - 7) ** 30 and len(ladder.ladder) == 31
+        assert ladder(coeffs + [5]) == self.expected(coeffs + [5], ones, 7, 3)
+        assert len(ladder.ladder) == 32
         assert HornerLadder(10 ** 9, 10 ** 9 + 1, ones)(coeffs) == 1
         assert HornerLadder(3, 5, ones)([]) == 0
         assert HornerLadder(3, 5, [4])([7]) == 28
