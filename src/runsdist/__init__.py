@@ -9,7 +9,7 @@ The package exports the names the README documents and the types their
 signatures take; every engine, route and primitive stays reachable through
 its module (``runsdist.pmf``, ``runsdist.moments``, ``runsdist.roots``,
 ``runsdist.oracle``, ``runsdist.special``). The identity-only reference forms
-live in ``runsdist.reference``, which is not re-exported.
+the tests check the engines against live beside the tests, not in the package.
 """
 
 __version__ = "0.1.0"

@@ -23,17 +23,18 @@ ratio instead of being computed afresh. The run-placement binomials
 condensation step along ``j`` the same way (see :func:`_column_starts`), so
 a deep index costs no big binomial, only O(n)-bit small-factor steps; the
 double sum starts each column at the first nonzero bracket with one
-``math.comb`` pair (see :func:`pmf_fullsum_ch`). The Type II and
-hypergeometric tables step the same binomials across ``n`` by Pascal's rule
-(see :func:`_run_binomial_rows`), the nested-sum tables step their inner
-brackets on the same ring, and the double-sum tables step theirs by a rule
-of their own (see :func:`_fullsum_brackets`), so such a table adds rows
-instead of computing binomials per term.
+``math.comb`` pair (see :func:`_fullsum_values`). The nested sum, its
+condensation, the double sum and the Type II forms each have one range
+evaluator on :func:`_stepped_rows`: the first ``k+1`` rows of brackets are
+computed directly, and every later row is stepped from the ``k+1`` before
+it, by Pascal's rule (see :func:`_pascal_row`) or, for the double sum, by a
+rule of its own, so a table adds rows instead of computing binomials per
+term. A single index is a table of one computed row.
 
 The nested sum, its condensation and the Type II forms end in one
 alternating outer sum in powers of ``y = p^k q <= 1/4``, and the double sum
 ends in one in powers of ``q/p``. One finisher, :class:`_OuterSum`,
-evaluates them all, for a single index and a table alike. It sums on one
+evaluates them all. It sums on one
 :class:`~runsdist.special.HornerLadder`, whose powers a table's indices
 share, and builds the value by :class:`~runsdist.core.PowerRatio`, which in
 exact mode strips only the primes of ``d`` instead of taking a gcd. For a
@@ -60,7 +61,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from operator import add, mul, sub
 from typing import Callable
 
@@ -217,76 +217,88 @@ class _OuterSum:
         return self.ratio(total, self.base + self.step * (len(coeffs) - 1))
 
 
+def _stepped_rows(k: int, lo: int, hi: int, seed: Callable, step: Callable):
+    """Yield ``(n, R_n)`` for ``n = lo .. hi`` (``lo >= 1``) of a table of bracket rows.
+
+    The first ``k+1`` rows come from ``seed(n)``, which evaluates one row on
+    its own; every later row comes from ``step(n, rows)`` over the rows
+    ``R_(n-1-k) .. R_(n-1)``. A single index is a table of one seeded row.
+    A stepped row has ``n >= k+2`` and reads no row below 1, so a rule that
+    fails only at ``n <= k+1`` needs no fix-up.
+    """
+    rows = deque(maxlen=k + 1)
+    for n in range(lo, hi + 1):
+        rows.append(step(n, rows) if len(rows) > k else seed(n))
+        yield n, rows[-1]
+
+
+def _pascal_row(rows, first: int = 0) -> list:
+    """``R_n = [first, R_(n-1)[j] + R_(n-1-k)[j-1] for j >= 1]`` from ``R_(n-1-k) .. R_(n-1)``.
+
+    An entry ``sum_i c_i C(n-jk-1, j-1+i)`` of column ``j`` steps this way
+    by Pascal's rule, which fails only where a binomial is ``C(0, 0)``;
+    column 0 would step from a column -1, so the caller gives it. ``R_n``
+    has one column more than ``R_(n-1-k)``.
+    """
+    return [first, *map(add, rows[-1][1:] + [0], rows[0])]
+
+
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     """Cut-scheme pmf by the O(n^2) double combinatorial sum.
 
     The inner bracket ``B_n[i] = sum_j (-1)^j C(i, j) C(n-jk-1, i-1)`` is a
     pure integer. By inclusion and exclusion over the parts longer than
     ``k`` it counts the compositions of ``n`` into ``i`` parts of size 1 to
-    ``k``, so it is 0 below ``i = ceil(n/k)``. Each column ``j`` therefore
-    starts at ``i = max(j, ceil(n/k))`` with one ``math.comb`` pair and steps
-    along ``i`` by one small ratio, so the O(n^2/k) terms cost no big
-    binomial beyond the column starts. The outer term ``i`` carries
+    ``k``, so it is 0 below ``i = ceil(n/k)``. The outer term ``i`` carries
     ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so :class:`_OuterSum` finishes it
     with ``x``, ``d`` the numerators ``qn``, ``pn`` of ``q`` and ``p`` over
-    the common denominator ``den^(n+rk)``.
+    the common denominator ``den^(n+rk)``. A single index is a one-row
+    table of :func:`_fullsum_values`.
     """
     if n < 0:
         return params.finalize(0)
-    k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    head = pn ** (r * k)
-    if n == 0:
-        return PowerRatio(params)(head, r * k)
-    bracket = [0] * (n + 1)
-    low = -(-n // k)  # the first i whose bracket is not 0
-    for j in range(n // k + 1):
-        top = n - j * k - 1
-        first = max(j, low)
-        if first > top + 1:  # C(top, i-1) vanishes from i = top + 2 on
-            break
-        t = math.comb(first, j) * math.comb(top, first - 1)
-        if j & 1:
-            t = -t
-        for i in range(first, top + 2):
-            bracket[i] += t
-            # C(i+1, j) C(top, i) from C(i, j) C(top, i-1); the quotient is exact
-            t = t * ((i + 1) * (top - i + 1)) // ((i + 1 - j) * i)
-    return _OuterSum(params, den - pn, pn, _run_weights(r, n), head, r * k, 1)(bracket)
-
-
-def _fullsum_brackets(k: int, hi: int):
-    """Yield the inner brackets of :func:`pmf_fullsum_ch` at ``n = 1 .. hi``.
-
-    Pascal's rule on ``C(n-jk-1, i-1)`` and then on ``C(i, j)`` gives
-    ``B_n[i] = B_(n-1)[i] + B_(n-1)[i-1] - B_(n-1-k)[i-1]`` for ``i >= 1``,
-    with ``B_n = 0`` for ``n <= 0``. The first rule fails only where the top
-    ``n-jk-1`` and the bottom ``i-1`` are both 0, which adds
-    ``[n = 1] - [n = k+1]`` to ``B_n[1]``. So a row costs two additions per
-    entry, where a single index takes O(n/k) ratio steps per entry.
-    """
-    rows = deque([[0]] * (k + 1), maxlen=k + 1)  # B_(n-1-k) .. B_(n-1)
-    for n in range(1, hi + 1):
-        prev, back = rows[-1], rows[0]
-        # B_n[i] for i = 1 .. n from B_(n-1)[i], B_(n-1)[i-1] and B_(n-1-k)[i-1]
-        row = [0, *map(sub, map(add, prev[1:] + [0], prev), back + [0] * (n - len(back)))]
-        row[1] += (n == 1) - (n == k + 1)
-        rows.append(row)
-        yield row
+    return _fullsum_values(params, n, n)[0]
 
 
 def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
-    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``), stepped brackets on one outer sum."""
-    values = [pmf_fullsum_ch(params, 0)] if lo == 0 else []
-    rk = params.r * params.k
+    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``), its brackets on :func:`_stepped_rows`.
+
+    A seeded row starts each column ``j`` at ``i = max(j, ceil(n/k))`` with
+    one ``math.comb`` pair and steps along ``i`` by one small ratio, so its
+    O(n^2/k) terms cost no big binomial beyond the column starts. Pascal's
+    rule on ``C(n-jk-1, i-1)`` and then on ``C(i, j)`` steps a row across
+    ``n``: ``B_n[i] = B_(n-1)[i] + B_(n-1)[i-1] - B_(n-1-k)[i-1]`` for
+    ``i >= 1``, two additions per entry. The first rule fails only at
+    ``n = 1`` and ``n = k+1``, which are seeded. Index 0 is ``p^rk``.
+    """
+    k, r = params.k, params.r
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    outer = _OuterSum(params, den - pn, pn, _run_weights(params.r, hi), pn ** rk, rk, 1)
-    for n, bracket in enumerate(_fullsum_brackets(params.k, hi), start=1):
-        if n >= lo:
-            values.append(outer(bracket))
-    return values
+    outer = _OuterSum(params, den - pn, pn, _run_weights(r, hi), pn ** (r * k), r * k, 1)
+
+    def seed(n: int) -> list:
+        bracket = [0] * (n + 1)
+        low = -(-n // k)  # the first i whose bracket is not 0
+        for j in range(n // k + 1):
+            top = n - j * k - 1
+            first = max(j, low)
+            if first > top + 1:  # C(top, i-1) vanishes from i = top + 2 on
+                break
+            t = math.comb(first, j) * math.comb(top, first - 1)
+            if j & 1:
+                t = -t
+            for i in range(first, top + 2):
+                bracket[i] += t
+                # C(i+1, j) C(top, i) from C(i, j) C(top, i-1); the quotient is exact
+                t = t * ((i + 1) * (top - i + 1)) // ((i + 1 - j) * i)
+        return bracket
+
+    def step(n: int, rows) -> list:
+        prev, back = rows[-1], rows[0]
+        return [0, *map(sub, map(add, prev[1:] + [0], prev), back + [0] * (n - len(back)))]
+
+    values = [outer([1])] if lo == 0 else []
+    return values + [outer(row) for _, row in _stepped_rows(k, max(lo, 1), hi, seed, step)]
 
 
 def _nested_sum(params: RunParams, j_max: int) -> _OuterSum:
@@ -337,24 +349,45 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
 
     At most ``(r+1) * (1 + floor((m-1)/k))`` bracket terms are touched, where
     ``m`` is the cut-scheme index; terms whose binomial vanishes are skipped
-    and only actually-summed terms are counted into ``counter``.
+    and only actually-summed terms are counted into ``counter``. A single
+    index is a one-row table of :func:`_nested_values`.
     """
-    k, r = params.k, params.r
-    rk = r * k
-    m = n - rk if scheme is IndexScheme.FULL else n
+    m = n - params.r * params.k if scheme is IndexScheme.FULL else n
     if m < 0:
         return params.finalize(0)
+    return _nested_values(params, m, m, counter)[0]
+
+
+def _nested_values(params: RunParams, lo: int, hi: int,
+                   counter: TermCounter | None = None) -> list:
+    """:func:`pmf_nested_sum` at cut indices ``lo .. hi`` (``lo >= 0``) on :func:`_stepped_rows`.
+
+    The bracket ``D_m[j] = sum_i C(r,i) q^i C(m-jk-1, j+i-1)``, scaled by
+    ``den^r``, is made of the binomials ``C(top, j-1+i)``. A seeded row
+    sums each column from its start in :func:`_column_starts`; a stepped
+    row takes :func:`_pascal_row`, one addition per entry, and sums column
+    0 afresh. Index 0 is ``p^rk``, the bracket ``[den^r]``. ``counter``
+    adds the terms :func:`_nested_terms` counts at each index from 1.
+    """
+    k, r = params.k, params.r
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    qn = den - pn
-    if m == 0:
-        return PowerRatio(params)(pn ** rk, rk)
-    # C(r, i) q^i scaled by den^r
-    cq = [math.comb(r, i) * qn ** i * den ** (r - i) for i in range(r + 1)]
-    inner = [_nested_bracket(cq, m - j * k - 1, j, t) for j, t in enumerate(_column_starts(m, k))]
-    if counter is not None:
-        counter.add(_nested_terms(m, k, r))
-    return _nested_sum(params, m // (k + 1))(inner)
+    cq = [math.comb(r, i) * (den - pn) ** i * den ** (r - i) for i in range(r + 1)]
+    outer = _nested_sum(params, hi // (k + 1))
+
+    def seed(m: int) -> list:
+        return [_nested_bracket(cq, m - j * k - 1, j, t)
+                for j, t in enumerate(_column_starts(m, k))]
+
+    def step(m: int, rows) -> list:
+        return _pascal_row(rows, _nested_bracket(cq, m - 1, 0, 1))
+
+    values = [outer(cq[:1])] if lo == 0 else []
+    for m, row in _stepped_rows(k, max(lo, 1), hi, seed, step):
+        if counter is not None:
+            counter.add(_nested_terms(m, k, r))
+        values.append(outer(row))
+    return values
 
 
 def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
@@ -373,85 +406,41 @@ def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
     return total
 
 
-def _hyp_columns(m: int, k: int, r: int, starts: list, qi: list) -> list:
-    """The inner brackets of :func:`pmf_hyp` at cut index ``m``, from the column starts.
-
-    ``qi[i]`` is ``q^i`` scaled by ``den^r``; the ``j = 0`` column carries
-    ``q^(i+1)``.
-    """
-    return [_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])] + [
-        _hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi) for j in range(1, m // (k + 1) + 1)]
-
-
 def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) -> Scalar:
     """Pmf by the hypergeometric condensation of the nested sum.
 
     The inner bracket collapses to ``C(m-jk-1, j-1) 2F1(jk+j-m, -r; j; q)``;
     the ``j = 0`` term uses the separate form ``q r 2F1(1-m, 1-r; 2; q)``
     because the general one would put 0 in the 2F1 denominator parameter.
-    The series run on integers (see :func:`_hyp2f1_scaled`).
+    The series run on integers (see :func:`_hyp2f1_scaled`). A single index
+    is a one-row table of :func:`_hyp_values`.
     """
-    k, r = params.k, params.r
-    rk = r * k
-    m = n - rk if scheme is IndexScheme.FULL else n
+    m = n - params.r * params.k if scheme is IndexScheme.FULL else n
     if m < 0:
         return params.finalize(0)
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    if m == 0:
-        return PowerRatio(params)(pn ** rk, rk)
-    qi = [(den - pn) ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
-    return _nested_sum(params, m // (k + 1))(_hyp_columns(m, k, r, _column_starts(m, k), qi))
-
-
-def _nested_values(params: RunParams, lo: int, hi: int,
-                   counter: TermCounter | None = None) -> list:
-    """:func:`pmf_nested_sum` at the cut indices ``lo .. hi`` from Pascal-stepped brackets.
-
-    The bracket ``D_m[j] = sum_i C(r,i) q^i C(m-jk-1, j+i-1)``, scaled by
-    ``den^r``, is made of the binomials ``C(top, j-1+i)``, so its rows step
-    across ``m`` by ``D_(m+1)[j] = D_m[j] + D_(m-k)[j-1]`` (see
-    :func:`_run_binomial_rows`), one addition per entry. A table narrower
-    than the ``k+1`` rows that seed the ring is evaluated index by index.
-    ``counter`` adds the terms :func:`pmf_nested_sum` counts at each index.
-    """
-    k, r = params.k, params.r
-    if hi - lo < k:
-        return [pmf_nested_sum(params, n, IndexScheme.CUT, counter) for n in range(lo, hi + 1)]
-    values = [pmf_nested_sum(params, 0)] if lo == 0 else []
-    lo = max(lo, 1)
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    cq = [math.comb(r, i) * (den - pn) ** i * den ** (r - i) for i in range(r + 1)]
-    outer = _nested_sum(params, hi // (k + 1))
-    rows = _run_binomial_rows(k, lo, hi, hi // (k + 1) + 1, partial(_nested_bracket, cq))
-    for m, (_, row, _) in zip(range(lo, hi + 1), rows):
-        if counter is not None:
-            counter.add(_nested_terms(m, k, r))
-        values.append(outer(row[:m // (k + 1) + 1]))
-    return values
+    return _hyp_values(params, m, m)[0]
 
 
 def _hyp_values(params: RunParams, lo: int, hi: int) -> list:
-    """:func:`pmf_hyp` at the cut indices ``lo .. hi``, its constants computed once.
+    """:func:`pmf_hyp` at the cut indices ``lo .. hi`` (``lo >= 0``), its constants computed once.
 
-    The column starts ``C(m-jk-1, j-1)`` are the rows of
-    :func:`_run_binomial_rows`; each column sums its own 2F1 series. A table
-    narrower than the ``k+1`` rows that seed them is evaluated index by
-    index.
+    The column starts ``C(m-jk-1, j-1)`` are run binomials, rows that
+    :func:`_column_starts` seeds and :func:`_pascal_row` steps (column 0,
+    ``C(m-1, -1)``, is 0); each column sums its own 2F1 series, whose
+    ``qi[i]`` is ``q^i`` scaled by ``den^r``, and the ``j = 0`` column
+    carries ``q^(i+1)``. Index 0 is ``p^rk``.
     """
     k, r = params.k, params.r
-    if hi - lo < k:
-        return [pmf_hyp(params, n) for n in range(lo, hi + 1)]
-    values = [pmf_hyp(params, 0)] if lo == 0 else []
-    lo = max(lo, 1)
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
-    qi = [(den - pn) ** i * den ** (r - i) for i in range(r + 1)]  # q^i scaled by den^r
+    qi = [(den - pn) ** i * den ** (r - i) for i in range(r + 1)]
     outer = _nested_sum(params, hi // (k + 1))
-    rows = _run_binomial_rows(k, lo, hi, hi // (k + 1) + 1)
-    for m, (_, starts, _) in zip(range(lo, hi + 1), rows):
-        values.append(outer(_hyp_columns(m, k, r, starts, qi)))
+    values = [outer(qi[:1])] if lo == 0 else []
+    rows = _stepped_rows(k, max(lo, 1), hi, lambda m: [0, *_column_starts(m, k)[1:]],
+                         lambda m, rows: _pascal_row(rows))
+    for m, starts in rows:
+        values.append(outer([_hyp2f1_scaled(r, 1 - m, 1 - r, 2, qi[1:])] + [
+            _hyp2f1_scaled(starts[j], j * (k + 1) - m, -r, j, qi) for j in range(1, len(starts))]))
     return values
 
 
@@ -506,18 +495,16 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     return _pgf_expansion_values(params, n, n)[0]
 
 
-def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list) -> Callable:
-    """The Muselli series of one family, its per-table constants computed once.
+def _type2_sum(params: RunParams, lo: int, weights: list) -> _OuterSum:
+    """The outer sum of the Muselli series of one family, from its first term ``lo``.
 
-    Returns ``value(pairs)``, where ``pairs`` yields the two bracket binomials
-    ``(first, second)`` of each ``m = lo, lo+1, ...``. The bracket is
-    ``den first + qn second`` (ORIGINAL) or ``den first - pn second`` (ALT),
-    i.e. scaled by ``den``, and term ``m`` is ``(-1)^(m-lo) weights[m-lo]``
-    times it; ``value`` sums ``term_m p^(mk) q^(m-1) / den``. With
-    ``x = pn^k qn``, ``d = den^(k+1)`` and ``J + 1`` terms that is the
-    :class:`_OuterSum` ``x^lo sum_j w_j b_j x^j d^(J-j) / (qn d^(lo+J))``.
-    Dividing by ``qn`` is exact: for ``lo >= 1`` ``x^lo`` carries it, and
-    for ``lo = 0`` the ``m = 0`` bracket is ``qn`` itself.
+    Term ``m`` is ``(-1)^(m-lo) weights[m-lo]`` times its bracket ``b_m``
+    (see :func:`_muselli_brackets`), which is scaled by ``den``, times
+    ``p^(mk) q^(m-1) / den``. With ``x = pn^k qn``, ``d = den^(k+1)`` and
+    ``J + 1`` terms that is the :class:`_OuterSum`
+    ``x^lo sum_j w_j b_j x^j d^(J-j) / (qn d^(lo+J))``. Dividing by ``qn`` is
+    exact: for ``lo >= 1`` ``x^lo`` carries it, and for ``lo = 0`` the
+    ``m = 0`` bracket is ``qn`` itself.
     """
     k = params.k
     p = params.exact_p()
@@ -526,14 +513,22 @@ def _type2_series(params: RunParams, form: MuselliForm, lo: int, weights: list) 
     x = pn ** k * qn
     head, div = (x ** lo // qn, 1) if lo else (1, qn)
     signed = [-w if i & 1 else w for i, w in enumerate(weights)]
-    outer = _OuterSum(params, x, den ** (k + 1), signed, head, (k + 1) * lo, k + 1, div)
-    second = qn if form is MuselliForm.ORIGINAL else -pn
+    return _OuterSum(params, x, den ** (k + 1), signed, head, (k + 1) * lo, k + 1, div)
 
-    def value(pairs) -> Scalar:
-        brackets = [den * a + second * b for a, b in pairs]
-        return outer(brackets) if brackets else params.finalize(Fraction(0))
 
-    return value
+def _muselli_brackets(params: RunParams, form: MuselliForm, n: int, ms: range) -> list:
+    """The Type II brackets of trial ``n`` at the terms ``m`` in ``ms``, scaled by ``den``.
+
+    With ``t = n-mk`` they are ``den C(t-1, m-2) + qn C(t-1, m-1)``
+    (ORIGINAL) or ``den C(t, m-1) - pn C(t-1, m-1)`` (ALT).
+    """
+    k = params.k
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    if form is MuselliForm.ORIGINAL:
+        return [den * binom(n - m * k - 1, m - 2) + (den - pn) * binom(n - m * k - 1, m - 1)
+                for m in ms]
+    return [den * binom(n - m * k, m - 1) - pn * binom(n - m * k - 1, m - 1) for m in ms]
 
 
 def _type2_weights(params: RunParams, n_max: int) -> list:
@@ -551,76 +546,44 @@ def pmf_muselli(params: RunParams, n: int,
     upper binomial arguments. The first support point ``n = k`` of the
     ``r = 1`` family is returned as the closed form ``p^k``: the ORIGINAL
     bracket degenerates there under every binomial convention, and the
-    enumeration oracle fixes the value.
+    enumeration oracle fixes the value. A single index is a one-row table
+    of :func:`_muselli_values`.
     """
     if n < 1:
         raise ValueError("Type II pmf needs n >= 1")
-    k, r = params.k, params.r
-    if r == 1 and n == k:
-        return params.finalize(params.exact_p() ** k)
-    ms = range(r, (n + 1) // (k + 1) + 1)
-    if form is MuselliForm.ORIGINAL:
-        pairs = [(binom(n - m * k - 1, m - 2), binom(n - m * k - 1, m - 1)) for m in ms]
-    else:
-        pairs = [(binom(n - m * k, m - 1), binom(n - m * k - 1, m - 1)) for m in ms]
-    return _type2_series(params, form, r, _type2_weights(params, n))(pairs)
-
-
-def _run_start(top: int, m: int, start: int) -> int:
-    """The run binomial ``C(top, m-1)`` from its column start."""
-    return start if m else 0
-
-
-def _run_binomial_rows(k: int, lo: int, hi: int, width: int, entry: Callable = _run_start):
-    """Yield ``(U_(n-k), U_n, U_(n+1))`` for ``n = lo .. hi`` (``lo >= 1``).
-
-    ``U_n[m] = entry(top, m, C(top, max(m-1, 0)))`` with ``top = n-mk-1``,
-    for ``m = 0 .. width-1``: the entry of a column from its top and its
-    start binomial. The default is the run binomial ``C(n-mk-1, m-1)``. Any
-    entry ``sum_i c_i C(top, m-1+i)`` obeys Pascal's rule
-    ``entry(top+1, m) = entry(top, m) + entry(top, m-1)`` for ``top >= 0``
-    and vanishes for ``top < m-1``. So the ``k+1`` rows
-    ``U_(lo-k) .. U_lo`` are computed directly from the column starts of
-    :func:`_column_starts`, and so is the column ``m = 0``; every other
-    entry follows by ``U_(n+1)[m] = U_n[m] + U_(n-k)[m-1]``, zero past
-    ``m = (n+1)//(k+1)``. The top of ``U_n[m]`` is negative there only at
-    ``n = k``, ``m = 1``, whose entry is ``entry(0, 1, 1)``.
-    """
-    def seed(n: int) -> list:
-        row = ([entry(n - m * k - 1, m, t) for m, t in enumerate(_column_starts(n, k)[:width])]
-               if n >= 1 else [])
-        return row + [0] * (width - len(row))
-
-    rows = deque(map(seed, range(lo - k, lo + 1)), maxlen=k + 1)
-    for n in range(lo, hi + 1):
-        below, row = rows[0], rows[-1]
-        end = min(width, (n + 1) // (k + 1) + 1)
-        above = [entry(n, 0, 1), *map(add, row[1:end], below[:end - 1]), *[0] * (width - end)]
-        if n == k and end > 1:
-            above[1] = entry(0, 1, 1)
-        rows.append(above)
-        yield below, row, above
+    return _muselli_values(params, n, n, form)[0]
 
 
 def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm) -> list:
-    """:func:`pmf_muselli` at ``lo .. hi`` (``lo >= 1``) from Pascal-stepped binomial rows.
+    """:func:`pmf_muselli` at ``lo .. hi`` (``lo >= 1``), its brackets on :func:`_stepped_rows`.
 
-    ORIGINAL reads ``C(t-1, m-2) = U_(n-k)[m-1]`` and ``C(t-1, m-1) = U_n[m]``,
-    ALT reads ``C(t, m-1) = U_(n+1)[m]`` and ``U_n[m]``, with ``t = n-mk``;
-    the series of the indices share one ladder.
+    Row ``n`` holds the brackets of ``m = 0 .. (n+1)//(k+1)``, column 0
+    being 0, and both binomials of a bracket step by :func:`_pascal_row`.
+    Of their ``C(0, 0)``, where the rule fails, ALT's sit at ``n = k`` and
+    ``n = k+1``, rows a table seeds, and ORIGINAL's also at ``n = 2k+1``,
+    ``m = 2``, whose ``den C(0, 0)`` a stepped row adds. The series of the
+    indices share one ladder.
     """
     k, r = params.k, params.r
-    weights = _type2_weights(params, hi)
-    series = _type2_series(params, form, r, weights)
+    p = params.exact_p()
+    outer = _type2_sum(params, r, _type2_weights(params, hi))
+    zero = params.finalize(Fraction(0))
+
+    def seed(n: int) -> list:
+        return _muselli_brackets(params, form, n, range((n + 1) // (k + 1) + 1))
+
+    def step(n: int, rows) -> list:
+        row = _pascal_row(rows)
+        if form is MuselliForm.ORIGINAL and n == 2 * k + 1:
+            row[2] += p.denominator
+        return row
+
     values = []
-    rows = _run_binomial_rows(k, lo, hi, (hi + 1) // (k + 1) + 1)  # every m a term reads
-    for n, (below, row, above) in zip(range(lo, hi + 1), rows):
-        if r == 1 and n == k:  # the closed form, as at a single index
-            values.append(pmf_muselli(params, n, form))
-            continue
-        end = (n + 1) // (k + 1) + 1  # past the last term m
-        firsts = below[r - 1:end - 1] if form is MuselliForm.ORIGINAL else above[r:end]
-        values.append(series(zip(firsts, row[r:end])))
+    for n, row in _stepped_rows(k, lo, hi, seed, step):
+        if r == 1 and n == k:  # the closed form p^k
+            values.append(params.finalize(p ** k))
+        else:
+            values.append(outer(row[r:]) if len(row) > r else zero)
     return values
 
 
@@ -628,8 +591,12 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
                    form: MuselliForm = MuselliForm.ALT) -> Scalar:
     """P(exactly ``r_count`` Type II runs of length >= k in ``n`` trials).
 
-    ``r_count = 0`` is allowed (the ``m = 0`` term carries the ``q^-1``
-    factor, which cancels against the bracket).
+    Term ``m`` carries ``C(m, r_count)`` times the bracket of term ``m+1``
+    at trial ``n+k+1`` in :func:`_muselli_brackets`: ``den C(n-mk, m-1) +
+    qn C(n-mk, m)`` (ORIGINAL) or ``den C(n-mk+1, m) - pn C(n-mk, m)``
+    (ALT). ``r_count = 0`` is allowed (the ``m = 0`` term carries the
+    ``q^-1`` factor, which cancels against the bracket), so this stays per
+    index: :class:`~runsdist.core.RunParams` cannot carry a run count of 0.
     """
     if n < 1:
         raise ValueError("run-count distribution needs n >= 1")
@@ -637,12 +604,9 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
         raise ValueError("r_count must be nonnegative")
     k = params.k
     ms = range(r_count, (n + 1) // (k + 1) + 1)
-    if form is MuselliForm.ORIGINAL:
-        pairs = [(binom(n - m * k, m - 1), binom(n - m * k, m)) for m in ms]
-    else:
-        pairs = [(binom(n - m * k + 1, m), binom(n - m * k, m)) for m in ms]
-    weights = [binom(m, r_count) for m in ms]
-    return _type2_series(params, form, r_count, weights)(pairs)
+    brackets = _muselli_brackets(params, form, n + k + 1, range(r_count + 1, ms.stop + 1))
+    outer = _type2_sum(params, r_count, [binom(m, r_count) for m in ms])
+    return outer(brackets) if brackets else params.finalize(Fraction(0))
 
 
 class EngineFamily(Enum):
@@ -662,11 +626,11 @@ class EngineSpec:
     :meth:`first_index`; ``ell`` is the run overlap, which only an engine
     with ``overlap`` reach reads. Evaluators look the engine functions up when
     called, so a module attribute replaced at run time is the one that runs.
-    The Type II, double-sum, nested-sum and hypergeometric evaluators call
-    :func:`_muselli_values`, :func:`_fullsum_values`, :func:`_nested_values`
-    and :func:`_hyp_values`, which step rows across the range, not the
-    single-index functions per index; :func:`_pgf_expansion_values` computes
-    each inner coefficient once.
+    The Type II, double-sum, nested-sum, hypergeometric and pgf-expansion
+    evaluators call the range evaluators :func:`_muselli_values`,
+    :func:`_fullsum_values`, :func:`_nested_values`, :func:`_hyp_values` and
+    :func:`_pgf_expansion_values`, whose one-row tables are the single-index
+    functions.
     """
 
     engine: PmfEngine

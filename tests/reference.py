@@ -6,8 +6,8 @@ identities between the two: the hypergeometric condensations of the moment
 coefficients, the truncated run-length moments behind the factorial-moment
 recurrence, the nested-binomial inner coefficients of the pgf expansion, the
 single-run generating function and recurrence, and the additive Eulerian
-triangle. The package does not re-export this module; import it as
-``runsdist.reference``.
+triangle. Only the tests use these forms, so they live beside them and
+are not part of the package.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
-from .moments import _coeff_factorial_cut, _exact_pq
-from .pmf import _pgf_inner_numerators
-from .special import binom, falling, hyp2f1
+from runsdist.core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
+from runsdist.moments import _coeff_factorial_cut, _exact_pq
+from runsdist.pmf import _pgf_inner_numerators
+from runsdist.special import binom, falling, hyp2f1
 
 
 def coeff_C_hyp(params: RunParams, j: int) -> Scalar:

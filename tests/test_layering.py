@@ -1,7 +1,7 @@
 """The package's load-time import graph: each module imports only layers below it.
 
 ``special`` <- ``core`` <- {``roots``, ``pmf``, ``oracle``} <- ``moments`` <-
-{``reference``, ``cli``}. Imports inside function bodies run when the
+``cli``. Imports inside function bodies run when the
 function runs, so they are not load-time edges; ``roots`` keeps exactly one,
 in ``gap_moments``.
 """
@@ -22,7 +22,6 @@ ALLOWED = {
     "pmf": {"core", "special"},
     "oracle": {"core", "special"},
     "moments": {"core", "special", "pmf"},
-    "reference": {"core", "special", "pmf", "moments"},
     "cli": {"__init__", "core", "special", "pmf", "oracle", "moments"},
     "__init__": {"core", "special", "pmf", "oracle", "moments"},
 }

@@ -14,8 +14,9 @@ from runsdist.moments import (MomentRoute, central_from_raw,
                               raw_moments_partition, shape_from_central, variance)
 from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
-from runsdist.reference import (coeff_C_hyp, coeff_F_hyp, mu_factorial_truncated,
-                                pgf_expansion_inner_reference)
+
+from reference import (coeff_C_hyp, coeff_F_hyp, mu_factorial_truncated,
+                       pgf_expansion_inner_reference)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 HALF = Fraction(1, 2)

@@ -9,12 +9,13 @@ from runsdist.moments import (central_from_raw, factorial_moments_partition,
                               raw_moments_partition, variance)
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
 from runsdist.pmf import PmfEngine, TermCounter, pmf_recurrence_pg, pmf_table
-from runsdist.reference import PoleAtS, geometric_pgf, geometric_pmf_recurrence
 from runsdist.roots import (aux_polynomial,
                             factorial_moments_root, gap_moments,
                             pgf_series,
                             pmf_root_based, recover_coefficients, series_pmf,
                             solve_roots)
+
+from reference import PoleAtS, geometric_pgf, geometric_pmf_recurrence
 
 F = IndexScheme.FULL
 HALF = Fraction(1, 2)

@@ -1,17 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-
-from runsdist.reference import EulerianTable
-from operator import mul
 
 from runsdist import special
 from runsdist.special import (HornerLadder, NonTerminatingSeries, ZeroDenominatorPochhammer,
                               binom, eulerian_number, eulerian_poly, falling,
                               fixed_point_horner, homogeneous_horner, hyp2f1, rising,
                               stirling2)
+
+from reference import EulerianTable
 
 
 class TestBinom:
