@@ -559,15 +559,14 @@ def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm) -> l
 
     Row ``n`` holds the brackets of ``m = 0 .. (n+1)//(k+1)``, column 0
     being 0, and both binomials of a bracket step by :func:`_pascal_row`.
-    Of their ``C(0, 0)``, where the rule fails, ALT's sit at ``n = k`` and
-    ``n = k+1``, rows a table seeds, and ORIGINAL's also at ``n = 2k+1``,
-    ``m = 2``, whose ``den C(0, 0)`` a stepped row adds. The series of the
-    indices share one ladder.
+    The rule fails where a binomial is ``C(0, 0)``: in both forms at
+    ``n <= k+1``, rows a table seeds, and in ORIGINAL's ``C(t-1, m-2)`` also
+    at ``n = 2k+1``, ``m = 2``, whose ``den C(0, 0)`` a stepped row adds.
+    The series of the indices share one ladder.
     """
     k, r = params.k, params.r
     p = params.exact_p()
     outer = _type2_sum(params, r, _type2_weights(params, hi))
-    zero = params.finalize(Fraction(0))
 
     def seed(n: int) -> list:
         return _muselli_brackets(params, form, n, range((n + 1) // (k + 1) + 1))
@@ -583,7 +582,7 @@ def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm) -> l
         if r == 1 and n == k:  # the closed form p^k
             values.append(params.finalize(p ** k))
         else:
-            values.append(outer(row[r:]) if len(row) > r else zero)
+            values.append(outer(row[r:]) if len(row) > r else params.finalize(Fraction(0)))
     return values
 
 

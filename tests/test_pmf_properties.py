@@ -3,10 +3,10 @@
 Parameters are drawn beyond the hand-picked grids of the other suites:
 ``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli,
 double-sum, nested-sum, hypergeometric and pgf-expansion tables start
-anywhere in ``[1, 120]``, ``[0, 100]`` and ``[0, 120]``, at or below ``12``
-in every run, and run up to 20 indices. Float ``p`` with a full 53-bit significand holds the rounded
-nested, hypergeometric, Type II and run-count sums to the exact value at cut
-indices up to 800.
+anywhere in ``[1, 120]``, ``[0, 100]`` and ``[0, 120]``, about half of them
+at or below 12, and run up to 20 indices. Float ``p`` with a full 53-bit
+significand holds the rounded nested, hypergeometric, Type II and run-count
+sums to the exact value at cut indices up to 800.
 The DP oracle itself is held to the exact rational pgf series for every
 family. Each property draws ``max_examples`` from the loaded
 hypothesis profile (see ``conftest.py``).
