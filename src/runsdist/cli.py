@@ -5,7 +5,7 @@ Output contract: CSV uses a '.' decimal separator, LF line endings, and a
 fixed column order; floats are printed with shortest round-trip repr (17
 significant digits suffice to reconstruct them exactly) and exact mode prints
 fraction strings. Exit codes: 0 success, 1 comparison failure, 2 usage
-error.
+error or a numeric failure, which stderr names.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import IndexScheme, MomentKind, RunParams, VariantSpec
+from .core import IndexScheme, MomentKind, NumericFailure, RunParams, VariantSpec
 from .moments import MomentRoute, factorial_moments_pgf, moments_via_route, shape_from_central
 from .oracle import CountingSemantics, monte_carlo
 from .pmf import ENGINES, EngineFamily, PmfEngine, pmf_table
@@ -274,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except NumericFailure as err:  # before any output; exit 1 would read as a mismatch
+        print(f"{parser.prog} {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -346,6 +346,14 @@ def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
     return p ** (r * k - (r - 1) * ell), shift, num, den
 
 
+class NumericFailure(RuntimeError):
+    """A numeric method missed its stated accuracy, so it raised instead of returning a value.
+
+    The root engine's errors derive from it; the CLI reports it by name with
+    exit code 2 without loading that engine first.
+    """
+
+
 class TermCounter:
     """Counts evaluated sum terms, for the complexity-bound assertions."""
 

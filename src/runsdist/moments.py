@@ -92,15 +92,6 @@ def coeff_F(params: RunParams, j: int) -> Scalar:
     return params.finalize(_coeff_factorial_full(params, j))
 
 
-def coeff_raw(params: RunParams, j: int,
-              scheme: IndexScheme = IndexScheme.CUT) -> Scalar:
-    """Raw-moment coefficient, built from Eulerian polynomials."""
-    if j < 1:
-        raise ValueError("coefficient order must be >= 1")
-    fn = _coeff_raw_cut if scheme is IndexScheme.CUT else _coeff_raw_full
-    return params.finalize(fn(params, j))
-
-
 def factorial_moments_recurrence(params: RunParams, order_max: int) -> MomentSet:
     """Cut-scheme factorial moments by the order-mixing recurrence.
 

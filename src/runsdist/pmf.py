@@ -6,9 +6,10 @@ O(n^2) double combinatorial sum, an O(n) nested sum, its hypergeometric
 condensation, a generating-function expansion, and the root-based engine that
 lives in :mod:`runsdist.roots`. Two further engines cover the
 at-least-one-failure-between-runs (Type II) family, each in two algebraic
-forms, plus the matching fixed-length run-count distribution. Each engine is
-one :class:`EngineSpec` record in :data:`ENGINES`, and :func:`pmf_table` and
-the CLI read only that record.
+forms, plus the matching fixed-length run-count distribution, which is the
+Type II series of one run more at a later trial. Each engine is one
+:class:`EngineSpec` record in :data:`ENGINES`, and :func:`pmf_table` and the
+CLI read only that record.
 
 The alternating sums here cancel catastrophically in double precision (terms
 can exceed 1e10 while the result is below 1e-2), so every sum-type engine
@@ -24,12 +25,13 @@ condensation step along ``j`` the same way (see :func:`_column_starts`), so
 a deep index costs no big binomial, only O(n)-bit small-factor steps; the
 double sum starts each column at the first nonzero bracket with one
 ``math.comb`` pair (see :func:`_fullsum_values`). The nested sum, its
-condensation, the double sum and the Type II forms each have one range
-evaluator on :func:`_stepped_rows`: the first ``k+1`` rows of brackets are
-computed directly, and every later row is stepped from the ``k+1`` before
-it, by Pascal's rule (see :func:`_pascal_row`) or, for the double sum, by a
-rule of its own, so a table adds rows instead of computing binomials per
-term. A single index is a table of one computed row.
+condensation and the double sum each have one range evaluator on
+:func:`_stepped_rows`, and the Type II waiting times and run counts share
+one: the first ``k+1`` rows of brackets are computed directly, and every
+later row is stepped from the ``k+1`` before it, by Pascal's rule (see
+:func:`_pascal_row`) or, for the double sum, by a rule of its own, so a
+table adds rows instead of computing binomials per term. A single index is
+a table of one computed row.
 
 The nested sum, its condensation and the Type II forms end in one
 alternating outer sum in powers of ``y = p^k q <= 1/4``, and the double sum
@@ -495,46 +497,61 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     return _pgf_expansion_values(params, n, n)[0]
 
 
-def _type2_sum(params: RunParams, lo: int, weights: list) -> _OuterSum:
-    """The outer sum of the Muselli series of one family, from its first term ``lo``.
+def _muselli_brackets(params: RunParams, form: MuselliForm, n: int) -> list:
+    """The Type II brackets of trial ``n`` at ``m = 0 .. (n+1)//(k+1)``, scaled by ``den``.
 
-    Term ``m`` is ``(-1)^(m-lo) weights[m-lo]`` times its bracket ``b_m``
-    (see :func:`_muselli_brackets`), which is scaled by ``den``, times
-    ``p^(mk) q^(m-1) / den``. With ``x = pn^k qn``, ``d = den^(k+1)`` and
-    ``J + 1`` terms that is the :class:`_OuterSum`
-    ``x^lo sum_j w_j b_j x^j d^(J-j) / (qn d^(lo+J))``. Dividing by ``qn`` is
-    exact: for ``lo >= 1`` ``x^lo`` carries it, and for ``lo = 0`` the
-    ``m = 0`` bracket is ``qn`` itself.
+    With ``t = n-mk`` they are ``den C(t-1, m-2) + qn C(t-1, m-1)``
+    (ORIGINAL) or ``den C(t, m-1) - pn C(t-1, m-1)`` (ALT). The forms agree
+    wherever Pascal's rule ``C(t, m-1) = C(t-1, m-1) + C(t-1, m-2)`` holds,
+    that is everywhere but ``t = 0``, ``m = 1``, the first support point
+    ``n = k``. There ORIGINAL's ``C(-1, -1)`` is read as Pascal's rule reads
+    it, ``C(0, 0) - C(-1, 0) = 1``, so both forms give ``den`` and the rows
+    of either step by :func:`_pascal_row` alone.
     """
     k = params.k
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    ts = range(n, n - ((n + 1) // (k + 1) + 1) * k, -k)  # t at m = 0, 1, ...
+    if form is MuselliForm.ORIGINAL:  # C(t-1, m-2) is 1 at t-1 = m-2 = -1
+        return [den * (binom(t - 1, m - 2) + (t == 0 == m - 1)) + (den - pn) * binom(t - 1, m - 1)
+                for m, t in enumerate(ts)]
+    return [den * binom(t, m - 1) - pn * binom(t - 1, m - 1) for m, t in enumerate(ts)]
+
+
+def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm,
+                    count: int | None = None) -> list:
+    """:func:`pmf_muselli` at ``lo .. hi`` (``lo >= 1``), or with ``count`` :func:`counts_muselli`.
+
+    The Type II series of ``R`` runs at trial ``N`` sums, over the terms
+    ``m >= R``, ``(-1)^(m-R) C(m-1, R-1)`` times the bracket ``b_m`` of
+    :func:`_muselli_brackets` times ``p^(mk) q^(m-1) / den``. The waiting
+    time reads it with ``R = r`` at ``N = n``. The probability of exactly
+    ``count`` runs in ``n`` trials is the same series with ``R = count+1``
+    at ``N = n+k+1``, divided by ``p^k q``, so it takes the same rows and
+    weights. Row ``N`` holds ``b_0 .. b_((N+1)//(k+1))``, rows step on
+    :func:`_stepped_rows` by :func:`_pascal_row`, and the series of all
+    indices end in one :class:`_OuterSum`: with ``x = pn^k qn``,
+    ``d = den^(k+1)``, ``e = R`` (``R-1`` for a count) and ``J + 1`` terms
+    it is ``x^e sum_j w_j b_(R+j) x^j d^(J-j) / (qn d^(e+J))``. Dividing by
+    ``qn`` is exact: for ``e >= 1`` ``x^e`` carries it, and for ``e = 0``
+    the first bracket is ``qn`` itself.
+    """
+    k = params.k
+    if count is None:
+        runs, e, shift = params.r, params.r, 0
+    else:
+        runs, e, shift = count + 1, count, k + 1
     p = params.exact_p()
     pn, den = p.numerator, p.denominator
     qn = den - pn
     x = pn ** k * qn
-    head, div = (x ** lo // qn, 1) if lo else (1, qn)
-    signed = [-w if i & 1 else w for i, w in enumerate(weights)]
-    return _OuterSum(params, x, den ** (k + 1), signed, head, (k + 1) * lo, k + 1, div)
-
-
-def _muselli_brackets(params: RunParams, form: MuselliForm, n: int, ms: range) -> list:
-    """The Type II brackets of trial ``n`` at the terms ``m`` in ``ms``, scaled by ``den``.
-
-    With ``t = n-mk`` they are ``den C(t-1, m-2) + qn C(t-1, m-1)``
-    (ORIGINAL) or ``den C(t, m-1) - pn C(t-1, m-1)`` (ALT).
-    """
-    k = params.k
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    if form is MuselliForm.ORIGINAL:
-        return [den * binom(n - m * k - 1, m - 2) + (den - pn) * binom(n - m * k - 1, m - 1)
-                for m in ms]
-    return [den * binom(n - m * k, m - 1) - pn * binom(n - m * k - 1, m - 1) for m in ms]
-
-
-def _type2_weights(params: RunParams, n_max: int) -> list:
-    """``C(m-1, r-1)`` for the Type II terms ``m = r .. (n_max+1)//(k+1)``."""
-    r = params.r
-    return [math.comb(m - 1, r - 1) for m in range(r, (n_max + 1) // (params.k + 1) + 1)]
+    head, div = (x ** e // qn, 1) if e else (1, qn)
+    weights = _run_weights(runs, max((hi + shift + 1) // (k + 1) - runs, 0), -1)
+    outer = _OuterSum(params, x, den ** (k + 1), weights, head, (k + 1) * e, k + 1, div)
+    rows = _stepped_rows(k, lo + shift, hi + shift, lambda n: _muselli_brackets(params, form, n),
+                         lambda n, rows: _pascal_row(rows))
+    return [outer(row[runs:]) if len(row) > runs else params.finalize(Fraction(0))
+            for _, row in rows]
 
 
 def pmf_muselli(params: RunParams, n: int,
@@ -543,47 +560,12 @@ def pmf_muselli(params: RunParams, n: int,
 
     ORIGINAL uses the bracket ``C(n-mk-1, m-2) + q C(n-mk-1, m-1)``; ALT uses
     the rewriting ``C(n-mk, m-1) - p C(n-mk-1, m-1)``, which avoids negative
-    upper binomial arguments. The first support point ``n = k`` of the
-    ``r = 1`` family is returned as the closed form ``p^k``: the ORIGINAL
-    bracket degenerates there under every binomial convention, and the
-    enumeration oracle fixes the value. A single index is a one-row table
-    of :func:`_muselli_values`.
+    upper binomial arguments. A single index is a one-row table of
+    :func:`_muselli_values`, the one Type II evaluator.
     """
     if n < 1:
         raise ValueError("Type II pmf needs n >= 1")
     return _muselli_values(params, n, n, form)[0]
-
-
-def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm) -> list:
-    """:func:`pmf_muselli` at ``lo .. hi`` (``lo >= 1``), its brackets on :func:`_stepped_rows`.
-
-    Row ``n`` holds the brackets of ``m = 0 .. (n+1)//(k+1)``, column 0
-    being 0, and both binomials of a bracket step by :func:`_pascal_row`.
-    The rule fails where a binomial is ``C(0, 0)``: in both forms at
-    ``n <= k+1``, rows a table seeds, and in ORIGINAL's ``C(t-1, m-2)`` also
-    at ``n = 2k+1``, ``m = 2``, whose ``den C(0, 0)`` a stepped row adds.
-    The series of the indices share one ladder.
-    """
-    k, r = params.k, params.r
-    p = params.exact_p()
-    outer = _type2_sum(params, r, _type2_weights(params, hi))
-
-    def seed(n: int) -> list:
-        return _muselli_brackets(params, form, n, range((n + 1) // (k + 1) + 1))
-
-    def step(n: int, rows) -> list:
-        row = _pascal_row(rows)
-        if form is MuselliForm.ORIGINAL and n == 2 * k + 1:
-            row[2] += p.denominator
-        return row
-
-    values = []
-    for n, row in _stepped_rows(k, lo, hi, seed, step):
-        if r == 1 and n == k:  # the closed form p^k
-            values.append(params.finalize(p ** k))
-        else:
-            values.append(outer(row[r:]) if len(row) > r else params.finalize(Fraction(0)))
-    return values
 
 
 def counts_muselli(params: RunParams, n: int, r_count: int,
@@ -593,19 +575,16 @@ def counts_muselli(params: RunParams, n: int, r_count: int,
     Term ``m`` carries ``C(m, r_count)`` times the bracket of term ``m+1``
     at trial ``n+k+1`` in :func:`_muselli_brackets`: ``den C(n-mk, m-1) +
     qn C(n-mk, m)`` (ORIGINAL) or ``den C(n-mk+1, m) - pn C(n-mk, m)``
-    (ALT). ``r_count = 0`` is allowed (the ``m = 0`` term carries the
-    ``q^-1`` factor, which cancels against the bracket), so this stays per
-    index: :class:`~runsdist.core.RunParams` cannot carry a run count of 0.
+    (ALT). That is the Type II series of ``r_count+1`` runs at trial
+    ``n+k+1`` divided by ``p^k q``, so a single index is a one-row table of
+    :func:`_muselli_values`, the evaluator of the waiting time too.
+    ``r_count = 0`` is allowed.
     """
     if n < 1:
         raise ValueError("run-count distribution needs n >= 1")
     if r_count < 0:
         raise ValueError("r_count must be nonnegative")
-    k = params.k
-    ms = range(r_count, (n + 1) // (k + 1) + 1)
-    brackets = _muselli_brackets(params, form, n + k + 1, range(r_count + 1, ms.stop + 1))
-    outer = _type2_sum(params, r_count, [binom(m, r_count) for m in ms])
-    return outer(brackets) if brackets else params.finalize(Fraction(0))
+    return _muselli_values(params, n, n, form, r_count)[0]
 
 
 class EngineFamily(Enum):
@@ -625,10 +604,11 @@ class EngineSpec:
     :meth:`first_index`; ``ell`` is the run overlap, which only an engine
     with ``overlap`` reach reads. Evaluators look the engine functions up when
     called, so a module attribute replaced at run time is the one that runs.
-    The Type II, double-sum, nested-sum, hypergeometric and pgf-expansion
-    evaluators call the range evaluators :func:`_muselli_values`,
-    :func:`_fullsum_values`, :func:`_nested_values`, :func:`_hyp_values` and
-    :func:`_pgf_expansion_values`, whose one-row tables are the single-index
+    The double-sum, nested-sum, hypergeometric and pgf-expansion evaluators
+    call the range evaluators :func:`_fullsum_values`, :func:`_nested_values`,
+    :func:`_hyp_values` and :func:`_pgf_expansion_values`, and the Type II
+    and run-count evaluators call the one Type II evaluator
+    :func:`_muselli_values`; their one-row tables are the single-index
     functions.
     """
 
@@ -693,8 +673,7 @@ def _type2(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
 def _counts(engine: PmfEngine, form: MuselliForm) -> EngineSpec:
     """The run-count engine of one Muselli form; ``params.r`` is the run count."""
     return EngineSpec(engine, IndexScheme.FULL, EngineFamily.COUNTS, evaluate=(
-        lambda params, lo, hi, ell, counter:
-        [counts_muselli(params, n, params.r, form) for n in range(lo, hi + 1)]))
+        lambda params, lo, hi, ell, counter: _muselli_values(params, lo, hi, form, params.r)))
 
 
 ENGINES = {spec.engine: spec for spec in (

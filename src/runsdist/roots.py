@@ -30,16 +30,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, PowerRatio, RunParams,
-                   TermCounter, VariantSpec, rational_pgf, support_min)
+from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, NumericFailure, PmfTable,
+                   PowerRatio, RunParams, TermCounter, VariantSpec, rational_pgf, support_min)
 from .special import _series_div, binom, hyp2f1
 
 
-class RootToleranceExceeded(RuntimeError):
+class RootToleranceExceeded(NumericFailure):
     """A root invariant failed after Newton refinement."""
 
 
-class IllConditionedSystem(RuntimeError):
+class IllConditionedSystem(NumericFailure):
     """The coefficient-recovery system is numerically degenerate."""
 
 
@@ -47,7 +47,7 @@ class IllConditionedSystem(RuntimeError):
 _COND_LIMIT = 1e12
 
 
-class ValidationFailed(RuntimeError):
+class ValidationFailed(NumericFailure):
     """Recovered coefficients do not reproduce the reference pmf."""
 
 

@@ -248,16 +248,6 @@ def falling(a, j: int):
     return out
 
 
-def rising(a, j: int):
-    """Rising factorial (Pochhammer) ``a (a+1) ... (a+j-1)``; 1 when ``j == 0``."""
-    if j < 0:
-        raise ValueError("rising factorial needs j >= 0")
-    out = 1
-    for i in range(j):
-        out *= a + i
-    return out
-
-
 class NonTerminatingSeries(ValueError):
     """Neither upper parameter of the 2F1 is a nonpositive integer."""
 

@@ -5,9 +5,10 @@ formula the library evaluates differently, so the tests can assert the
 identities between the two: the hypergeometric condensations of the moment
 coefficients, the truncated run-length moments behind the factorial-moment
 recurrence, the nested-binomial inner coefficients of the pgf expansion, the
-single-run generating function and recurrence, and the additive Eulerian
-triangle. Only the tests use these forms, so they live beside them and
-are not part of the package.
+single-run generating function and recurrence, the additive Eulerian
+triangle, the raw-moment coefficients by scheme, and the rising factorial
+that sums the hypergeometric series term by term. Only the tests use these
+forms, so they live beside them and are not part of the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from runsdist.core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
-from runsdist.moments import _coeff_factorial_cut, _exact_pq
+from runsdist.moments import _coeff_factorial_cut, _coeff_raw_cut, _coeff_raw_full, _exact_pq
 from runsdist.pmf import _pgf_inner_numerators
 from runsdist.special import binom, falling, hyp2f1
 
@@ -39,6 +40,25 @@ def coeff_F_hyp(params: RunParams, j: int) -> Scalar:
     inner = -p ** (k + j - 1) + (sign * binom(k + j - 2, j - 1) * q ** (j - 1)
                                  * hyp2f1(1 - j, 1, 2 - j - k, -p / q))
     return params.finalize(math.factorial(j) / (q ** j * p ** k) * inner)
+
+
+def coeff_raw(params: RunParams, j: int,
+              scheme: IndexScheme = IndexScheme.CUT) -> Scalar:
+    """Raw-moment coefficient, built from Eulerian polynomials."""
+    if j < 1:
+        raise ValueError("coefficient order must be >= 1")
+    fn = _coeff_raw_cut if scheme is IndexScheme.CUT else _coeff_raw_full
+    return params.finalize(fn(params, j))
+
+
+def rising(a, j: int):
+    """Rising factorial (Pochhammer) ``a (a+1) ... (a+j-1)``; 1 when ``j == 0``."""
+    if j < 0:
+        raise ValueError("rising factorial needs j >= 0")
+    out = 1
+    for i in range(j):
+        out *= a + i
+    return out
 
 
 def mu_factorial_truncated(params: RunParams, j: int) -> Scalar:

@@ -302,6 +302,28 @@ class TestTypeIIAnalytic:
                                        f"analytic_variance={variance(params)!r}")
 
 
+class TestNumericFailures:
+    """A root-engine failure exits 2 by name; exit 1 is a failed comparison."""
+
+    ILL = ["--k", "3", "--r", "10", "--p", "0.5"]
+
+    @pytest.mark.parametrize("args, name", [
+        (["pmf", *ILL, "--n-min", "30", "--n-max", "32", "--engine", "root-based"],
+         "IllConditionedSystem"),
+        (["moments", *ILL, "--kind", "raw", "--route", "root"], "IllConditionedSystem"),
+        (["compare", *ILL, "--n-min", "30", "--n-max", "32", "--engines",
+          "nested-sum,root-based"], "IllConditionedSystem"),
+        (["pmf", "--k", "80", "--r", "1", "--p", "0.5", "--n-min", "80", "--n-max", "81",
+          "--engine", "root-based"], "RootToleranceExceeded"),
+    ], ids=["pmf", "moments", "compare", "pmf-k80"])
+    def test_named_error_exits_2(self, capsys, args, name):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert f"{args[0]}: {name}: " in err
+        assert "Traceback" not in err
+
+
 def _modules_after(*commands):
     """Run CLI commands in a fresh interpreter; which of numpy and roots are loaded afterwards?"""
     script = (

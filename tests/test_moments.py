@@ -6,7 +6,7 @@ import pytest
 from runsdist.core import IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
 from runsdist.moments import (MomentRoute, central_from_raw,
                               central_moments, coeff_C,
-                              coeff_F, coeff_raw,
+                              coeff_F,
                               factorial_moments_partition,
                               factorial_moments_pgf, factorial_moments_recurrence,
                               mean, moments_by_summation, moments_from_table,
@@ -15,7 +15,7 @@ from runsdist.moments import (MomentRoute, central_from_raw,
 from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
 
-from reference import (coeff_C_hyp, coeff_F_hyp, mu_factorial_truncated,
+from reference import (coeff_C_hyp, coeff_F_hyp, coeff_raw, mu_factorial_truncated,
                        pgf_expansion_inner_reference)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT

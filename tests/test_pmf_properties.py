@@ -1,8 +1,9 @@
 """Property tests: the exact engines equal the DP oracle bit for bit.
 
 Parameters are drawn beyond the hand-picked grids of the other suites:
-``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli,
-double-sum, nested-sum, hypergeometric and pgf-expansion tables start
+``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli
+waiting-time and run-count, double-sum, nested-sum, hypergeometric and
+pgf-expansion tables start
 anywhere in ``[1, 120]``, ``[0, 100]`` and ``[0, 120]``, about half of them
 at or below 12, and run up to 20 indices. Float ``p`` with a full 53-bit
 significand holds the rounded nested, hypergeometric, Type II and run-count
@@ -13,13 +14,14 @@ hypothesis profile (see ``conftest.py``).
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runsdist.core import TYPE1, IndexScheme, RunParams, VariantSpec, support_min
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
-from runsdist.pmf import (MuselliForm, PmfEngine, counts_muselli, pmf_fullsum_ch,
+from runsdist.pmf import (ENGINES, MuselliForm, PmfEngine, counts_muselli, pmf_fullsum_ch,
                           pmf_hyp, pmf_muselli, pmf_nested_sum, pmf_pgf_expansion,
                           pmf_recurrence_pg, pmf_table)
 from runsdist.roots import series_pmf
@@ -47,8 +49,9 @@ def first_index(low: int, high: int):
     """A table's first index in ``[low, high]``, often at or below 12.
 
     A table seeds its first ``k+1 <= 6`` rows and steps the rest, so a
-    start this low also steps through ``n = 2k+1``, where the ORIGINAL
-    Muselli rows take their one fix-up.
+    start this low also steps rows that read the first support points, such
+    as the ORIGINAL Muselli row ``2k+1``, which reads the one bracket of row
+    ``k`` whose binomial is ``C(-1, -1)``.
     """
     return st.one_of(st.integers(low, 12), st.integers(low, high))
 
@@ -120,18 +123,42 @@ def test_muselli_forms_equal_dp(params, n):
     assert table.value(n) == want
 
 
+def _at_least(params: RunParams, count: int, n_max: int) -> list:
+    """P(at least ``count`` Type II runs in ``n`` trials) = P(W_count <= n), ``n = 1 .. n_max``."""
+    if count == 0:
+        return [Fraction(1)] * n_max
+    dp = dp_waiting_time_pmf(RunParams(params.k, count, params.p), TYPE2_SEM, n_max)
+    return list(accumulate(dp.values))
+
+
+COUNTS_ENGINES = {MuselliForm.ORIGINAL: PmfEngine.MUSELLI_COUNTS_ORIGINAL,
+                  MuselliForm.ALT: PmfEngine.MUSELLI_COUNTS_ALT}
+
+
 @PROPERTY
 @given(run_params(), st.booleans(), first_index(1, 120), st.integers(0, 20),
-       st.sampled_from(MuselliForm))
-def test_muselli_tables_equal_single_index_and_dp(params, exact, n_min, width, form):
-    # the table steps its bracket rows; each single index is one seeded row
+       st.sampled_from(MuselliForm), st.booleans())
+def test_muselli_tables_equal_single_index_and_dp(params, exact, n_min, width, form, counts):
+    # the waiting-time and run-count tables step the same bracket rows; each
+    # single index is one seeded row
     params = params if exact else params.to_float()
     n_max = n_min + width
-    engine = PmfEngine.MUSELLI_ORIGINAL if form is MuselliForm.ORIGINAL else PmfEngine.MUSELLI_ALT
-    table = pmf_table(params, engine, n_min, n_max, variant=VariantSpec.type_ii()).values
-    assert _same(table, tuple(pmf_muselli(params, n, form) for n in range(n_min, n_max + 1)))
-    dp = dp_waiting_time_pmf(params.to_exact(), TYPE2_SEM, n_max).values[n_min - 1:]
-    assert table == tuple(map(params.finalize, dp))
+    ns = range(n_min, n_max + 1)
+    if counts:  # params.r is the run count, as in the CLI's count tables
+        table = tuple(ENGINES[COUNTS_ENGINES[form]].evaluate(params, n_min, n_max, 0, None))
+        single = tuple(counts_muselli(params, n, params.r, form) for n in ns)
+        exact_params = params.to_exact()
+        at_least = [_at_least(exact_params, c, n_max)[n_min - 1:]
+                    for c in (params.r, params.r + 1)]
+        want = tuple(map(Fraction.__sub__, *at_least))
+    else:
+        engine = (PmfEngine.MUSELLI_ORIGINAL if form is MuselliForm.ORIGINAL
+                  else PmfEngine.MUSELLI_ALT)
+        table = pmf_table(params, engine, n_min, n_max, variant=VariantSpec.type_ii()).values
+        single = tuple(pmf_muselli(params, n, form) for n in ns)
+        want = dp_waiting_time_pmf(params.to_exact(), TYPE2_SEM, n_max).values[n_min - 1:]
+    assert _same(table, single)
+    assert table == tuple(map(params.finalize, want))
 
 
 @PROPERTY
@@ -172,20 +199,12 @@ def test_nested_hyp_pgf_tables_equal_single_index_and_dp(params, exact, n_min, w
         assert table == dp
 
 
-def _at_least(params: RunParams, count: int, n: int) -> Fraction:
-    """P(at least ``count`` Type II runs in ``n`` trials) = P(W_count <= n)."""
-    if count == 0:
-        return Fraction(1)
-    dp = dp_waiting_time_pmf(RunParams(params.k, count, params.p), TYPE2_SEM, n)
-    return sum(dp.values, Fraction(0))
-
-
 @PROPERTY
 @given(st.integers(1, 5), exact_p(), st.integers(1, N_MAX), st.data())
 def test_counts_muselli_forms_equal_dp(k, p, n, data):
     params = RunParams(k, 1, p)
     r_count = data.draw(st.integers(0, (n + 1) // (k + 1) + 1))
-    want = _at_least(params, r_count, n) - _at_least(params, r_count + 1, n)
+    want = _at_least(params, r_count, n)[-1] - _at_least(params, r_count + 1, n)[-1]
     assert counts_muselli(params, n, r_count, MuselliForm.ORIGINAL) == want
     assert counts_muselli(params, n, r_count, MuselliForm.ALT) == want
 

@@ -8,10 +8,9 @@ import pytest
 from runsdist import special
 from runsdist.special import (HornerLadder, NonTerminatingSeries, ZeroDenominatorPochhammer,
                               binom, eulerian_number, eulerian_poly, falling,
-                              fixed_point_horner, homogeneous_horner, hyp2f1, rising,
-                              stirling2)
+                              fixed_point_horner, homogeneous_horner, hyp2f1, stirling2)
 
-from reference import EulerianTable
+from reference import EulerianTable, rising
 
 
 class TestBinom:
