@@ -389,11 +389,11 @@ class PmfTable:
             self._check_exact()
             return
         total = 0
-        for v in self.values:
-            if v < 0 or v > 1 + 1e-9:
+        for v in self.values:  # written so that a NaN fails too
+            if not 0 <= v <= 1 + 1e-9:
                 raise ValueError(f"pmf value out of [0, 1]: {v!r}")
             total += v
-        if total > 1 + 1e-9:
+        if not total <= 1 + 1e-9:
             raise ValueError(f"pmf mass exceeds 1: {total!r}")
 
     def _check_exact(self) -> None:

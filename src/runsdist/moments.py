@@ -78,20 +78,6 @@ def _coeff_raw_full(params: RunParams, j: int) -> Fraction:
     return chi / (q ** j * p ** k)
 
 
-def coeff_C(params: RunParams, j: int) -> Scalar:
-    """Cut-scheme factorial coefficient; vanishes for ``j > k``."""
-    if j < 1:
-        raise ValueError("coefficient order must be >= 1")
-    return params.finalize(_coeff_factorial_cut(params, j))
-
-
-def coeff_F(params: RunParams, j: int) -> Scalar:
-    """Full-scheme factorial coefficient; nonzero at every order."""
-    if j < 1:
-        raise ValueError("coefficient order must be >= 1")
-    return params.finalize(_coeff_factorial_full(params, j))
-
-
 def factorial_moments_recurrence(params: RunParams, order_max: int) -> MomentSet:
     """Cut-scheme factorial moments by the order-mixing recurrence.
 

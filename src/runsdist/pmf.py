@@ -25,18 +25,18 @@ condensation step along ``j`` the same way (see :func:`_column_starts`), so
 a deep index costs no big binomial, only O(n)-bit small-factor steps; the
 double sum starts each column at the first nonzero bracket with one
 ``math.comb`` pair (see :func:`_fullsum_values`). The nested sum, its
-condensation and the double sum each have one range evaluator on
-:func:`_stepped_rows`, and the Type II waiting times and run counts share
-one: the first ``k+1`` rows of brackets are computed directly, and every
-later row is stepped from the ``k+1`` before it, by Pascal's rule (see
-:func:`_pascal_row`) or, for the double sum, by a rule of its own, so a
-table adds rows instead of computing binomials per term. A single index is
-a table of one computed row.
+condensation, the generating-function expansion and the double sum each have
+one range evaluator on :func:`_stepped_rows`, and the Type II waiting times
+and run counts share one: the first ``k+1`` rows of brackets are computed
+directly, and every later row is stepped from the ``k+1`` before it, by
+Pascal's rule (see :func:`_pascal_row`) or, for the double sum, by a rule of
+its own, so a table adds rows instead of computing binomials per term. A
+single index is a table of one computed row.
 
-The nested sum, its condensation and the Type II forms end in one
-alternating outer sum in powers of ``y = p^k q <= 1/4``, and the double sum
-ends in one in powers of ``q/p``. One finisher, :class:`_OuterSum`,
-evaluates them all. It sums on one
+The nested sum, its condensation, the generating-function expansion and the
+Type II forms end in one alternating outer sum in powers of
+``y = p^k q <= 1/4``, and the double sum ends in one in powers of ``q/p``.
+One finisher, :class:`_OuterSum`, evaluates them all. It sums on one
 :class:`~runsdist.special.HornerLadder`, whose powers a table's indices
 share, and builds the value by :class:`~runsdist.core.PowerRatio`, which in
 exact mode strips only the primes of ``d`` instead of taking a gcd. For a
@@ -44,16 +44,13 @@ float ``p``, ``d`` is a power of two, and the sums in ``y`` are first
 rounded by :func:`~runsdist.special.fixed_point_horner`, a fixed-point sum
 a few hundred bits past the cancellation that proves which double the exact
 value rounds to; only a value too close to call pays for the exact sum,
-whose integers grow by the bits of ``d^(k+1)`` per term. The
-generating-function expansion sums its inner coefficients on one ladder too
-and combines a window of ``r+1`` of them per index.
+whose integers grow by the bits of ``d^(k+1)`` per term.
 
 The recurrence has nonnegative terms, so it runs on doubles in float mode. In
 exact mode it steps the integer numerators of its values over powers of the
 denominator of ``p`` and builds one fraction per entry by
-:class:`~runsdist.core.PowerRatio`. Both recurrence
-engines read one list of values, so each of their tables is built and
-checked once.
+:class:`~runsdist.core.PowerRatio`. Both recurrence engines read one list of
+values, so each of their tables is built and checked once.
 """
 
 from __future__ import annotations
@@ -63,7 +60,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add, mul, sub
+from itertools import repeat
+from operator import add, floordiv, mul, sub
 from typing import Callable
 
 from .core import (TYPE1, IndexScheme, PmfTable, PowerRatio, RunParams, Scalar, TermCounter,
@@ -186,14 +184,13 @@ def _run_weights(r: int, n: int, sign: int = 1) -> list:
 class _OuterSum:
     """``head sum_j weights[j] c_j x^j d^(J-j) / (div den^(base + step J))``, in ``params``' mode.
 
-    The nested, hypergeometric, double and Type II sums end here: called
-    with the coefficients ``c_0 .. c_J`` of one index, it returns that
-    index's value. ``den`` is the denominator of ``p``, and ``div`` divides
-    the integer numerator exactly. The sum runs on one
-    :class:`~runsdist.special.HornerLadder`, so the indices of a table share
-    its powers, and :class:`~runsdist.core.PowerRatio` builds the value. A
-    float ``p`` has ``den = 2^z``; where ``d = den^step`` and ``x/d < 1/2``,
-    as in the sums over powers of ``p^k q <= 1/4``,
+    Every sum engine ends here: called with the coefficients ``c_0 .. c_J``
+    of one index, it returns that index's value. ``den`` is the denominator
+    of ``p``, and ``div`` divides the integer numerator exactly. The sum runs
+    on one :class:`~runsdist.special.HornerLadder`, so the indices of a table
+    share its powers, and :class:`~runsdist.core.PowerRatio` builds the
+    value. A float ``p`` has ``den = 2^z``; where ``d = den^step`` and
+    ``x/d < 1/2``, as in the sums over powers of ``p^k q <= 1/4``,
     :func:`~runsdist.special.fixed_point_horner` first rounds the value from
     a fixed-point sum a few hundred bits past its cancellation, and only a
     value it cannot call takes the exact sum. Either way the result is the
@@ -304,7 +301,7 @@ def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
 
 
 def _nested_sum(params: RunParams, j_max: int) -> _OuterSum:
-    """The outer sum of the nested sum and its condensation, over columns ``j <= j_max``.
+    """The outer sum of the nested sum, its condensation and the pgf expansion, ``j <= j_max``.
 
     Column ``j`` carries ``(-1)^j C(r+j-1, r-1) (p^k q)^j`` times its inner
     bracket, which the callers scale by ``den^r``, and the sum carries
@@ -446,55 +443,51 @@ def _hyp_values(params: RunParams, lo: int, hi: int) -> list:
     return values
 
 
-def _pgf_inner_numerators(params: RunParams, lo: int, hi: int) -> list:
-    """Integer numerators of the inner coefficients ``T_lo .. T_hi``.
-
-    ``T_j = sum_i (-1)^i q^i p^(ik) C(r+i-1, r-1) C(r+j-ik-1, r+i-1)`` with
-    ``i <= floor(j/(k+1))``, returned as ``T_j * den^((k+1) floor(j/(k+1)))``
-    from one integer-kernel call each. They do not depend on the target
-    index, so range evaluations compute them once.
-    """
-    k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    comb = math.comb
-    inner = HornerLadder(pn ** k * (den - pn), den ** (k + 1), _run_weights(r, hi // (k + 1), -1))
-    return [inner([comb(r + j - i * k - 1, r + i - 1) for i in range(j // (k + 1) + 1)])
-            for j in range(lo, hi + 1)]
-
-
-def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
-    """Full-scheme pmf at ``lo..hi`` (all ``>= r*k``), each inner numerator computed once."""
-    k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
-    first = max(lo - r * k - r, 0)
-    nums = _pgf_inner_numerators(params, first, hi - r * k)
-    # (-1)^i C(r, i) p^i scaled by den^r, and the powers of den^(k+1) that bring
-    # T_(v-i) to the denominator of T_v (at most ceil(r/(k+1)) apart)
-    cp = [(-1) ** i * math.comb(r, i) * pn ** i * den ** (r - i) for i in range(r + 1)]
-    lift = [den ** ((k + 1) * e) for e in range(-(-r // (k + 1)) + 1)]
-    head = pn ** (r * k)
-    ratio = PowerRatio(params)
-    vals = []
-    for v in range(lo - r * k, hi - r * k + 1):
-        e_top = v // (k + 1)
-        total = sum(cp[i] * lift[e_top - (v - i) // (k + 1)] * nums[v - i - first]
-                    for i in range(min(r, v) + 1))
-        vals.append(ratio(head * total, r * k + r + (k + 1) * e_top))
-    return vals
-
-
 def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     """Full-scheme pmf as the coefficient of ``s^n`` in the r-th pgf power.
 
-    Double alternating sum over the binomial expansion of the generating
-    function; the outer index only contributes on a window of width ``r+1``,
-    so only the inner coefficients ``T_(v-r) .. T_v`` are computed.
+    A single index is a one-row table of :func:`_pgf_expansion_values`.
     """
     if n < params.r * params.k:
         return params.finalize(0)
     return _pgf_expansion_values(params, n, n)[0]
+
+
+def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
+    """:func:`pmf_pgf_expansion` at ``lo .. hi`` (all ``>= r*k``) on :func:`_stepped_rows`.
+
+    With ``v = n - rk`` the pmf is ``p^rk sum_i (-1)^i C(r,i) p^i T_(v-i)``,
+    ``T_j = sum_l (-1)^l C(r+l-1, r-1) (p^k q)^l C(r+j-lk-1, r+l-1)`` the
+    coefficients of ``(1 - s + q p^k s^(k+1))^(-r)``. Summed over ``i``
+    first, column ``l`` of row ``v`` is ``B_v[l] = sum_i (-1)^i C(r,i) p^i
+    C(r+v-i-lk-1, r+l-1)`` over ``i <= v - l(k+1)``, scaled by ``den^r``, and
+    the row ends in :func:`_nested_sum`. A seeded row takes one ``math.comb``
+    per column and steps every column along ``i`` by one small ratio; a
+    stepped row takes :func:`_pascal_row`, which fails only at ``C(0, 0)``,
+    in column 0, and sums column 0 afresh from its ``r+1`` small binomials.
+    Index ``rk`` is ``p^rk``.
+    """
+    k, r = params.k, params.r
+    rk = r * k
+    p = params.exact_p()
+    pn, den = p.numerator, p.denominator
+    cp = [(-1) ** i * math.comb(r, i) * pn ** i * den ** (r - i) for i in range(r + 1)]
+    outer = _nested_sum(params, (hi - rk) // (k + 1))
+
+    def seed(v: int) -> list:
+        bottoms = range(r - 1, r + v // (k + 1))  # column l's; its top falls by k per column
+        t = list(map(math.comb, range(r + v - 1, -1, -k), bottoms))  # at i = 0
+        row = list(map(cp[0].__mul__, t))
+        for i in range(1, r + 1):  # C(top-1, bottom) from C(top, bottom), the division exact
+            tops = range(r + v - i, 0, -k)
+            t = list(map(floordiv, map(mul, t, map(sub, tops, bottoms)), tops))
+            row = list(map(add, row, map(cp[i].__mul__, t)))
+        return row
+
+    values = [outer(cp[:1])] if lo == rk else []
+    rows = _stepped_rows(k, max(lo - rk, 1), hi - rk, seed, lambda v, rows: _pascal_row(
+        rows, sum(map(mul, cp, map(math.comb, range(r + v - 1, v - 2, -1), repeat(r - 1))))))
+    return values + [outer(row) for _, row in rows]
 
 
 def _muselli_brackets(params: RunParams, form: MuselliForm, n: int) -> list:
@@ -604,12 +597,11 @@ class EngineSpec:
     :meth:`first_index`; ``ell`` is the run overlap, which only an engine
     with ``overlap`` reach reads. Evaluators look the engine functions up when
     called, so a module attribute replaced at run time is the one that runs.
-    The double-sum, nested-sum, hypergeometric and pgf-expansion evaluators
-    call the range evaluators :func:`_fullsum_values`, :func:`_nested_values`,
-    :func:`_hyp_values` and :func:`_pgf_expansion_values`, and the Type II
-    and run-count evaluators call the one Type II evaluator
-    :func:`_muselli_values`; their one-row tables are the single-index
-    functions.
+    Each sum engine's evaluator calls its one range evaluator on
+    :func:`_stepped_rows` (:func:`_fullsum_values`, :func:`_nested_values`,
+    :func:`_hyp_values`, :func:`_pgf_expansion_values`, and for the Type II
+    and run-count engines :func:`_muselli_values`), which ends in
+    :class:`_OuterSum`; its one-row tables are the single-index functions.
     """
 
     engine: PmfEngine

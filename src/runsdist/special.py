@@ -28,11 +28,11 @@ until its error bound decides the rounding, so its integers stay a few
 hundred bits above the cancellation of the sum instead of growing with every
 term; its caller rounds the exact sum where no precision up to 4096 bits
 decides. The pmf engines try it first for every float nested,
-hypergeometric and Type II sum, single index and table alike. Starting at
-64, 128, 256 and 512 bits, the 84 outer sums of the single-index nested
-and hypergeometric ops of three float benchmark blocks (n 250 to 2,020)
-took 24.7, 20.6, 18.3 and 18.0 ms (best of 5, same machine), so the
-schedule starts at 256. The polynomial helpers
+hypergeometric, pgf-expansion and Type II sum, single index and table
+alike. Starting at 64, 128, 256 and 512 bits, the 84 outer sums of the
+single-index nested and hypergeometric ops of three float benchmark blocks
+(n 250 to 2,020) took 24.7, 20.6, 18.3 and 18.0 ms (best of 5, same
+machine), so the schedule starts at 256. The polynomial helpers
 (products, powers, and the power-series quotient) work on coefficient lists,
 constant term first; they multiply out and expand the rational generating
 function :func:`runsdist.core.rational_pgf`. Everything in this module is

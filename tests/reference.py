@@ -1,14 +1,16 @@
 """Independent forms of quantities the engines compute another way.
 
-Nothing here is on an engine's or route's path. Each function restates a
+Nothing here is on an engine's or route's path. Most functions restate a
 formula the library evaluates differently, so the tests can assert the
 identities between the two: the hypergeometric condensations of the moment
 coefficients, the truncated run-length moments behind the factorial-moment
 recurrence, the nested-binomial inner coefficients of the pgf expansion, the
 single-run generating function and recurrence, the additive Eulerian
-triangle, the raw-moment coefficients by scheme, and the rising factorial
-that sums the hypergeometric series term by term. Only the tests use these
-forms, so they live beside them and are not part of the package.
+triangle, and the rising factorial that sums the hypergeometric series term
+by term. The factorial and raw moment coefficients by scheme are the
+routes' own, finalized one order at a time for the tests to read. Only the
+tests use these forms, so they live beside them and are not part of the
+package.
 """
 
 from __future__ import annotations
@@ -18,13 +20,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from runsdist.core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
-from runsdist.moments import _coeff_factorial_cut, _coeff_raw_cut, _coeff_raw_full, _exact_pq
-from runsdist.pmf import _pgf_inner_numerators
+from runsdist.moments import (_coeff_factorial_cut, _coeff_factorial_full, _coeff_raw_cut,
+                              _coeff_raw_full, _exact_pq)
 from runsdist.special import binom, falling, hyp2f1
 
 
+def coeff_C(params: RunParams, j: int) -> Scalar:
+    """Cut-scheme factorial coefficient; vanishes for ``j > k``."""
+    if j < 1:
+        raise ValueError("coefficient order must be >= 1")
+    return params.finalize(_coeff_factorial_cut(params, j))
+
+
+def coeff_F(params: RunParams, j: int) -> Scalar:
+    """Full-scheme factorial coefficient; nonzero at every order."""
+    if j < 1:
+        raise ValueError("coefficient order must be >= 1")
+    return params.finalize(_coeff_factorial_full(params, j))
+
+
 def coeff_C_hyp(params: RunParams, j: int) -> Scalar:
-    """Hypergeometric condensation of :func:`~runsdist.moments.coeff_C`."""
+    """Hypergeometric condensation of :func:`coeff_C`."""
     p, q = _exact_pq(params)
     k = params.k
     inner = p ** (j - 1) - (binom(k, j - 1) * p ** k * q ** (j - 1)
@@ -33,7 +49,7 @@ def coeff_C_hyp(params: RunParams, j: int) -> Scalar:
 
 
 def coeff_F_hyp(params: RunParams, j: int) -> Scalar:
-    """Hypergeometric condensation of :func:`~runsdist.moments.coeff_F`."""
+    """Hypergeometric condensation of :func:`coeff_F`."""
     p, q = _exact_pq(params)
     k = params.k
     sign = -1 if (j - 1) & 1 else 1
@@ -73,15 +89,19 @@ def mu_factorial_truncated(params: RunParams, j: int) -> Scalar:
 
 
 def pgf_expansion_inner_reference(params: RunParams, j: int) -> Scalar:
-    """The nested-binomial inner coefficient ``T_j`` of the ``pgf-expansion`` engine.
+    """The nested-binomial coefficient ``T_j`` of the ``pgf-expansion`` engine's double sum.
 
-    Read from that engine's integer kernel. ``T_j`` is the coefficient of
-    ``s^j`` in ``(1 - s + q p^k s^(k+1))^(-r)``, and the tests assert that it
-    equals the power-series division of that expansion.
+    ``T_j = sum_i C(r+i-1, r-1) (-q p^k)^i C(r+j-ik-1, r+i-1)`` over
+    ``i <= j // (k+1)``, term by term. ``T_j`` is the coefficient of ``s^j``
+    in ``(1 - s + q p^k s^(k+1))^(-r)``, and the tests assert that it equals
+    the power-series division of that expansion.
     """
-    den_exp = (params.k + 1) * (j // (params.k + 1))
-    num = _pgf_inner_numerators(params, j, j)[0]
-    return params.finalize(Fraction(num, params.exact_p().denominator ** den_exp))
+    p, q = _exact_pq(params)
+    k, r = params.k, params.r
+    x = -q * p ** k
+    return params.finalize(sum(binom(r + i - 1, r - 1) * x ** i
+                               * binom(r + j - i * k - 1, r + i - 1)
+                               for i in range(j // (k + 1) + 1)))
 
 
 class PoleAtS(ZeroDivisionError):

@@ -63,6 +63,14 @@ class TestPmfCommand:
                              "--engine", "recurrence-pg")
         assert code == 2
 
+    def test_nan_value_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "pmf", "--k", "1", "--r", "1", "--p", "5e-324",
+                                 "--n-min", "1", "--n-max", "3",
+                                 "--engine", "recurrence-pg")
+        assert code == 2
+        assert out == ""
+        assert "nan" in err
+
     def test_unparseable_p_exits_2(self, capsys):
         for text in ("abc", "1/0"):
             code, _, err = run_cli(capsys, "pmf", "--k", "2", "--r", "1", "--p", text,

@@ -158,6 +158,9 @@ class TestContainers:
             PmfTable(params, F, TYPE1, 1, (0.7, 0.7))
         with pytest.raises(ValueError):
             PmfTable(params, F, TYPE1, 1, (-0.1,))
+        for bad in ((math.nan,), (0.5, math.nan), (math.inf,)):
+            with pytest.raises(ValueError):
+                PmfTable(params, F, TYPE1, 1, bad)
 
     def test_exact_pmf_table_mass_bound_is_the_double(self):
         # the bound is the exact value of the double 1 + 1e-9, as in float mode

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from runsdist.core import IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
-from runsdist.moments import (MomentRoute, central_from_raw,
-                              central_moments, coeff_C,
-                              coeff_F,
+from runsdist.moments import (MomentRoute, central_from_raw, central_moments,
                               factorial_moments_partition,
                               factorial_moments_pgf, factorial_moments_recurrence,
                               mean, moments_by_summation, moments_from_table,
@@ -15,8 +13,8 @@ from runsdist.moments import (MomentRoute, central_from_raw,
 from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
 
-from reference import (coeff_C_hyp, coeff_F_hyp, coeff_raw, mu_factorial_truncated,
-                       pgf_expansion_inner_reference)
+from reference import (coeff_C, coeff_C_hyp, coeff_F, coeff_F_hyp, coeff_raw,
+                       mu_factorial_truncated, pgf_expansion_inner_reference)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 HALF = Fraction(1, 2)
@@ -111,7 +109,7 @@ class TestFactorialMomentRoutes:
         assert geo.value(1) == 4  # geometric mean 1/p
 
     def test_pgf_inner_reference_identity(self):
-        # the pgf-expansion engine's nested binomial sums equal the series division
+        # the nested binomial sums of the pgf-expansion double sum equal the series division
         for k, r, pv in ((1, 1, HALF), (2, 3, Fraction(3, 10)), (4, 2, Fraction(1, 5))):
             params = RunParams(k, r, pv)
             from runsdist.special import _poly_pow

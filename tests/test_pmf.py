@@ -240,7 +240,7 @@ class TestDeepTail:
         assert all(type(v) is float for v in fixed + exact) and fixed == exact
 
     def test_pgf_expansion_matches_nested_sum_at_n1000(self):
-        # the single index computes only the r+1 inner coefficients it reads
+        # one seeded bracket row, finished by the nested sum's outer sum
         params = RunParams(3, 4, 0.4)
         want = pmf_nested_sum(params, 1000, F)
         assert 0 < want < 1e-15
@@ -393,6 +393,14 @@ class TestDispatcher:
                       variant=VariantSpec.type_ii())
         with pytest.raises(ValueError):
             pmf_table(params.to_exact(), PmfEngine.ROOT_BASED, 1, 5)
+
+    def test_nan_value_is_rejected(self):
+        # at p = 5e-324 the float recurrence's q/p overflows to inf and meets a
+        # zero, so its table holds NaN; the sums return the value, about p
+        params = RunParams(1, 1, 5e-324)
+        with pytest.raises(ValueError, match="nan"):
+            pmf_table(params, PmfEngine.RECURRENCE_PG, 1, 3)
+        assert pmf_table(params, PmfEngine.NESTED_SUM, 1, 3).values == (5e-324,) * 3
 
     def test_engine_table_has_one_record_per_engine(self):
         assert list(ENGINES) == list(PmfEngine)

@@ -3,11 +3,11 @@
 Parameters are drawn beyond the hand-picked grids of the other suites:
 ``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli
 waiting-time and run-count, double-sum, nested-sum, hypergeometric and
-pgf-expansion tables start
-anywhere in ``[1, 120]``, ``[0, 100]`` and ``[0, 120]``, about half of them
-at or below 12, and run up to 20 indices. Float ``p`` with a full 53-bit
-significand holds the rounded nested, hypergeometric, Type II and run-count
-sums to the exact value at cut indices up to 800.
+pgf-expansion tables start anywhere in ``[1, 120]``, ``[0, 100]`` and
+``[0, 120]``, about half of them at or below 12, and run up to 20 indices.
+Float ``p`` with a full 53-bit significand holds the rounded nested,
+hypergeometric, pgf-expansion, Type II and run-count sums to the exact value
+at cut indices up to 800.
 The DP oracle itself is held to the exact rational pgf series for every
 family. Each property draws ``max_examples`` from the loaded
 hypothesis profile (see ``conftest.py``).
@@ -186,8 +186,8 @@ def _cut_single_index(params: RunParams, engine: PmfEngine):
 @given(run_params(), st.booleans(), first_index(0, 120), st.integers(0, 20),
        st.sampled_from((PmfEngine.NESTED_SUM, PmfEngine.HYP_SUM, PmfEngine.PGF_EXPANSION)))
 def test_nested_hyp_pgf_tables_equal_single_index_and_dp(params, exact, n_min, width, engine):
-    # the nested and hyp tables step their bracket rows, and each single index
-    # is one seeded row; pgf-expansion shares its inner coefficients
+    # the nested, hyp and pgf-expansion tables step their bracket rows, and
+    # each single index is one seeded row
     params = params if exact else params.to_float()
     rk = params.r * params.k
     n_max = n_min + width
@@ -234,12 +234,14 @@ def float_params(draw):
 @given(float_params(), st.integers(0, 800))
 def test_float_nested_and_hyp_round_the_exact_value_deep(params, cut):
     # the fixed-point outer sum of a float p rounds the exact value correctly,
-    # in the nested sum, its condensation and the Type II forms alike
+    # in the nested sum, its condensation, the pgf expansion and the Type II
+    # forms alike
     exact = params.to_exact()
     want = float(pmf_nested_sum(exact, cut, C))
-    for got in (pmf_nested_sum(params, cut, C), pmf_hyp(params, cut, C)):
-        assert type(got) is float and got == want
     n = cut + params.r * params.k
+    for got in (pmf_nested_sum(params, cut, C), pmf_hyp(params, cut, C),
+                pmf_pgf_expansion(params, n)):
+        assert type(got) is float and got == want
     pairs = [(pmf_muselli, (form,)) for form in MuselliForm]
     pairs += [(counts_muselli, (r_count, form))
               for r_count in (0, params.r) for form in MuselliForm]

@@ -3,11 +3,14 @@
 Usage: python tools/bitcheck.py SEED COUNT
 
 Draws COUNT points from SEED: ``k <= 5``, ``r <= 4``, ``p`` either an exact
-``a/d`` with ``d <= 20`` or a float, and an index ``n <= 60``. For each point
-it prints one line holding the ``type`` and ``repr`` of every single-index
-pmf function (the Type II forms and the run counts with ``r_count`` 0..6
-included), of one table per engine in ``pmf.ENGINES`` starting at or below
-``3k+3`` and up to 20 indices wide, and the ``TermCounter`` counts of the
+``a/d`` with ``d <= 20`` or a float, and an index ``n <= 60``; about one
+point in eight is deep instead, with ``n`` in ``[200, 600]``, where the power
+ladder of an exact table can pass ``_LADDER_BITS`` and hand its sums to the
+split Horner. For each point it prints one line holding the ``type`` and
+``repr`` of every single-index pmf function (the Type II forms and the run
+counts with ``r_count`` 0..6 included), of one table per engine in
+``pmf.ENGINES`` up to 20 indices wide, starting at or below ``3k+3`` (in
+``[200, 600]`` at a deep point), and the ``TermCounter`` counts of the
 engines that take one. An error prints as its name and message. The output
 depends only on SEED, COUNT and the library, so ``cmp`` of two checkouts'
 outputs is a bit-identity check, and two runs of one checkout must match.
@@ -54,7 +57,8 @@ def point(rng: random.Random) -> str:
     else:
         p = rng.uniform(0.05, 0.95)
     params = RunParams(k, r, p)
-    n = rng.randint(1, 60)
+    deep = rng.random() < 1 / 8
+    n = rng.randint(200, 600) if deep else rng.randint(1, 60)
     rk = r * k
     cells = [f"k={k} r={r} p={p!r} n={n}",
              _counted(pmf_nested_sum, params, n, F),
@@ -66,7 +70,10 @@ def point(rng: random.Random) -> str:
         cells.append(_show(pmf_muselli, params, n, form))
         cells += [_show(counts_muselli, params, n, count, form) for count in range(7)]
     for engine, spec in ENGINES.items():
-        lo = rng.randint(0 if spec.scheme is C else 1, 3 * k + 3)
+        if deep:
+            lo = rng.randint(200, 600)
+        else:
+            lo = rng.randint(0 if spec.scheme is C else 1, 3 * k + 3)
         hi = lo + rng.randint(0, 20)
         if spec.family is EngineFamily.COUNTS:  # the evaluator the CLI calls
             table = _show(spec.evaluate, params, lo, hi, 0, None)
