@@ -6,6 +6,12 @@ fixed column order; floats are printed with shortest round-trip repr (17
 significant digits suffice to reconstruct them exactly) and exact mode prints
 fraction strings. Exit codes: 0 success, 1 comparison failure, 2 usage
 error or a numeric failure, which stderr names.
+
+The commands parse their flags and leave every other check to the library:
+:func:`main` reports a ``ValueError`` it raises as a usage error with the
+library's message, and a :class:`~runsdist.core.NumericFailure` by name.
+Each flag is declared once, in ``_FLAGS``, and :func:`_emit` writes every
+CSV table.
 """
 
 from __future__ import annotations
@@ -23,12 +29,11 @@ from .pmf import ENGINES, EngineFamily, PmfEngine, pmf_table
 
 ENGINE_IDS = tuple(e.value for e in PmfEngine)
 ROUTE_IDS = tuple(route.value for route in MomentRoute)
+SCHEME_IDS = tuple(scheme.value for scheme in IndexScheme)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(float(value))
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _params(parser: argparse.ArgumentParser, args) -> RunParams:
@@ -52,153 +57,90 @@ def _variant(parser: argparse.ArgumentParser, args, params: RunParams) -> Varian
     return variant
 
 
-def _emit(rows: list, columns: tuple, fmt: str) -> None:
+def _emit(columns: tuple, rows: list, fmt: str = "csv") -> None:
+    """Write ``rows``, each a tuple in ``columns`` order, to stdout as CSV or JSON."""
     out = sys.stdout
     if fmt == "json":
-        payload = [{c: (row[c] if not isinstance(row[c], (float, Fraction))
-                        else (str(row[c]) if isinstance(row[c], Fraction)
-                              else float(row[c])))
-                    for c in columns} for row in rows]
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+        payload = [{c: str(v) if isinstance(v, Fraction) else float(v) if isinstance(v, float)
+                    else v for c, v in zip(columns, row)} for row in rows]
+        out.write(json.dumps(payload, indent=2) + "\n")
         return
     out.write(",".join(columns) + "\n")
     for row in rows:
-        cells = []
-        for c in columns:
-            v = row[c]
-            cells.append(_fmt(v) if isinstance(v, (float, Fraction)) else str(v))
-        out.write(",".join(cells) + "\n")
-
-
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, required=True, help="run length (>= 1)")
-    sub.add_argument("--r", type=int, required=True, help="number of runs (>= 1)")
-    sub.add_argument("--p", required=True,
-                     help="success probability; 'a/b' selects exact mode, a decimal selects float mode")
-    sub.add_argument("--exact", action="store_true",
-                     help="force exact rational mode even for a decimal --p")
+        out.write(",".join(map(_fmt, row)) + "\n")
 
 
 def cmd_pmf(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
     variant = _variant(parser, args, params)
-    engine = PmfEngine(args.engine)
+    engine, scheme = PmfEngine(args.engine), IndexScheme(args.scheme)
     spec = ENGINES[engine]
-    scheme = IndexScheme(args.scheme)
-    if args.n_max < args.n_min:
-        parser.error("--n-max must be at least --n-min")
-    try:
-        if spec.family is EngineFamily.COUNTS:
-            spec.check(params, scheme, variant, args.n_min)
-            values = spec.evaluate(params, args.n_min, args.n_max, 0, None)
-        else:
-            values = pmf_table(params, engine, args.n_min, args.n_max,
-                               scheme=scheme, variant=variant).values
-    except ValueError as err:
-        parser.error(str(err))
-
-    base = dict(k=params.k, r=params.r, p=params.p, scheme=scheme.value,
-                variant=variant.describe(), engine=engine.value)
-    rows = [dict(base, n=n, value=v) for n, v in enumerate(values, start=args.n_min)]
-    _emit(rows, ("k", "r", "p", "scheme", "variant", "engine", "n", "value"),
-          args.format)
+    if spec.family is EngineFamily.COUNTS:  # not a waiting time, so not a pmf_table
+        spec.check(params, scheme, variant, args.n_min, args.n_max)
+        values = spec.evaluate(params, args.n_min, args.n_max, 0, None)
+    else:
+        values = pmf_table(params, engine, args.n_min, args.n_max,
+                           scheme=scheme, variant=variant).values
+    base = (params.k, params.r, params.p, scheme.value, variant.describe(), engine.value)
+    _emit(("k", "r", "p", "scheme", "variant", "engine", "n", "value"),
+          [(*base, n, v) for n, v in enumerate(values, start=args.n_min)], args.format)
     return 0
 
 
 def cmd_moments(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
     variant = _variant(parser, args, params)
-    kind = MomentKind(args.kind)
-    route = MomentRoute(args.route)
+    kind, route = MomentKind(args.kind), MomentRoute(args.route)
     scheme = IndexScheme(args.scheme)
     order_max = args.order_max
     if order_max < 1:
         parser.error("--order-max must be >= 1")
-
-    try:
-        ms = moments_via_route(params, route, kind, scheme,
-                               max(order_max, 4) if kind is MomentKind.CENTRAL
-                               else order_max, variant)
-    except ValueError as err:
-        parser.error(str(err))
-
-    rows = []
-    base = dict(k=params.k, r=params.r, p=params.p, scheme=scheme.value,
-                variant=variant.describe(), kind=kind.value, route=route.value)
-    for order in range(1, order_max + 1):
-        rows.append(dict(base, order=order, value=ms.value(order)))
+    ms = moments_via_route(params, route, kind, scheme,
+                           max(order_max, 4) if kind is MomentKind.CENTRAL else order_max,
+                           variant)
+    rows = [(order, ms.value(order)) for order in range(1, order_max + 1)]
     if kind is MomentKind.CENTRAL:
         skewness, excess = shape_from_central(ms)
-        rows.append(dict(base, order="skewness", value=skewness))
-        rows.append(dict(base, order="excess_kurtosis", value=excess))
-    _emit(rows, ("k", "r", "p", "scheme", "variant", "kind", "route", "order",
-                 "value"), args.format)
+        rows += [("skewness", skewness), ("excess_kurtosis", excess)]
+    base = (params.k, params.r, params.p, scheme.value, variant.describe(), kind.value,
+            route.value)
+    _emit(("k", "r", "p", "scheme", "variant", "kind", "route", "order", "value"),
+          [(*base, *row) for row in rows], args.format)
     return 0
 
 
 def cmd_compare(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
     variant = _variant(parser, args, params)
-    default_scheme = IndexScheme(args.scheme)
     specs = []
-    for item in args.engines.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "@" in item:
-            eng_id, _, sch = item.partition("@")
-            try:
-                sch_val = IndexScheme(sch)
-            except ValueError:
-                parser.error(f"--engines: unknown scheme {sch!r}")
-        else:
-            eng_id, sch_val = item, default_scheme
+    for item in filter(None, map(str.strip, args.engines.split(","))):
+        eng_id, at, sch = item.partition("@")
+        if at and sch not in SCHEME_IDS:
+            parser.error(f"--engines: unknown scheme {sch!r}")
         if eng_id not in ENGINE_IDS:
             parser.error(f"--engines: unknown engine {eng_id!r}; "
                          f"valid ids: {', '.join(ENGINE_IDS)}")
-        engine = PmfEngine(eng_id)
-        if ENGINES[engine].family is EngineFamily.COUNTS:
-            parser.error(f"--engines: {eng_id} is not a waiting-time engine")
-        specs.append((engine, sch_val))
+        specs.append((PmfEngine(eng_id), IndexScheme(sch or args.scheme)))
     if len(specs) < 2:
         parser.error("--engines: need at least two engines to compare")
-    if args.n_max < args.n_min:
-        parser.error("--n-max must be at least --n-min")
 
-    columns = []
-    for engine, scheme in specs:
-        try:
-            table = pmf_table(params, engine, args.n_min, args.n_max,
-                              scheme=scheme, variant=variant)
-        except ValueError as err:
-            parser.error(str(err))
-        columns.append([float(v) for v in table.values])
-
-    out = sys.stdout
-    labels = [f"{e.value}@{s.value}" for e, s in specs]
-    out.write("n," + ",".join(labels) + ",max_abs_diff\n")
-    worst = 0.0
-    for i, n in enumerate(range(args.n_min, args.n_max + 1)):
-        vals = [col[i] for col in columns]
-        spread = max(vals) - min(vals)
-        worst = max(worst, spread)
-        out.write(",".join([str(n)] + [repr(v) for v in vals] + [repr(spread)]))
-        out.write("\n")
+    columns = [map(float, pmf_table(params, engine, args.n_min, args.n_max, scheme=scheme,
+                                    variant=variant).values) for engine, scheme in specs]
+    rows = [(n, *vals, max(vals) - min(vals))
+            for n, *vals in zip(range(args.n_min, args.n_max + 1), *columns)]
+    worst = max(row[-1] for row in rows)
+    _emit(("n", *(f"{e.value}@{s.value}" for e, s in specs), "max_abs_diff"), rows)
     ok = worst <= args.tolerance
-    out.write(f"# {'PASS' if ok else 'FAIL'} max_abs_diff={worst!r} "
-              f"tolerance={args.tolerance!r}\n")
+    sys.stdout.write(f"# {'PASS' if ok else 'FAIL'} max_abs_diff={worst!r} "
+                     f"tolerance={args.tolerance!r}\n")
     return 0 if ok else 1
 
 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
     variant = _variant(parser, args, params)
-    try:
-        result = monte_carlo(params, CountingSemantics.from_variant(variant),
-                             args.samples, args.seed)
-    except ValueError as err:
-        parser.error(str(err))
+    result = monte_carlo(params, CountingSemantics.from_variant(variant),
+                         args.samples, args.seed)
     ana_mean, ana_var = analytic_mean_variance(params, variant)
     out = sys.stdout
     out.write(f"# k={params.k} r={params.r} p={_fmt(params.p)} "
@@ -207,9 +149,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
               f"empirical_variance={result.variance!r} "
               f"empirical_skewness={result.skewness!r}\n")
     out.write(f"# analytic_mean={ana_mean!r} analytic_variance={ana_var!r}\n")
-    out.write("n,count,frequency\n")
-    for n, c in result.histogram_items():
-        out.write(f"{n},{c},{c / args.samples!r}\n")
+    _emit(("n", "count", "frequency"),
+          [(n, c, c / args.samples) for n, c in result.histogram_items()])
     return 0
 
 
@@ -220,6 +161,41 @@ def analytic_mean_variance(params: RunParams, variant: VariantSpec) -> tuple:
     return float(mu), float(fm.value(2) + mu - mu * mu)
 
 
+# every flag, declared once; each command lists the flags it takes, in order
+_FLAGS = {
+    "--k": dict(type=int, required=True, help="run length (>= 1)"),
+    "--r": dict(type=int, required=True, help="number of runs (>= 1)"),
+    "--p": dict(required=True, help="success probability; 'a/b' selects exact mode, "
+                                    "a decimal selects float mode"),
+    "--exact": dict(action="store_true", help="force exact rational mode even for a decimal --p"),
+    "--n-min": dict(type=int, required=True),
+    "--n-max": dict(type=int, required=True),
+    "--engine": dict(required=True, choices=ENGINE_IDS),
+    "--engines": dict(required=True, help="comma-separated engine ids, each optionally "
+                                          "suffixed @full or @cut to pin its scheme"),
+    "--kind": dict(choices=("factorial", "raw", "central"), required=True),
+    "--order-max": dict(type=int, default=4),
+    "--route": dict(choices=ROUTE_IDS, default="partition"),
+    "--samples": dict(type=int, required=True),
+    "--seed": dict(type=int, default=0),
+    "--scheme": dict(choices=SCHEME_IDS, default="full"),
+    "--variant": dict(default="type1", help="type1 | type2 | overlap=L | gap=G"),
+    "--tolerance": dict(type=float, default=1e-11),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
+_PARAMS = ("--k", "--r", "--p", "--exact")
+_COMMANDS = (
+    ("pmf", cmd_pmf, "tabulate a pmf engine over an index range",
+     (*_PARAMS, "--n-min", "--n-max", "--engine", "--scheme", "--variant", "--format")),
+    ("moments", cmd_moments, "tabulate moments by a chosen route",
+     (*_PARAMS, "--kind", "--order-max", "--route", "--scheme", "--variant", "--format")),
+    ("compare", cmd_compare, "cross-check engines over a range",
+     (*_PARAMS, "--n-min", "--n-max", "--engines", "--scheme", "--variant", "--tolerance")),
+    ("simulate", cmd_simulate, "Monte Carlo run with a fixed seed",
+     (*_PARAMS, "--samples", "--seed", "--variant")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="runsdist",
@@ -227,47 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "trials: pmf engines, moments, comparisons, simulation.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("pmf", help="tabulate a pmf engine over an index range")
-    _add_param_flags(sp)
-    sp.add_argument("--n-min", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--engine", required=True, choices=ENGINE_IDS)
-    sp.add_argument("--scheme", choices=("full", "cut"), default="full")
-    sp.add_argument("--variant", default="type1",
-                    help="type1 | type2 | overlap=L | gap=G")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=cmd_pmf)
-
-    sm = subs.add_parser("moments", help="tabulate moments by a chosen route")
-    _add_param_flags(sm)
-    sm.add_argument("--kind", choices=("factorial", "raw", "central"),
-                    required=True)
-    sm.add_argument("--order-max", type=int, default=4)
-    sm.add_argument("--route", choices=ROUTE_IDS, default="partition")
-    sm.add_argument("--scheme", choices=("full", "cut"), default="full")
-    sm.add_argument("--variant", default="type1")
-    sm.add_argument("--format", choices=("csv", "json"), default="csv")
-    sm.set_defaults(func=cmd_moments)
-
-    sc = subs.add_parser("compare", help="cross-check engines over a range")
-    _add_param_flags(sc)
-    sc.add_argument("--n-min", type=int, required=True)
-    sc.add_argument("--n-max", type=int, required=True)
-    sc.add_argument("--engines", required=True,
-                    help="comma-separated engine ids, each optionally "
-                         "suffixed @full or @cut to pin its scheme")
-    sc.add_argument("--scheme", choices=("full", "cut"), default="full")
-    sc.add_argument("--variant", default="type1")
-    sc.add_argument("--tolerance", type=float, default=1e-11)
-    sc.set_defaults(func=cmd_compare)
-
-    ss = subs.add_parser("simulate", help="Monte Carlo run with a fixed seed")
-    _add_param_flags(ss)
-    ss.add_argument("--samples", type=int, required=True)
-    ss.add_argument("--seed", type=int, default=0)
-    ss.add_argument("--variant", default="type1")
-    ss.set_defaults(func=cmd_simulate)
+    for name, func, summary, flags in _COMMANDS:
+        sub = subs.add_parser(name, help=summary)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -279,6 +219,8 @@ def main(argv=None) -> int:
     except NumericFailure as err:  # before any output; exit 1 would read as a mismatch
         print(f"{parser.prog} {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:  # the library refused the request
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

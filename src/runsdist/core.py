@@ -347,10 +347,11 @@ def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
 
 
 class NumericFailure(RuntimeError):
-    """A numeric method missed its stated accuracy, so it raised instead of returning a value.
+    """A numeric method cannot return a value within its stated accuracy or bound, so it raised.
 
-    The root engine's errors derive from it; the CLI reports it by name with
-    exit code 2 without loading that engine first.
+    The root engine's errors, the float recurrence's underflow, the summation
+    route's open window and Monte Carlo's trial cap derive from it; the CLI
+    reports each by name with exit code 2 without loading the root engine.
     """
 
 

@@ -19,8 +19,8 @@ from enum import Enum
 from fractions import Fraction
 from operator import mul
 
-from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams, Scalar,
-                   VariantSpec, convert_index, rational_pgf, shift_moments)
+from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, NumericFailure, PmfTable, RunParams,
+                   Scalar, VariantSpec, convert_index, rational_pgf, shift_moments)
 from .pmf import pmf_recurrence_pg
 from .special import _series_div, binom, eulerian_poly, falling, stirling2
 
@@ -266,6 +266,11 @@ def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
 
 
 _WINDOW_SIGMAS = 30.0  # standard deviations past the mean that a summation window spans
+_WINDOW_DOUBLINGS = 40  # times the summation route doubles its window before it gives up
+
+
+class SummationWindowNotClosed(NumericFailure):
+    """The summation route's window doubled to its cap without bounding the moment tail."""
 
 
 def summation_window(params: RunParams) -> int:
@@ -287,7 +292,7 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
     """
     fp = params.to_float()
     n_max = summation_window(fp)
-    for _ in range(40):
+    for _ in range(_WINDOW_DOUBLINGS):
         table = pmf_recurrence_pg(fp, n_max)
         ms = moments_from_table(table, order_max, kind, scheme)
         last, prev = table.value(n_max), table.value(n_max - 1)
@@ -299,7 +304,8 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
             if tail <= 1e-12 * abs(ms.value(order_max)):
                 return ms
         n_max *= 2
-    raise RuntimeError("summation window failed to close the moment tail")
+    raise SummationWindowNotClosed(f"the moment tail stayed open after {_WINDOW_DOUBLINGS} "
+                                   "window doublings; use the pgf or partition route")
 
 
 def _taylor_shift(poly: list, length: int) -> list:

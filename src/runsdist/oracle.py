@@ -30,7 +30,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import TYPE1, IndexScheme, PmfTable, PowerRatio, RunParams, VariantSpec
+from .core import (TYPE1, IndexScheme, NumericFailure, PmfTable, PowerRatio, RunParams,
+                   VariantSpec)
 
 
 class CountingMode(Enum):
@@ -224,6 +225,13 @@ class MonteCarloResult:
                 yield n, c
 
 
+_TRIALS_MAX = 10_000_000  # trials a Monte Carlo run takes before it gives up
+
+
+class SimulationNotAbsorbed(NumericFailure):
+    """A Monte Carlo run reached its trial cap with streams still waiting for their runs."""
+
+
 def monte_carlo(params: RunParams, semantics: CountingSemantics,
                 samples: int, seed: int) -> MonteCarloResult:
     """Simulate Bernoulli streams with a seeded Philox generator.
@@ -256,8 +264,9 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
     t = 0
     while idx.size:
         t += 1
-        if t > 10_000_000:
-            raise RuntimeError("simulation failed to absorb; check parameters")
+        if t > _TRIALS_MAX:
+            raise SimulationNotAbsorbed(f"streams still running after {_TRIALS_MAX} trials; "
+                                        "check parameters")
         succ = rng.random(idx.size) < p
         if type2:
             prog += prog >= 0

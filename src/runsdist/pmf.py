@@ -56,6 +56,7 @@ values, so each of their tables is built and checked once.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -64,8 +65,8 @@ from itertools import repeat
 from operator import add, floordiv, mul, sub
 from typing import Callable
 
-from .core import (TYPE1, IndexScheme, PmfTable, PowerRatio, RunParams, Scalar, TermCounter,
-                   VariantSpec, convert_index, support_min)
+from .core import (TYPE1, IndexScheme, NumericFailure, PmfTable, PowerRatio, RunParams, Scalar,
+                   TermCounter, VariantSpec, convert_index, support_min)
 from .special import HornerLadder, binom, fixed_point_horner
 
 
@@ -90,6 +91,10 @@ class MuselliForm(Enum):
     ALT = "alt"
 
 
+class RecurrenceUnderflow(NumericFailure):
+    """The float recurrence's terms ``p^j P_(n-j)`` would fall below the smallest normal double."""
+
+
 def _recurrence_values(params: RunParams, n_max: int) -> list:
     """Full-scheme pmf values at ``r*k .. n_max`` by the order-k recurrence.
 
@@ -101,12 +106,17 @@ def _recurrence_values(params: RunParams, n_max: int) -> list:
     ``N_n = b sum_j (n - rk + j(r-1)) a^(j-1) N_{n-j} / (n-rk)`` with
     ``b = d - a``, where the division is exact, and builds one fraction per
     entry by :class:`~runsdist.core.PowerRatio`, which strips only the
-    primes of ``d``.
+    primes of ``d``. A float ``p`` whose ``p^((r+1)k)`` is below the smallest
+    normal double raises :class:`RecurrenceUnderflow` first: the terms
+    ``p^j P_(n-j)`` would underflow before ``q/p`` scales them back.
     """
     k, r, p = params.k, params.r, params.p
     rk = r * k
     if n_max < rk:
         raise ValueError(f"n_max must be at least r*k = {rk}")
+    if not params.exact and p ** ((r + 1) * k) < sys.float_info.min:
+        raise RecurrenceUnderflow(f"p^((r+1)k) = {p!r}^{(r + 1) * k} is below the smallest "
+                                  "normal double; use nested-sum or an exact p")
     if params.exact:
         a, d = p.numerator, p.denominator
         b = d - a
@@ -255,7 +265,7 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     table of :func:`_fullsum_values`.
     """
     if n < 0:
-        return params.finalize(0)
+        return params.finalize(Fraction(0))
     return _fullsum_values(params, n, n)[0]
 
 
@@ -353,7 +363,7 @@ def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.
     """
     m = n - params.r * params.k if scheme is IndexScheme.FULL else n
     if m < 0:
-        return params.finalize(0)
+        return params.finalize(Fraction(0))
     return _nested_values(params, m, m, counter)[0]
 
 
@@ -416,7 +426,7 @@ def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) ->
     """
     m = n - params.r * params.k if scheme is IndexScheme.FULL else n
     if m < 0:
-        return params.finalize(0)
+        return params.finalize(Fraction(0))
     return _hyp_values(params, m, m)[0]
 
 
@@ -449,7 +459,7 @@ def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
     A single index is a one-row table of :func:`_pgf_expansion_values`.
     """
     if n < params.r * params.k:
-        return params.finalize(0)
+        return params.finalize(Fraction(0))
     return _pgf_expansion_values(params, n, n)[0]
 
 
@@ -628,8 +638,10 @@ class EngineSpec:
         return support_min(params, VariantSpec(overlap=ell), self.scheme)
 
     def check(self, params: RunParams, scheme: IndexScheme, variant: VariantSpec,
-              n_min: int) -> None:
+              n_min: int, n_max: int) -> None:
         """Raise ``ValueError`` for a request that has no meaning for this engine."""
+        if n_max < n_min:
+            raise ValueError("n_max must be at least n_min")
         name = self.engine.value
         variant.check_against(params)
         if variant.type2 != (self.family is not EngineFamily.TYPE1):
@@ -715,12 +727,10 @@ def pmf_table(params: RunParams, engine: PmfEngine, n_min: int, n_max: int,
     the root-based engine that of the requested overlap), and evaluates the
     rest in one call.
     """
-    if n_max < n_min:
-        raise ValueError("n_max must be at least n_min")
     spec = ENGINES[engine]
     if spec.family is EngineFamily.COUNTS:
         raise ValueError(f"{engine.value} is a run-count engine, not a waiting-time pmf")
-    spec.check(params, scheme, variant, n_min)
+    spec.check(params, scheme, variant, n_min, n_max)
     shift = (params.r - 1) * variant.gap
     lo, hi = (convert_index(n - shift, scheme, spec.scheme, params) for n in (n_min, n_max))
     ell = max(variant.overlap, 0)

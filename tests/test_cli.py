@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from runsdist import cli
+from runsdist import cli, moments, oracle
 from runsdist.core import RunParams, VariantSpec
 from runsdist.moments import factorial_moments_pgf, mean, variance
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time
@@ -23,6 +24,46 @@ def run_cli(capsys, *args):
         code = exc.code if isinstance(exc.code, int) else 2
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+ENGINE_IDS = ("recurrence-pg", "recurrence-ch", "fullsum-ch", "nested-sum", "hyp-sum",
+              "pgf-expansion", "root-based", "muselli-original", "muselli-alt",
+              "muselli-counts-original", "muselli-counts-alt")
+PARAM_FLAGS = {"--k": (None, None, int, True), "--r": (None, None, int, True),
+               "--p": (None, None, None, True), "--exact": (False, None, None, False),
+               "--variant": ("type1", None, None, False)}
+RANGE_FLAGS = {"--n-min": (None, None, int, True), "--n-max": (None, None, int, True)}
+SCHEME_FLAG = {"--scheme": ("full", ("full", "cut"), None, False)}
+FORMAT_FLAG = {"--format": ("csv", ("csv", "json"), None, False)}
+
+# option -> (default, choices, type, required), per subcommand
+SURFACE = {
+    "pmf": {**PARAM_FLAGS, **RANGE_FLAGS, **SCHEME_FLAG, **FORMAT_FLAG,
+            "--engine": (None, ENGINE_IDS, None, True)},
+    "moments": {**PARAM_FLAGS, **SCHEME_FLAG, **FORMAT_FLAG,
+                "--kind": (None, ("factorial", "raw", "central"), None, True),
+                "--order-max": (4, None, int, False),
+                "--route": ("partition", ("recurrence", "partition", "pgf", "root", "summation"),
+                            None, False)},
+    "compare": {**PARAM_FLAGS, **RANGE_FLAGS, **SCHEME_FLAG,
+                "--engines": (None, None, None, True),
+                "--tolerance": (1e-11, None, float, False)},
+    "simulate": {**PARAM_FLAGS, "--samples": (None, None, int, True),
+                 "--seed": (0, None, int, False)},
+}
+
+
+def test_option_surface():
+    """Every subcommand keeps its option names, defaults, choices, types and required flags."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(SURFACE)
+    for command, sub in subs.choices.items():
+        got = {a.option_strings[0]: (a.default, None if a.choices is None else tuple(a.choices),
+                                     a.type, a.required)
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert all(len(a.option_strings) == 1 for a in sub._actions[1:]), command
+        assert got == SURFACE[command], command
 
 
 class TestPmfCommand:
@@ -69,7 +110,7 @@ class TestPmfCommand:
                                  "--engine", "recurrence-pg")
         assert code == 2
         assert out == ""
-        assert "nan" in err
+        assert "pmf: RecurrenceUnderflow: " in err
 
     def test_unparseable_p_exits_2(self, capsys):
         for text in ("abc", "1/0"):
@@ -128,6 +169,14 @@ class TestPmfCommand:
                                "--variant", "type2", "--scheme", "cut")
         assert code == 2
         assert out == ""
+
+    def test_counts_engine_rejects_reversed_range(self, capsys):
+        code, out, err = run_cli(capsys, "pmf", "--k", "2", "--r", "1", "--p", "1/2",
+                                 "--n-min", "5", "--n-max", "3",
+                                 "--engine", "muselli-counts-alt", "--variant", "type2")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
 
 
 class TestMomentsCommand:
@@ -311,7 +360,7 @@ class TestTypeIIAnalytic:
 
 
 class TestNumericFailures:
-    """A root-engine failure exits 2 by name; exit 1 is a failed comparison."""
+    """A numeric failure exits 2 by name; exit 1 is a failed comparison."""
 
     ILL = ["--k", "3", "--r", "10", "--p", "0.5"]
 
@@ -325,6 +374,23 @@ class TestNumericFailures:
           "--engine", "root-based"], "RootToleranceExceeded"),
     ], ids=["pmf", "moments", "compare", "pmf-k80"])
     def test_named_error_exits_2(self, capsys, args, name):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert f"{args[0]}: {name}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("module, cap, value, args, name", [
+        (oracle, "_TRIALS_MAX", 1,
+         ["simulate", "--k", "2", "--r", "1", "--p", "0.5", "--samples", "10"],
+         "SimulationNotAbsorbed"),
+        (moments, "_WINDOW_DOUBLINGS", 0,
+         ["moments", "--k", "2", "--r", "1", "--p", "0.5", "--kind", "raw",
+          "--route", "summation"], "SummationWindowNotClosed"),
+    ], ids=["simulate", "moments-summation"])
+    def test_lowered_cap_exits_2_by_name(self, capsys, monkeypatch, module, cap, value, args,
+                                         name):
+        monkeypatch.setattr(module, cap, value)
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""

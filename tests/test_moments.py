@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from runsdist import moments
 from runsdist.core import IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
-from runsdist.moments import (MomentRoute, central_from_raw, central_moments,
-                              factorial_moments_partition,
+from runsdist.moments import (MomentRoute, SummationWindowNotClosed, central_from_raw,
+                              central_moments, factorial_moments_partition,
                               factorial_moments_pgf, factorial_moments_recurrence,
                               mean, moments_by_summation, moments_from_table,
                               moments_via_route, raw_from_factorial,
@@ -253,6 +254,11 @@ class TestClosedForms:
             assert abs(ms.value(1) - mean(params)) <= 1e-10 * mean(params)
             var = ms.value(2) - ms.value(1) ** 2
             assert abs(var - variance(params)) <= 1e-8 * variance(params)
+
+    def test_summation_window_cap_raises_by_name(self, monkeypatch):
+        monkeypatch.setattr(moments, "_WINDOW_DOUBLINGS", 0)
+        with pytest.raises(SummationWindowNotClosed, match="after 0 window doublings"):
+            moments_by_summation(RunParams(2, 1, 0.5), 2, MomentKind.RAW, F)
 
 
 class TestCentralMoments:

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from runsdist import oracle
 from runsdist.core import RunParams
-from runsdist.oracle import (CountingMode, CountingSemantics, brute_force_pmf,
-                             brute_force_run_count_dist, dp_waiting_time,
-                             dp_waiting_time_pmf, monte_carlo,
-                             sequence_waiting_time)
+from runsdist.oracle import (CountingMode, CountingSemantics, SimulationNotAbsorbed,
+                             brute_force_pmf, brute_force_run_count_dist, dp_waiting_time,
+                             dp_waiting_time_pmf, monte_carlo, sequence_waiting_time)
 from runsdist.pmf import support_min
 
 HALF = Fraction(1, 2)
@@ -236,3 +236,9 @@ class TestMonteCarlo:
             monte_carlo(RunParams(1, 1, 0.5), TYPE1, 0, seed=0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             monte_carlo(RunParams(1, 1, 0.5), TYPE1, 10, seed=-1)
+
+    def test_trial_cap_raises_by_name(self, monkeypatch):
+        # a run of 2 takes at least 2 trials
+        monkeypatch.setattr(oracle, "_TRIALS_MAX", 1)
+        with pytest.raises(SimulationNotAbsorbed, match="after 1 trials"):
+            monte_carlo(RunParams(2, 1, 0.5), TYPE1, 10, seed=0)

@@ -5,10 +5,10 @@ import pytest
 from runsdist.core import TYPE1, IndexScheme, RunParams, VariantSpec
 from runsdist.oracle import (CountingMode, CountingSemantics,
                              brute_force_run_count_dist, dp_waiting_time_pmf)
-from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, TermCounter,
-                          counts_muselli, pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
-                          pmf_pgf_expansion, pmf_recurrence_pg,
-                          pmf_table, support_min)
+from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, RecurrenceUnderflow,
+                          TermCounter, counts_muselli, pmf_fullsum_ch, pmf_hyp, pmf_muselli,
+                          pmf_nested_sum, pmf_pgf_expansion, pmf_recurrence_pg, pmf_table,
+                          support_min)
 from runsdist import special
 from runsdist.special import binom, homogeneous_horner
 
@@ -396,11 +396,23 @@ class TestDispatcher:
 
     def test_nan_value_is_rejected(self):
         # at p = 5e-324 the float recurrence's q/p overflows to inf and meets a
-        # zero, so its table holds NaN; the sums return the value, about p
+        # zero, so its table would hold NaN; the underflow check refuses p first,
+        # and the sums return the value, about p
         params = RunParams(1, 1, 5e-324)
-        with pytest.raises(ValueError, match="nan"):
+        with pytest.raises(RecurrenceUnderflow):
             pmf_table(params, PmfEngine.RECURRENCE_PG, 1, 3)
         assert pmf_table(params, PmfEngine.NESTED_SUM, 1, 3).values == (5e-324,) * 3
+
+    def test_tiny_p_underflow_is_refused(self):
+        # each p^j P_(n-j) falls below the smallest normal double before q/p
+        # scales it back, so the recurrence read 0.0 at n = 2 and 3
+        params = RunParams(1, 1, 1e-200)
+        for engine, lo in ((PmfEngine.RECURRENCE_PG, 1), (PmfEngine.RECURRENCE_CH, 0)):
+            with pytest.raises(RecurrenceUnderflow, match="nested-sum or an exact p"):
+                pmf_table(params, engine, lo, lo + 2, scheme=ENGINES[engine].scheme)
+        assert pmf_table(params, PmfEngine.NESTED_SUM, 1, 3).values == (1e-200,) * 3
+        exact = pmf_table(params.to_exact(), PmfEngine.RECURRENCE_PG, 1, 3).values
+        assert tuple(map(float, exact)) == (1e-200,) * 3
 
     def test_engine_table_has_one_record_per_engine(self):
         assert list(ENGINES) == list(PmfEngine)

@@ -7,7 +7,8 @@ pgf-expansion tables start anywhere in ``[1, 120]``, ``[0, 100]`` and
 ``[0, 120]``, about half of them at or below 12, and run up to 20 indices.
 Float ``p`` with a full 53-bit significand holds the rounded nested,
 hypergeometric, pgf-expansion, Type II and run-count sums to the exact value
-at cut indices up to 800.
+at cut indices up to 800. Each single-index function equals the one-entry
+table of its engine in value and type, below the support too.
 The DP oracle itself is held to the exact rational pgf series for every
 family. Each property draws ``max_examples`` from the loaded
 hypothesis profile (see ``conftest.py``).
@@ -197,6 +198,28 @@ def test_nested_hyp_pgf_tables_equal_single_index_and_dp(params, exact, n_min, w
     if exact:
         dp = dp_waiting_time_pmf(params, TYPE1_SEM, n_max + rk).values[n_min + rk - 1:]
         assert table == dp
+
+
+@PROPERTY
+@given(run_params(), st.booleans(), st.integers(-4, 12))
+def test_single_index_equals_one_entry_table(params, exact, offset):
+    # below the support a single index is the zero a table pads: Fraction(0)
+    # in exact mode, 0.0 in float mode
+    params = params if exact else params.to_float()
+    rk = params.r * params.k
+    cases = [(pmf_fullsum_ch, (offset,), PmfEngine.FULLSUM_CH, C, TYPE1),
+             (pmf_pgf_expansion, (rk + offset,), PmfEngine.PGF_EXPANSION, F, TYPE1)]
+    for fn, engine in ((pmf_nested_sum, PmfEngine.NESTED_SUM), (pmf_hyp, PmfEngine.HYP_SUM)):
+        cases += [(fn, (offset, C), engine, C, TYPE1), (fn, (rk + offset, F), engine, F, TYPE1)]
+    type2 = VariantSpec.type_ii()
+    n = support_min(params, type2) + offset
+    if n >= 1:  # both refuse a Type II index below 1
+        cases += [(pmf_muselli, (n, form), engine, F, type2) for form, engine in (
+            (MuselliForm.ORIGINAL, PmfEngine.MUSELLI_ORIGINAL),
+            (MuselliForm.ALT, PmfEngine.MUSELLI_ALT))]
+    for fn, args, engine, scheme, variant in cases:
+        table = pmf_table(params, engine, args[0], args[0], scheme, variant).values
+        assert _same((fn(params, *args),), table), (fn.__name__, args)
 
 
 @PROPERTY
