@@ -474,6 +474,14 @@ def convert_index(n: int, src: IndexScheme, dst: IndexScheme, params: RunParams)
     return n - rk if dst is IndexScheme.CUT else n + rk
 
 
+def _shifted_numerators(nums: list, d, a: int, factorial: bool) -> list:
+    """:func:`shift_moments` on numerators over ``d^n``: ``sum_i C(n, i) N_(n-i) a^(i) d^i``."""
+    power = falling if factorial else pow
+    dpow = [d ** i for i in range(len(nums))]
+    return [1] + [sum(binom(n, i) * nums[n - i] * power(a, i) * dpow[i] for i in range(n + 1))
+                  for n in range(1, len(nums))]
+
+
 def shift_moments(ms: MomentSet, a: int) -> MomentSet:
     """Full-scheme moments of ``X + a`` from the factorial or raw moments of ``X``.
 
@@ -486,9 +494,5 @@ def shift_moments(ms: MomentSet, a: int) -> MomentSet:
     """
     if ms.kind is MomentKind.CENTRAL:
         raise ValueError("central moments do not change under a shift")
-    power = falling if ms.kind is MomentKind.FACTORIAL else pow
-    out = []
-    for n in range(1, ms.order_max + 1):
-        out.append(sum(binom(n, i) * ms.value(n - i) * power(a, i)
-                       for i in range(n + 1)))
-    return MomentSet(ms.kind, IndexScheme.FULL, tuple(out))
+    nums = _shifted_numerators([1, *ms.values], 1, a, ms.kind is MomentKind.FACTORIAL)
+    return MomentSet(ms.kind, IndexScheme.FULL, tuple(nums[1:]))

@@ -8,8 +8,11 @@ The generating-function route covers every counting family, since each
 family's pgf is rational (:func:`runsdist.core.rational_pgf`); the others,
 and the root expansion of :mod:`runsdist.roots`, reach the minimum-gap
 variant by shifting Type I moments, and the root expansion also fits the
-overlap families. Coefficient families and the finite routes are evaluated
-in exact rational arithmetic internally, like the sum-type pmf engines.
+overlap families. The finite routes and closed forms run on integers: for
+``p = a/b`` each coefficient family is ``Y_j / ((b - a)^j a^k)``, each moment
+of order ``n`` an integer over ``((b - a) a^k)^n`` (the pgf route's over a
+power of its own denominator), converted between kinds and shifted on those
+numerators, and built once: a Fraction in exact mode, rounded once in float.
 """
 
 from __future__ import annotations
@@ -17,12 +20,16 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import accumulate
 from operator import mul
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, NumericFailure, PmfTable, RunParams,
-                   Scalar, VariantSpec, convert_index, rational_pgf, shift_moments)
+                   Scalar, VariantSpec, _shifted_numerators, convert_index, rational_pgf,
+                   shift_moments)
 from .pmf import pmf_recurrence_pg
-from .special import _series_div, binom, eulerian_poly, falling, stirling2
+from .special import (_eulerian_row, _series_div, _stirling2_row, binom, falling,
+                      homogeneous_horner)
 
 
 class MomentRoute(Enum):
@@ -33,49 +40,74 @@ class MomentRoute(Enum):
     SUMMATION = "summation"
 
 
-def _exact_pq(params: RunParams):
-    p = params.exact_p()
-    return p, 1 - p
+def _ratio(params: RunParams) -> tuple:
+    """``(a, b, c)`` with ``p = a/b`` in lowest terms and ``c = b - a``."""
+    a, b = params.p.as_integer_ratio()
+    return a, b, b - a
 
 
-def _coeff_factorial_cut(params: RunParams, j: int) -> Fraction:
-    p, q = _exact_pq(params)
-    k = params.k
-    inner = p ** (j - 1) * (1 - p ** k)
-    inner -= p ** k * sum(binom(k, i) * p ** (j - i - 1) * q ** i
-                          for i in range(1, j))
-    return math.factorial(j) / (q ** j * p ** k) * inner - falling(k, j)
+def _scalar(params: RunParams, num: int, den: int) -> Scalar:
+    """``num / den`` in the mode of ``params``: a canonical Fraction, or rounded once."""
+    return Fraction(num, den) if params.exact else num / den
 
 
-def _coeff_factorial_full(params: RunParams, j: int) -> Fraction:
-    p, q = _exact_pq(params)
-    k = params.k
-    inner = p ** (j - 1) * (1 - p ** k)
-    for i in range(1, j):
-        term = binom(k + i - 1, i) * p ** (j - i - 1) * q ** i
-        inner += -term if i & 1 else term
-    return math.factorial(j) / (q ** j * p ** k) * inner
+def _moment_set(params: RunParams, kind: MomentKind, scheme: IndexScheme, nums: list,
+                d: int) -> MomentSet:
+    """The moments ``nums[n] / d^n`` of orders ``1 .. len(nums) - 1``, each built once."""
+    return MomentSet(kind, scheme, tuple(_scalar(params, num, d ** n)
+                                         for n, num in enumerate(nums) if n))
 
 
-def _coeff_raw_cut(params: RunParams, j: int) -> Fraction:
-    p, q = _exact_pq(params)
-    k = params.k
-    kq = k * q
-    xi = (1 - p ** k) * eulerian_poly(j, p)
-    xi -= p ** k * sum(binom(j, i) * kq ** i * eulerian_poly(j - i, p)
-                       for i in range(1, j + 1))
-    return xi / (q ** j * p ** k)
+# Each coefficient family is C_j = Y_j / (c^j a^k) for p = a/b and c = b - a,
+# returned as [0, Y_1, .., Y_J]; a moment of order n is then N_n / (c a^k)^n.
+# The factorial families' inner sums are taken times b^(k+j-1), the raw ones' times b^(k+j).
+
+def _coeff_factorial_cut(params: RunParams, order_max: int) -> list:
+    (a, b, c), k = _ratio(params), params.k
+    ak, bk = a ** k, b ** k
+    inner = [a ** (j - 1) * bk - ak * homogeneous_horner([binom(k, i) for i in range(j)], c, a)
+             for j in range(1, order_max + 1)]
+    return [0] + [math.factorial(j) * b * x - falling(k, j) * c ** j * ak
+                  for j, x in enumerate(inner, start=1)]
 
 
-def _coeff_raw_full(params: RunParams, j: int) -> Fraction:
-    p, q = _exact_pq(params)
-    k = params.k
-    kq = k * q
-    chi = (1 - p ** k) * eulerian_poly(j, p)
-    for i in range(1, j):
-        term = binom(j, i) * kq ** i * eulerian_poly(j - i, p)
-        chi += -term if i & 1 else term
-    return chi / (q ** j * p ** k)
+def _coeff_factorial_full(params: RunParams, order_max: int) -> list:
+    (a, b, c), k = _ratio(params), params.k
+    inner = [b ** k * homogeneous_horner([(-1) ** i * binom(k + i - 1, i) for i in range(j)], c, a)
+             - a ** (k + j - 1) for j in range(1, order_max + 1)]
+    return [0] + [math.factorial(j) * b * x for j, x in enumerate(inner, start=1)]
+
+
+def _raw_family(params: RunParams, order_max: int, cut: bool) -> list:
+    """``Y_j`` of the raw families from ``E_m = b^m A_m(a/b)``, ``A_m`` the Eulerian polynomial."""
+    (a, b, c), k = _ratio(params), params.k
+    ak, bk, kc = a ** k, b ** k, k * c
+    e = [1] + [b * homogeneous_horner(_eulerian_row(m), a, b) for m in range(1, order_max + 1)]
+    if cut:
+        return [0] + [bk * e[j] - ak * sum(binom(j, i) * kc ** i * e[j - i] for i in range(j + 1))
+                      for j in range(1, order_max + 1)]
+    return [0] + [bk * sum((-1) ** i * binom(j, i) * kc ** i * e[j - i] for i in range(j))
+                  - ak * e[j] for j in range(1, order_max + 1)]
+
+
+_coeff_raw_cut, _coeff_raw_full = partial(_raw_family, cut=True), partial(_raw_family, cut=False)
+_FAMILIES = {(MomentKind.FACTORIAL, IndexScheme.CUT): _coeff_factorial_cut,
+             (MomentKind.FACTORIAL, IndexScheme.FULL): _coeff_factorial_full,
+             (MomentKind.RAW, IndexScheme.CUT): _coeff_raw_cut,
+             (MomentKind.RAW, IndexScheme.FULL): _coeff_raw_full}
+
+
+def _recurrence_numerators(params: RunParams, order_max: int) -> tuple:
+    """Cut-scheme factorial moment numerators ``N_n`` over ``d^n``, and ``d = c a^k``: with
+    ``Z_j = Y_j a^(k(j-1))``, ``N_n = sum_j C(n, j) (n + rj - j) Z_j N_(n-j) / n`` exactly."""
+    (a, _, c), k, r = _ratio(params), params.k, params.r
+    ys = _coeff_factorial_cut(params, min(order_max, k))
+    z = [y * a ** (k * (j - 1)) for j, y in enumerate(ys)]
+    nums = [1]
+    for n in range(1, order_max + 1):
+        nums.append(sum(binom(n, j) * (n + r * j - j) * z[j] * nums[n - j]
+                        for j in range(1, min(n, k) + 1)) // n)
+    return nums, c * a ** k
 
 
 def factorial_moments_recurrence(params: RunParams, order_max: int) -> MomentSet:
@@ -86,59 +118,47 @@ def factorial_moments_recurrence(params: RunParams, order_max: int) -> MomentSet
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
-    k, r = params.k, params.r
-    cj = {j: _coeff_factorial_cut(params, j) for j in range(1, min(order_max, k) + 1)}
-    m = [Fraction(1)]
-    for n in range(1, order_max + 1):
-        acc = Fraction(0)
-        for j in range(1, min(n, k) + 1):
-            acc += binom(n, j) * (n + r * j - j) * cj[j] * m[n - j]
-        m.append(acc / n)
-    return MomentSet(MomentKind.FACTORIAL, IndexScheme.CUT,
-                     tuple(params.finalize(v) for v in m[1:]))
+    return _moment_set(params, MomentKind.FACTORIAL, IndexScheme.CUT,
+                       *_recurrence_numerators(params, order_max))
 
 
-def _weighted_partitions(n: int, max_part: int):
-    """Yield solutions of ``sum j * mult_j = n`` as lists of (part, mult)."""
-    def rec(remaining: int, part: int, acc: list):
-        if remaining == 0:
-            yield list(acc)
-            return
-        if part == 0:
-            return
-        for mult in range(remaining // part, -1, -1):
-            if mult:
-                acc.append((part, mult))
-            yield from rec(remaining - part * mult, part - 1, acc)
-            if mult:
-                acc.pop()
-
-    yield from rec(n, max_part, [])
+def _partitions(n: int, top: int) -> tuple:
+    """The partitions of ``n`` into parts ``<= top``, each a tuple of ``(part, mult)``."""
+    if n == 0 or top == 0:
+        return ((),) if n == 0 else ()
+    return tuple(((top, m),) + rest if m else rest for m in range(n // top, -1, -1)
+                 for rest in _partitions(n - top * m, top - 1))
 
 
-def _partition_values(params: RunParams, order_max: int, coeff_fn) -> list:
-    """Shared partition-sum core for factorial and raw moments.
+@lru_cache(maxsize=None)
+def _partition_terms(n: int) -> tuple:
+    """Each partition of ``n`` as ``(s, n! / prod((j!)^m_j m_j!), partition)``, ``s`` parts.
+    Kept for every order asked: 271 entries up to order 12, 28,628 up to 30."""
+    return tuple((sum(m for _, m in combo),
+                  math.factorial(n) // math.prod(math.factorial(j) ** m * math.factorial(m)
+                                                 for j, m in combo), combo)
+                 for combo in _partitions(n, n))
 
-    Parts run up to the moment order itself: the full-scheme coefficient
-    families are nonzero beyond order ``k`` and those terms are required for
-    the scheme-shift identities to hold (the cut-scheme factorial family
-    vanishes above ``k``, so the wider bound is harmless there).
+
+def _partition_numerators(params: RunParams, order_max: int, family) -> tuple:
+    """Numerators ``N_n`` over ``d^n`` of the partition sums of one family, and ``d = c a^k``.
+
+    The moment ``n! sum falling(r+s-1, s) prod (C_j/j!)^m_j / m_j!`` runs over
+    the partitions of ``n`` into ``s`` parts, up to the part ``n``, as the
+    full families are nonzero beyond order ``k`` (the cut factorial family
+    is not). ``N_n`` sums the integers
+    ``falling(r+s-1, s) n!/prod((j!)^m_j m_j!) prod Y_j^m_j a^(k(n-s))``.
     """
-    r = params.r
-    coeffs = {j: coeff_fn(params, j) for j in range(1, order_max + 1)}
-    out = []
+    (a, _, c), r = _ratio(params), params.r
+    ak, ys = a ** params.k, family(params, order_max)
+    ypow = {(j, m): ys[j] ** m for j in range(1, order_max + 1)
+            for m in range(1, order_max // j + 1)}
+    nums = [1]
     for n in range(1, order_max + 1):
-        acc = Fraction(0)
-        for combo in _weighted_partitions(n, n):
-            s = sum(mult for _, mult in combo)
-            prod = Fraction(falling(r + s - 1, s))
-            den = 1
-            for part, mult in combo:
-                prod *= (coeffs[part] / math.factorial(part)) ** mult
-                den *= math.factorial(mult)
-            acc += prod / den
-        out.append(math.factorial(n) * acc)
-    return out
+        scale = [falling(r + s - 1, s) * ak ** (n - s) for s in range(n + 1)]
+        nums.append(sum(weight * scale[s] * math.prod(map(ypow.__getitem__, combo))
+                        for s, weight, combo in _partition_terms(n)))
+    return nums, c * ak
 
 
 def factorial_moments_partition(params: RunParams, order_max: int,
@@ -146,11 +166,8 @@ def factorial_moments_partition(params: RunParams, order_max: int,
     """Factorial moments as closed-form partition sums, either scheme."""
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
-    fn = (_coeff_factorial_cut if scheme is IndexScheme.CUT
-          else _coeff_factorial_full)
-    vals = _partition_values(params, order_max, fn)
-    return MomentSet(MomentKind.FACTORIAL, scheme,
-                     tuple(params.finalize(v) for v in vals))
+    return _moment_set(params, MomentKind.FACTORIAL, scheme, *_partition_numerators(
+        params, order_max, _FAMILIES[MomentKind.FACTORIAL, scheme]))
 
 
 def raw_moments_partition(params: RunParams, order_max: int,
@@ -158,48 +175,42 @@ def raw_moments_partition(params: RunParams, order_max: int,
     """Raw moments as the same partition sums over the raw coefficients."""
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
-    fn = _coeff_raw_cut if scheme is IndexScheme.CUT else _coeff_raw_full
-    vals = _partition_values(params, order_max, fn)
-    return MomentSet(MomentKind.RAW, scheme,
-                     tuple(params.finalize(v) for v in vals))
+    return _moment_set(params, MomentKind.RAW, scheme, *_partition_numerators(
+        params, order_max, _FAMILIES[MomentKind.RAW, scheme]))
 
 
 def mean(params: RunParams, scheme: IndexScheme = IndexScheme.FULL) -> Scalar:
-    """Closed-form mean: ``r (1 - p^k) / (q p^k)``, minus ``r*k`` in cut scheme."""
-    p, q = _exact_pq(params)
-    k, r = params.k, params.r
-    mu = r * (1 - p ** k) / (q * p ** k)
-    if scheme is IndexScheme.CUT:
-        mu -= r * k
-    return params.finalize(mu)
+    """Closed-form mean ``r (1 - p^k) / (q p^k) = r b (b^k - a^k) / d``, less ``r*k`` if cut."""
+    (a, b, c), k, r = _ratio(params), params.k, params.r
+    d = c * a ** k
+    cut = scheme is IndexScheme.CUT
+    return _scalar(params, r * b * (b ** k - a ** k) - (r * k * d if cut else 0), d)
 
 
 def variance(params: RunParams) -> Scalar:
-    """Closed-form variance (scheme-independent)."""
-    p, q = _exact_pq(params)
-    k, r = params.k, params.r
-    w = q * p ** k
-    return params.finalize(r * (1 / w ** 2 - (2 * k + 1) / w - p / q ** 2))
+    """Closed-form variance ``r (1/w^2 - (2k+1)/w - p/q^2)``, over ``d^2`` as ``w = d/b^(k+1)``."""
+    (a, b, c), k, r = _ratio(params), params.k, params.r
+    d, bw = c * a ** k, b ** (k + 1)
+    return _scalar(params, r * (bw * bw - (2 * k + 1) * bw * d - a ** (2 * k + 1) * b), d * d)
 
 
 def central_moments(params: RunParams, order_max: int = 4) -> MomentSet:
     """Central moments up to order 4, from the raw coefficient families.
 
     The cut and full families give identical results here; the cut family is
-    used. Orders above 4 are out of scope for the closed forms; use the raw
-    routes plus :func:`central_from_raw` instead.
+    used, each ``t_j`` an integer over ``d^j``. Orders above 4 are out of scope
+    for the closed forms; use the raw routes plus :func:`central_from_raw`.
     """
     if not 1 <= order_max <= 4:
         raise ValueError("closed-form central moments cover orders 1..4")
-    r = params.r
-    t = {j: _coeff_raw_cut(params, j) for j in range(1, 5)}
-    var = r * (t[1] ** 2 + t[2])
-    m3 = r * (2 * t[1] ** 3 + 3 * t[1] * t[2] + t[3])
-    m4 = 3 * var ** 2 + r * (6 * t[1] ** 4 + 12 * t[1] ** 2 * t[2]
-                             + 3 * t[2] ** 2 + 4 * t[1] * t[3] + t[4])
-    vals = (Fraction(0), var, m3, m4)[:order_max]
-    return MomentSet(MomentKind.CENTRAL, IndexScheme.FULL,
-                     tuple(params.finalize(v) for v in vals))
+    (a, _, c), r, k = _ratio(params), params.r, params.k
+    _, t1, t2, t3, t4 = (y * a ** (k * (j - 1)) for j, y in enumerate(_coeff_raw_cut(params, 4)))
+    var = r * (t1 ** 2 + t2)
+    m3 = r * (2 * t1 ** 3 + 3 * t1 * t2 + t3)
+    m4 = 3 * var ** 2 + r * (6 * t1 ** 4 + 12 * t1 ** 2 * t2
+                             + 3 * t2 ** 2 + 4 * t1 * t3 + t4)
+    return _moment_set(params, MomentKind.CENTRAL, IndexScheme.FULL,
+                       [1, 0, var, m3, m4][:order_max + 1], c * a ** k)
 
 
 def shape_from_central(cm: MomentSet) -> tuple:
@@ -211,28 +222,40 @@ def shape_from_central(cm: MomentSet) -> tuple:
     return gamma, excess
 
 
+def _raw_numerators(nums: list, d) -> list:
+    """Raw moment numerators over ``d^n`` from factorial ones: ``sum_j S(n, j) N_j d^(n-j)``."""
+    dpow = [d ** i for i in range(len(nums))]
+    return [1] + [sum(_stirling2_row(n)[j] * nums[j] * dpow[n - j] for j in range(1, n + 1))
+                  for n in range(1, len(nums))]
+
+
+def _central_numerators(nums: list) -> list:
+    """Central numerators from raw ones, same ``d^n``: ``sum_i C(n, i) N_i (-N_1)^(n-i)``."""
+    negpow = [(-nums[1]) ** i for i in range(len(nums))]
+    return [1] + [sum(binom(n, i) * nums[i] * negpow[n - i] for i in range(n + 1))
+                  for n in range(1, len(nums))]
+
+
+def _from_factorial(nums: list, d, kind: MomentKind) -> list:
+    if kind is MomentKind.FACTORIAL:
+        return nums
+    raw = _raw_numerators(nums, d)
+    return raw if kind is MomentKind.RAW else _central_numerators(raw)
+
+
 def raw_from_factorial(ms: MomentSet) -> MomentSet:
     """Raw moments as the Stirling-number transform of factorial moments."""
     if ms.kind is not MomentKind.FACTORIAL:
         raise ValueError("raw_from_factorial needs factorial moments")
-    out = []
-    for n in range(1, ms.order_max + 1):
-        out.append(sum(stirling2(n, j) * ms.value(j) for j in range(1, n + 1)))
-    return MomentSet(MomentKind.RAW, ms.scheme, tuple(out))
+    return MomentSet(MomentKind.RAW, ms.scheme, tuple(_raw_numerators([1, *ms.values], 1)[1:]))
 
 
 def central_from_raw(ms: MomentSet) -> MomentSet:
     """Central moments by binomial expansion about the mean."""
     if ms.kind is not MomentKind.RAW:
         raise ValueError("central_from_raw needs raw moments")
-    mu = ms.value(1)
-    out = []
-    for n in range(1, ms.order_max + 1):
-        acc = 0
-        for i in range(n + 1):
-            acc += binom(n, i) * ms.value(i) * (-mu) ** (n - i)
-        out.append(acc)
-    return MomentSet(MomentKind.CENTRAL, ms.scheme, tuple(out))
+    return MomentSet(MomentKind.CENTRAL, ms.scheme,
+                     tuple(_central_numerators([1, *ms.values])[1:]))
 
 
 def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
@@ -243,17 +266,15 @@ def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
     anything; see :func:`summation_window`.
     """
     scheme = scheme or table.scheme
-    pairs = [(convert_index(n, table.scheme, scheme, table.params), v)
-             for n, v in table.items()]
+    n_min = convert_index(table.n_min, table.scheme, scheme, table.params)
+    ns, vs = range(n_min, n_min + len(table.values)), table.values
     if kind is MomentKind.CENTRAL:
-        mu = sum(n * v for n, v in pairs)
-        vals = [sum((n - mu) ** j * v for n, v in pairs)
+        mu = sum(n * v for n, v in zip(ns, vs))
+        vals = [sum((n - mu) ** j * v for n, v in zip(ns, vs))
                 for j in range(1, order_max + 1)]
     else:
         # each order's integer weights n^j or (n)_j from the order before;
         # the sums add the same products in the same order as one sum per order
-        ns = [n for n, _ in pairs]
-        vs = [v for _, v in pairs]
         weights = [1] * len(ns)
         vals = []
         for j in range(order_max):
@@ -309,9 +330,26 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
 
 
 def _taylor_shift(poly: list, length: int) -> list:
-    """The first ``length`` coefficients of ``poly(1 + t)`` in powers of ``t``."""
-    return [sum(binom(i, j) * poly[i] for i in range(j, len(poly)))
-            for j in range(length)]
+    """The first ``length`` coefficients of ``poly(1 + t)``: the remainders of
+    repeated synthetic division by ``s - 1``, running sums from the top."""
+    out, desc = [], poly[::-1]
+    for _ in range(length):
+        desc = list(accumulate(desc))
+        out.append(desc.pop() if desc else 0)
+    return out
+
+
+def _pgf_numerators(params: RunParams, order_max: int, variant: VariantSpec) -> tuple:
+    """Numerators ``j! H_j n_0^(j-1)`` of :func:`factorial_moments_pgf` over ``d^j``, and ``d``."""
+    _, shift, num, den = rational_pgf(params.to_exact(), variant)
+    length = order_max + 1
+    num_t = _taylor_shift([0] * shift + num, length)
+    den_t = _taylor_shift(den, length)
+    lead, n0 = den_t[0], num_t[0]
+    h = _series_div([c * lead ** i for i, c in enumerate(num_t)],
+                    [1] + [c * lead ** i for i, c in enumerate(den_t[1:])], length)
+    return ([1] + [math.factorial(j) * h[j] * n0 ** (j - 1) for j in range(1, length)],
+            n0 * lead)
 
 
 def factorial_moments_pgf(params: RunParams, order_max: int,
@@ -319,32 +357,19 @@ def factorial_moments_pgf(params: RunParams, order_max: int,
     """Full-scheme factorial moments of any family from its rational pgf.
 
     The factorial moment of order ``j`` is ``j! [t^j] P(1 + t)``. Both
-    integer polynomials of :func:`~runsdist.core.rational_pgf` are Taylor-shifted to
-    ``s = 1 + t`` and divided as power series to order ``order_max``: a
-    finite expansion with no tail. The shifted denominator's constant term
-    is ``b^((k+1) r) D_k(1)^r = ((b - a) a^k)^r`` for ``p = a/b``, which is
-    never zero. Always computed from ``exact_p()``; float mode rounds each
-    moment once.
+    integer polynomials of :func:`~runsdist.core.rational_pgf` are
+    Taylor-shifted to ``s = 1 + t`` and divided as power series to order
+    ``order_max``: a finite expansion with no tail. With ``L = den(1)``, never
+    zero (``((b - a) a^k)^r`` for type1), ``t = L u`` makes the shifted
+    denominator over ``L`` monic, so ``H_j = L^(j+1) [t^j] num/den`` are
+    integers; as ``scale num(1) = L``, the moment is ``j! H_j n_0^(j-1) / d^j``
+    for ``n_0 = num(1)`` and ``d = n_0 L``. Always computed from ``exact_p()``;
+    float mode rounds each moment once.
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
-    scale, shift, num, den = rational_pgf(params.to_exact(), variant)
-    length = order_max + 1
-    num_t = _taylor_shift([0] * shift + num, length)
-    den_t = _taylor_shift(den, length)
-    lead = den_t[0]
-    # num_t / den_t = quot / lead, with quot the series of num_t over den_t / lead
-    quot = _series_div(num_t, [Fraction(c, lead) for c in den_t], length)
-    return MomentSet(MomentKind.FACTORIAL, IndexScheme.FULL,
-                     tuple(params.finalize(Fraction(math.factorial(j) * scale, lead) * quot[j])
-                           for j in range(1, length)))
-
-
-def _from_factorial(fact: MomentSet, kind: MomentKind) -> MomentSet:
-    if kind is MomentKind.FACTORIAL:
-        return fact
-    raw = raw_from_factorial(fact)
-    return raw if kind is MomentKind.RAW else central_from_raw(raw)
+    return _moment_set(params, MomentKind.FACTORIAL, IndexScheme.FULL,
+                       *_pgf_numerators(params, order_max, variant))
 
 
 def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
@@ -352,15 +377,16 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
                       variant: VariantSpec = TYPE1) -> MomentSet:
     """Uniform front end over the moment routes and families, with kind/scheme conversion.
 
-    The ``pgf`` route covers every family: it converts factorial to raw to
-    central moments in exact rationals and rounds each value once. The other
-    routes compute Type I moments and reach the gap variant by shifting
-    them; the ``root`` route also fits the overlap families, and the rest
-    reject overlap and Type II with ``ValueError``. The generating-function
-    and root routes produce full-scheme moments and cannot be converted to
-    the cut scheme (there is no valid inverse shift), so asking them for
-    cut-scheme factorial or raw moments is an error, as is the cut scheme
-    for a gap.
+    The ``pgf`` route covers every family. The other routes compute Type I
+    moments and reach the gap variant by shifting them; the ``root`` route
+    also fits the overlap families, and the rest reject overlap and Type II
+    with ``ValueError``. The ``pgf``, ``partition`` and ``recurrence``
+    routes convert factorial to raw to central moments and shift them on
+    integer numerators over powers of one denominator, and round each value
+    once in float mode. The generating-function and root routes produce
+    full-scheme moments and cannot be converted to the cut scheme (there is
+    no valid inverse shift), so asking them for cut-scheme factorial or raw
+    moments is an error, as is the cut scheme for a gap.
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
@@ -373,34 +399,35 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
         raise ValueError("gap moments are full-scheme only")
 
     if route is MomentRoute.PGF:
-        ms = _from_factorial(factorial_moments_pgf(params.to_exact(), order_max, variant),
-                             kind)
-        return MomentSet(ms.kind, ms.scheme, tuple(params.finalize(v) for v in ms.values))
+        nums, d = _pgf_numerators(params, order_max, variant)
+        return _moment_set(params, kind, IndexScheme.FULL, _from_factorial(nums, d, kind), d)
     if variant.type2 or (variant.is_overlap and route is not MomentRoute.ROOT):
         raise ValueError(f"the {route.value} route does not cover {variant.describe()}")
-
+    shift = (params.r - 1) * variant.gap if variant.is_gap and not central else 0
     if route is MomentRoute.SUMMATION:
         ms = moments_by_summation(params, order_max, kind, scheme)
-    elif route is MomentRoute.RECURRENCE:
-        ms = _from_factorial(factorial_moments_recurrence(params, order_max), kind)
-        if scheme is IndexScheme.FULL and not central:
-            ms = shift_moments(ms, params.r * params.k)
-    elif route is MomentRoute.PARTITION:
-        if central:
-            ms = central_from_raw(raw_moments_partition(params, order_max, IndexScheme.CUT))
-        elif kind is MomentKind.FACTORIAL:
-            ms = factorial_moments_partition(params, order_max, scheme)
-        else:
-            ms = raw_moments_partition(params, order_max, scheme)
-    elif route is MomentRoute.ROOT:
+        return shift_moments(ms, shift) if shift else ms
+    if route is MomentRoute.ROOT:
         from . import roots
 
         system = roots.solve_roots(params.to_float())
         coeffs = roots.recover_coefficients(system, ell=max(variant.overlap, 0))
-        ms = _from_factorial(roots.factorial_moments_root(coeffs, order_max), kind)
+        fact = [1, *roots.factorial_moments_root(coeffs, order_max).values]
+        ms = MomentSet(kind, IndexScheme.FULL, tuple(_from_factorial(fact, 1, kind)[1:]))
+        return shift_moments(ms, shift) if shift else ms
+
+    if route is MomentRoute.RECURRENCE:
+        nums, d = _recurrence_numerators(params, order_max)
+        nums, out = _from_factorial(nums, d, kind), IndexScheme.CUT
+        shift += params.r * params.k if scheme is IndexScheme.FULL and not central else 0
+    elif route is MomentRoute.PARTITION:
+        out = IndexScheme.CUT if central else scheme
+        nums, d = _partition_numerators(params, order_max,
+                                        _FAMILIES[MomentKind.RAW if central else kind, out])
+        nums = _central_numerators(nums) if central else nums
     else:
         raise ValueError(f"unknown route {route!r}")
-
-    if variant.is_gap and not central:
-        ms = shift_moments(ms, (params.r - 1) * variant.gap)
-    return ms
+    if shift:  # the gap and the cut-to-full step each shift the waiting time
+        nums = _shifted_numerators(nums, d, shift, kind is MomentKind.FACTORIAL)
+        out = IndexScheme.FULL
+    return _moment_set(params, kind, out, nums, d)

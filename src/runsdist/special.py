@@ -282,6 +282,13 @@ def hyp2f1(a: int, b: int, c: int, z):
     return total
 
 
+@lru_cache(maxsize=None)
+def _eulerian_row(i: int) -> tuple:
+    """Row ``i`` of :func:`eulerian_number`, ``A(i, 0) .. A(i, i-1)`` or ``(1,)`` at ``i = 0``."""
+    return tuple(sum((-1) ** s * math.comb(i + 1, s) * (j + 1 - s) ** i for s in range(j + 1))
+                 for j in range(i)) if i else (1,)
+
+
 def eulerian_number(i: int, j: int) -> int:
     """Entry ``A(i, j)`` of the Eulerian-number triangle, by alternating sum.
 
@@ -290,28 +297,20 @@ def eulerian_number(i: int, j: int) -> int:
     """
     if i < 0:
         raise ValueError("order must be nonnegative")
-    if i == 0:
-        return 1 if j == 0 else 0
-    if j < 0 or j > i - 1:
+    if j < 0 or j > max(i - 1, 0):
         return 0
-    total = 0
-    for s in range(j + 1):
-        term = math.comb(i + 1, s) * (j + 1 - s) ** i
-        total += -term if s & 1 else term
-    return total
+    return _eulerian_row(i)[j]
 
 
 def eulerian_poly(i: int, t):
     """Evaluate the Eulerian polynomial ``A_i(t) = sum_j A(i, j) t^j``.
 
-    ``A_0(t) = 1``; the triangle entries come from :func:`eulerian_number`.
+    ``A_0(t) = 1``; the coefficients are the cached row of :func:`eulerian_number`.
     """
-    if i == 0:
-        return 1
     total = 0
     tp = 1
-    for j in range(i):
-        total = total + eulerian_number(i, j) * tp
+    for a in _eulerian_row(i):
+        total = total + a * tp
         tp = tp * t
     return total
 

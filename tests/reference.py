@@ -21,22 +21,32 @@ from fractions import Fraction
 
 from runsdist.core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
 from runsdist.moments import (_coeff_factorial_cut, _coeff_factorial_full, _coeff_raw_cut,
-                              _coeff_raw_full, _exact_pq)
+                              _coeff_raw_full)
 from runsdist.special import binom, falling, hyp2f1
+
+
+def _exact_pq(params: RunParams):
+    p = params.exact_p()
+    return p, 1 - p
+
+
+def _family(params: RunParams, family, j: int) -> Fraction:
+    """Coefficient ``j`` of a route's family, ``Y_j / (c^j a^k)`` for ``p = a/b``, ``c = b - a``."""
+    if j < 1:
+        raise ValueError("coefficient order must be >= 1")
+    p = params.exact_p()
+    a, c = p.numerator, p.denominator - p.numerator
+    return Fraction(family(params, j)[j], c ** j * a ** params.k)
 
 
 def coeff_C(params: RunParams, j: int) -> Scalar:
     """Cut-scheme factorial coefficient; vanishes for ``j > k``."""
-    if j < 1:
-        raise ValueError("coefficient order must be >= 1")
-    return params.finalize(_coeff_factorial_cut(params, j))
+    return params.finalize(_family(params, _coeff_factorial_cut, j))
 
 
 def coeff_F(params: RunParams, j: int) -> Scalar:
     """Full-scheme factorial coefficient; nonzero at every order."""
-    if j < 1:
-        raise ValueError("coefficient order must be >= 1")
-    return params.finalize(_coeff_factorial_full(params, j))
+    return params.finalize(_family(params, _coeff_factorial_full, j))
 
 
 def coeff_C_hyp(params: RunParams, j: int) -> Scalar:
@@ -61,10 +71,8 @@ def coeff_F_hyp(params: RunParams, j: int) -> Scalar:
 def coeff_raw(params: RunParams, j: int,
               scheme: IndexScheme = IndexScheme.CUT) -> Scalar:
     """Raw-moment coefficient, built from Eulerian polynomials."""
-    if j < 1:
-        raise ValueError("coefficient order must be >= 1")
     fn = _coeff_raw_cut if scheme is IndexScheme.CUT else _coeff_raw_full
-    return params.finalize(fn(params, j))
+    return params.finalize(_family(params, fn, j))
 
 
 def rising(a, j: int):
@@ -85,7 +93,7 @@ def mu_factorial_truncated(params: RunParams, j: int) -> Scalar:
     """
     p, _ = _exact_pq(params)
     k = params.k
-    return params.finalize(_coeff_factorial_cut(params, j) * p ** k / (1 - p ** k))
+    return params.finalize(_family(params, _coeff_factorial_cut, j) * p ** k / (1 - p ** k))
 
 
 def pgf_expansion_inner_reference(params: RunParams, j: int) -> Scalar:

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runsdist import moments
-from runsdist.core import IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
+from runsdist.core import TYPE1, IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
 from runsdist.moments import (MomentRoute, SummationWindowNotClosed, central_from_raw,
                               central_moments, factorial_moments_partition,
                               factorial_moments_pgf, factorial_moments_recurrence,
@@ -352,3 +354,72 @@ class TestRouteFrontEnd:
         # truncated mean of the geometric law: sum_{n<=60} n (1/2)^n
         want = sum(Fraction(n, 2 ** n) for n in range(1, 61))
         assert ms.value(1) == want
+
+
+PROPERTY = settings(deadline=None, database=None)
+FACT, RAW, CENTRAL = MomentKind.FACTORIAL, MomentKind.RAW, MomentKind.CENTRAL
+KIND_SCHEMES = ((FACT, C), (FACT, F), (RAW, C), (RAW, F), (CENTRAL, F))
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 4), st.floats(0.05, 0.95), st.integers(1, 6),
+       st.integers(1, 3))
+def test_float_moments_are_the_exact_value_rounded_once(k, r, p, order, g):
+    """Every exact-internal route and closed form rounds its exact value once in float mode."""
+    params = RunParams(k, r, p)
+    exact = params.to_exact()
+
+    def once(fn):
+        got, want = fn(params), fn(exact)
+        got, want = getattr(got, "values", (got,)), getattr(want, "values", (want,))
+        assert all(type(v) is float for v in got)
+        assert got == tuple(float(v) for v in want)
+
+    gap = VariantSpec.with_gap(g)
+    for route in (MomentRoute.PARTITION, MomentRoute.RECURRENCE, MomentRoute.PGF):
+        families = [TYPE1, gap]
+        if route is MomentRoute.PGF:
+            families += [TYPE2] + ([VariantSpec.with_overlap(k - 1)] if k > 1 else [])
+        for variant in families:
+            for kind, scheme in KIND_SCHEMES:
+                if scheme is C and (route is MomentRoute.PGF or variant.is_gap):
+                    continue
+                once(lambda ps: moments_via_route(ps, route, kind, scheme, order, variant))
+    for scheme in (C, F):
+        once(lambda ps: factorial_moments_partition(ps, order, scheme))
+        once(lambda ps: raw_moments_partition(ps, order, scheme))
+        once(lambda ps: mean(ps, scheme))
+    once(lambda ps: factorial_moments_recurrence(ps, order))
+    once(lambda ps: factorial_moments_pgf(ps, order, gap))
+    once(variance)
+    once(lambda ps: central_moments(ps, min(order, 4)))
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(2, 20), st.data(), st.integers(1, 10),
+       st.integers(0, 3))
+def test_exact_routes_agree(k, r, d, data, order, g):
+    """The partition, recurrence, pgf and closed-form values are the same fractions."""
+    params = RunParams(k, r, Fraction(data.draw(st.integers(1, d - 1)), d))
+    variant = VariantSpec(overlap=-g)  # type1 at g = 0
+    rec = factorial_moments_recurrence(params, order)
+    assert factorial_moments_partition(params, order, C).values == rec.values
+    full = factorial_moments_partition(params, order, F)
+    assert full.values == shift_moments(rec, r * k).values
+    routes = {}
+    for kind, scheme in KIND_SCHEMES:
+        var = variant if scheme is F else TYPE1
+        part, got = (moments_via_route(params, route, kind, scheme, order, var)
+                     for route in (MomentRoute.PARTITION, MomentRoute.RECURRENCE))
+        assert got.values == part.values
+        routes[kind, scheme] = part.values
+        if scheme is F:
+            pgf = moments_via_route(params, MomentRoute.PGF, kind, F, order, var)
+            assert pgf.values == part.values
+    assert factorial_moments_pgf(params, order, variant).values == routes[FACT, F]
+    assert shift_moments(full, (r - 1) * g).values == routes[FACT, F]
+    assert central_moments(params, min(order, 4)).values == routes[CENTRAL, F][:4]
+    assert mean(params, C) == routes[RAW, C][0]
+    assert mean(params) == raw_moments_partition(params, 1, F).value(1)
+    if order >= 2:
+        assert variance(params) == routes[CENTRAL, F][1]

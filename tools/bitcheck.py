@@ -1,4 +1,4 @@
-"""Print the pmf engines' values at random points, to compare two checkouts bit for bit.
+"""Print the pmf engines' and moment routes' values at random points, to compare two checkouts.
 
 Usage: python tools/bitcheck.py SEED COUNT
 
@@ -11,9 +11,19 @@ split Horner. For each point it prints one line holding the ``type`` and
 counts with ``r_count`` 0..6 included), of one table per engine in
 ``pmf.ENGINES`` up to 20 indices wide, starting at or below ``3k+3`` (in
 ``[200, 600]`` at a deep point), and the ``TermCounter`` counts of the
-engines that take one. An error prints as its name and message. The output
-depends only on SEED, COUNT and the library, so ``cmp`` of two checkouts'
-outputs is a bit-identity check, and two runs of one checkout must match.
+engines that take one. The moment cells follow, drawn from a second stream
+seeded by SEED and the point's number, so the pmf cells do not depend on
+them: an order up to 6 (up to 10 for an exact ``p``), a gap ``g`` in 1..3
+and an overlap ``l`` in 1..k-1; ``moments_via_route`` for every route, kind
+and scheme it serves, for type1, the gap and (``root`` only) the overlap,
+where ``summation`` runs only while the mean is at most
+``SUMMATION_MEAN_MAX``, as its table spans 30 standard deviations, and not
+for central moments to order 1, whose zero value its window cannot bound;
+``central_moments``, both ``mean`` schemes, ``variance``, ``gap_moments``
+and ``factorial_moments_pgf`` for type1, the gap, the overlap and type2.
+An error prints as its name and message. The output depends only on SEED,
+COUNT and the library, so ``cmp`` of two checkouts' outputs is a
+bit-identity check, and two runs of one checkout must match.
 """
 
 from __future__ import annotations
@@ -25,12 +35,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from runsdist.core import TYPE1, IndexScheme, RunParams, TermCounter, VariantSpec  # noqa: E402
+from runsdist.core import (TYPE1, IndexScheme, MomentKind, RunParams, TermCounter,  # noqa: E402
+                           VariantSpec)
+from runsdist.moments import (MomentRoute, central_moments, factorial_moments_pgf,  # noqa: E402
+                              mean, moments_via_route, variance)
 from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, counts_muselli,  # noqa: E402
                           pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
                           pmf_pgf_expansion, pmf_table)
+from runsdist.roots import gap_moments  # noqa: E402
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
+SUMMATION_MEAN_MAX = 200.0
+# the (kind, scheme) pairs each route serves for type1; a gap takes the full ones
+ROUTE_CELLS = {route: [(kind, scheme) for kind in MomentKind for scheme in (C, F)
+                       if scheme is F or (kind is not MomentKind.CENTRAL
+                                          and route in (MomentRoute.RECURRENCE,
+                                                        MomentRoute.PARTITION,
+                                                        MomentRoute.SUMMATION))]
+               for route in MomentRoute}
 
 
 def _show(fn, *args, **kwargs) -> str:
@@ -49,7 +71,41 @@ def _counted(fn, *args, **kwargs) -> str:
     return f"{_show(fn, *args, counter=counter, **kwargs)}#{counter.count}"
 
 
-def point(rng: random.Random) -> str:
+def moment_cells(params: RunParams, order: int, g: int, ell: int) -> list:
+    """The moment cells at one point; ``ell = 0`` leaves the overlap family out."""
+    k, r = params.k, params.r
+    families = [TYPE1, VariantSpec.with_gap(g)]
+    if ell:
+        families.append(VariantSpec.with_overlap(ell))
+    p = float(params.p)
+    wide = r * (1 - p ** k) / ((1 - p) * p ** k) > SUMMATION_MEAN_MAX
+    cells = [f"order={order} g={g}"]
+    for route, pairs in ROUTE_CELLS.items():
+        if route is MomentRoute.SUMMATION and wide:
+            continue
+        for variant in families:
+            if variant.is_overlap and route is not MomentRoute.ROOT:
+                continue
+            for kind, scheme in pairs:
+                if (variant.is_gap and scheme is C) or (
+                        route is MomentRoute.SUMMATION and kind is MomentKind.CENTRAL
+                        and order == 1):  # a zero moment never closes the window
+                    continue
+                cells.append(f"{route.value}:{kind.value}@{scheme.value}:{variant.describe()}="
+                             + _show(moments_via_route, params, route, kind, scheme, order,
+                                     variant))
+    cells += [f"central_moments={_show(central_moments, params, min(order, 4))}",
+              f"mean={_show(mean, params)}", f"mean@cut={_show(mean, params, C)}",
+              f"variance={_show(variance, params)}"]
+    cells += [f"gap_moments:{kind.value}={_show(gap_moments, params, g, order, kind)}"
+              for kind in (MomentKind.FACTORIAL, MomentKind.RAW)]
+    cells += [f"factorial_moments_pgf:{variant.describe()}="
+              + _show(factorial_moments_pgf, params, order, variant)
+              for variant in families + [VariantSpec.type_ii()]]
+    return cells
+
+
+def point(rng: random.Random, mrng: random.Random) -> str:
     k, r = rng.randint(1, 5), rng.randint(1, 4)
     if rng.random() < 0.5:
         d = rng.randint(2, 20)
@@ -83,7 +139,9 @@ def point(rng: random.Random) -> str:
                 variant = VariantSpec.with_overlap(rng.randint(1, k - 1))
             table = _counted(pmf_table, params, engine, lo, hi, spec.scheme, variant)
         cells.append(f"{engine.value}@{lo}..{hi}={table}")
-    return " ".join(cells)
+    order = mrng.randint(1, 10 if params.exact else 6)
+    g, ell = mrng.randint(1, 3), mrng.randint(1, k - 1) if k > 1 else 0
+    return " ".join(cells + moment_cells(params, order, g, ell))
 
 
 def main(argv: list) -> int:
@@ -93,7 +151,7 @@ def main(argv: list) -> int:
     seed, count = map(int, argv)
     rng = random.Random(seed)
     for i in range(count):
-        print(i, point(rng))
+        print(i, point(rng, random.Random(f"moments:{seed}:{i}")))
     return 0
 
 
