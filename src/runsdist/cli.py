@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import IndexScheme, MomentKind, NumericFailure, RunParams, VariantSpec
-from .moments import MomentRoute, factorial_moments_pgf, moments_via_route, shape_from_central
+from .moments import MomentRoute, moments_via_route, shape_from_central
 from .oracle import CountingSemantics, monte_carlo
 from .pmf import ENGINES, EngineFamily, PmfEngine, pmf_table
 
@@ -156,7 +156,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 
 def analytic_mean_variance(params: RunParams, variant: VariantSpec) -> tuple:
     """Exact mean and variance of a variant, each rounded once, for simulation reports."""
-    fm = factorial_moments_pgf(params.to_exact(), 2, variant)
+    fm = moments_via_route(params.to_exact(), MomentRoute.PGF, MomentKind.FACTORIAL,
+                           IndexScheme.FULL, 2, variant)
     mu = fm.value(1)
     return float(mu), float(fm.value(2) + mu - mu * mu)
 

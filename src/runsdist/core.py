@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .special import _poly_mul, _poly_pow, binom, falling
+from .special import _poly_mul, _poly_pow
 
 Scalar = Union[float, Fraction]
 
@@ -472,27 +472,3 @@ def convert_index(n: int, src: IndexScheme, dst: IndexScheme, params: RunParams)
         return n
     rk = params.r * params.k
     return n - rk if dst is IndexScheme.CUT else n + rk
-
-
-def _shifted_numerators(nums: list, d, a: int, factorial: bool) -> list:
-    """:func:`shift_moments` on numerators over ``d^n``: ``sum_i C(n, i) N_(n-i) a^(i) d^i``."""
-    power = falling if factorial else pow
-    dpow = [d ** i for i in range(len(nums))]
-    return [1] + [sum(binom(n, i) * nums[n - i] * power(a, i) * dpow[i] for i in range(n + 1))
-                  for n in range(1, len(nums))]
-
-
-def shift_moments(ms: MomentSet, a: int) -> MomentSet:
-    """Full-scheme moments of ``X + a`` from the factorial or raw moments of ``X``.
-
-    The shift mixes orders: factorial moments shift through falling
-    factorials, ``M_(n)(X+a) = sum_i C(n, i) M_(n-i)(X) (a)_(i)``, and raw
-    moments through plain powers ``a^i``. Shifting cut-scheme moments by
-    ``a = r*k`` gives the full scheme; shifting full-scheme moments by
-    ``(r-1) g`` gives the minimum-gap variant. Central moments do not move
-    under a shift and are rejected.
-    """
-    if ms.kind is MomentKind.CENTRAL:
-        raise ValueError("central moments do not change under a shift")
-    nums = _shifted_numerators([1, *ms.values], 1, a, ms.kind is MomentKind.FACTORIAL)
-    return MomentSet(ms.kind, IndexScheme.FULL, tuple(nums[1:]))

@@ -11,8 +11,9 @@ variant by shifting Type I moments, and the root expansion also fits the
 overlap families. The finite routes and closed forms run on integers: for
 ``p = a/b`` each coefficient family is ``Y_j / ((b - a)^j a^k)``, each moment
 of order ``n`` an integer over ``((b - a) a^k)^n`` (the pgf route's over a
-power of its own denominator), converted between kinds and shifted on those
-numerators, and built once: a Fraction in exact mode, rounded once in float.
+power of its own denominator), and the root and summation routes' floats
+over ``1``: one tail converts them between kinds, shifts them, and builds
+each moment once, a Fraction in exact mode, rounded once in float.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from itertools import accumulate
 from operator import mul
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, NumericFailure, PmfTable, RunParams,
-                   Scalar, VariantSpec, _shifted_numerators, convert_index, rational_pgf,
-                   shift_moments)
+                   Scalar, VariantSpec, convert_index, rational_pgf)
 from .pmf import pmf_recurrence_pg
 from .special import (_eulerian_row, _series_div, _stirling2_row, binom, falling,
                       homogeneous_horner)
@@ -110,18 +110,6 @@ def _recurrence_numerators(params: RunParams, order_max: int) -> tuple:
     return nums, c * a ** k
 
 
-def factorial_moments_recurrence(params: RunParams, order_max: int) -> MomentSet:
-    """Cut-scheme factorial moments by the order-mixing recurrence.
-
-    ``M_(n) = (1/n) sum_j C(n, j) (n + rj - j) C_j M_(n-j)`` over
-    ``1 <= j <= min(n, k)``, seeded with ``M_(0) = 1``.
-    """
-    if order_max < 1:
-        raise ValueError("order_max must be >= 1")
-    return _moment_set(params, MomentKind.FACTORIAL, IndexScheme.CUT,
-                       *_recurrence_numerators(params, order_max))
-
-
 def _partitions(n: int, top: int) -> tuple:
     """The partitions of ``n`` into parts ``<= top``, each a tuple of ``(part, mult)``."""
     if n == 0 or top == 0:
@@ -161,24 +149,6 @@ def _partition_numerators(params: RunParams, order_max: int, family) -> tuple:
     return nums, c * ak
 
 
-def factorial_moments_partition(params: RunParams, order_max: int,
-                                scheme: IndexScheme = IndexScheme.CUT) -> MomentSet:
-    """Factorial moments as closed-form partition sums, either scheme."""
-    if order_max < 1:
-        raise ValueError("order_max must be >= 1")
-    return _moment_set(params, MomentKind.FACTORIAL, scheme, *_partition_numerators(
-        params, order_max, _FAMILIES[MomentKind.FACTORIAL, scheme]))
-
-
-def raw_moments_partition(params: RunParams, order_max: int,
-                          scheme: IndexScheme = IndexScheme.CUT) -> MomentSet:
-    """Raw moments as the same partition sums over the raw coefficients."""
-    if order_max < 1:
-        raise ValueError("order_max must be >= 1")
-    return _moment_set(params, MomentKind.RAW, scheme, *_partition_numerators(
-        params, order_max, _FAMILIES[MomentKind.RAW, scheme]))
-
-
 def mean(params: RunParams, scheme: IndexScheme = IndexScheme.FULL) -> Scalar:
     """Closed-form mean ``r (1 - p^k) / (q p^k) = r b (b^k - a^k) / d``, less ``r*k`` if cut."""
     (a, b, c), k, r = _ratio(params), params.k, params.r
@@ -199,7 +169,7 @@ def central_moments(params: RunParams, order_max: int = 4) -> MomentSet:
 
     The cut and full families give identical results here; the cut family is
     used, each ``t_j`` an integer over ``d^j``. Orders above 4 are out of scope
-    for the closed forms; use the raw routes plus :func:`central_from_raw`.
+    for the closed forms; use ``moments_via_route(..., MomentKind.CENTRAL, ...)``.
     """
     if not 1 <= order_max <= 4:
         raise ValueError("closed-form central moments cover orders 1..4")
@@ -243,19 +213,14 @@ def _from_factorial(nums: list, d, kind: MomentKind) -> list:
     return raw if kind is MomentKind.RAW else _central_numerators(raw)
 
 
-def raw_from_factorial(ms: MomentSet) -> MomentSet:
-    """Raw moments as the Stirling-number transform of factorial moments."""
-    if ms.kind is not MomentKind.FACTORIAL:
-        raise ValueError("raw_from_factorial needs factorial moments")
-    return MomentSet(MomentKind.RAW, ms.scheme, tuple(_raw_numerators([1, *ms.values], 1)[1:]))
-
-
-def central_from_raw(ms: MomentSet) -> MomentSet:
-    """Central moments by binomial expansion about the mean."""
-    if ms.kind is not MomentKind.RAW:
-        raise ValueError("central_from_raw needs raw moments")
-    return MomentSet(MomentKind.CENTRAL, ms.scheme,
-                     tuple(_central_numerators([1, *ms.values])[1:]))
+def _shifted_numerators(nums: list, d, a: int, factorial: bool) -> list:
+    """Numerators over ``d^n`` of the moments of ``X + a``: factorial ones are
+    ``sum_i C(n, i) N_(n-i) (a)_(i) d^i``, raw ones the same with ``a^i``. The shift ``r*k``
+    takes cut-scheme moments to full, ``(r-1) g`` type1 ones to the minimum gap."""
+    power = falling if factorial else pow
+    dpow = [d ** i for i in range(len(nums))]
+    return [1] + [sum(binom(n, i) * nums[n - i] * power(a, i) * dpow[i] for i in range(n + 1))
+                  for n in range(1, len(nums))]
 
 
 def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
@@ -307,12 +272,14 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
 
     ``mean + 30 sd`` can still truncate noticeably for high orders when
     the distribution is narrow, so the window doubles until a geometric bound
-    on the order-weighted tail falls below 1e-12 of the leading moment.
+    on the order-weighted tail falls below 1e-12 of the leading moment, or of
+    ``sd^n`` if larger for central moments, which can be zero.
     Always runs in double precision: the window is far too wide for exact
     arithmetic to pay its way, and the truncation already caps the accuracy.
     """
     fp = params.to_float()
     n_max = summation_window(fp)
+    floor = math.sqrt(variance(fp)) ** order_max if kind is MomentKind.CENTRAL else 0.0
     for _ in range(_WINDOW_DOUBLINGS):
         table = pmf_recurrence_pg(fp, n_max)
         ms = moments_from_table(table, order_max, kind, scheme)
@@ -322,7 +289,7 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
         rho = (last / prev) * (n_max / (n_max - 1)) ** order_max if prev else 1.0
         if rho < 1.0:
             tail = n_max ** order_max * last * rho / (1.0 - rho)
-            if tail <= 1e-12 * abs(ms.value(order_max)):
+            if tail <= 1e-12 * max(abs(ms.value(order_max)), floor):
                 return ms
         n_max *= 2
     raise SummationWindowNotClosed(f"the moment tail stayed open after {_WINDOW_DOUBLINGS} "
@@ -340,7 +307,17 @@ def _taylor_shift(poly: list, length: int) -> list:
 
 
 def _pgf_numerators(params: RunParams, order_max: int, variant: VariantSpec) -> tuple:
-    """Numerators ``j! H_j n_0^(j-1)`` of :func:`factorial_moments_pgf` over ``d^j``, and ``d``."""
+    """Full-scheme factorial moment numerators of any family from its rational pgf, and ``d``.
+
+    The factorial moment of order ``j`` is ``j! [t^j] P(1 + t)``. Both
+    integer polynomials of :func:`~runsdist.core.rational_pgf` are
+    Taylor-shifted to ``s = 1 + t`` and divided as power series to order
+    ``order_max``: a finite expansion with no tail. With ``L = den(1)``, never
+    zero (``((b - a) a^k)^r`` for type1), ``t = L u`` makes the shifted
+    denominator over ``L`` monic, so ``H_j = L^(j+1) [t^j] num/den`` are
+    integers; as ``scale num(1) = L``, the moment is ``j! H_j n_0^(j-1) / d^j``
+    for ``n_0 = num(1)`` and ``d = n_0 L``. Always computed from ``exact_p()``.
+    """
     _, shift, num, den = rational_pgf(params.to_exact(), variant)
     length = order_max + 1
     num_t = _taylor_shift([0] * shift + num, length)
@@ -352,26 +329,6 @@ def _pgf_numerators(params: RunParams, order_max: int, variant: VariantSpec) -> 
             n0 * lead)
 
 
-def factorial_moments_pgf(params: RunParams, order_max: int,
-                          variant: VariantSpec = TYPE1) -> MomentSet:
-    """Full-scheme factorial moments of any family from its rational pgf.
-
-    The factorial moment of order ``j`` is ``j! [t^j] P(1 + t)``. Both
-    integer polynomials of :func:`~runsdist.core.rational_pgf` are
-    Taylor-shifted to ``s = 1 + t`` and divided as power series to order
-    ``order_max``: a finite expansion with no tail. With ``L = den(1)``, never
-    zero (``((b - a) a^k)^r`` for type1), ``t = L u`` makes the shifted
-    denominator over ``L`` monic, so ``H_j = L^(j+1) [t^j] num/den`` are
-    integers; as ``scale num(1) = L``, the moment is ``j! H_j n_0^(j-1) / d^j``
-    for ``n_0 = num(1)`` and ``d = n_0 L``. Always computed from ``exact_p()``;
-    float mode rounds each moment once.
-    """
-    if order_max < 1:
-        raise ValueError("order_max must be >= 1")
-    return _moment_set(params, MomentKind.FACTORIAL, IndexScheme.FULL,
-                       *_pgf_numerators(params, order_max, variant))
-
-
 def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
                       scheme: IndexScheme, order_max: int,
                       variant: VariantSpec = TYPE1) -> MomentSet:
@@ -380,10 +337,10 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
     The ``pgf`` route covers every family. The other routes compute Type I
     moments and reach the gap variant by shifting them; the ``root`` route
     also fits the overlap families, and the rest reject overlap and Type II
-    with ``ValueError``. The ``pgf``, ``partition`` and ``recurrence``
-    routes convert factorial to raw to central moments and shift them on
-    integer numerators over powers of one denominator, and round each value
-    once in float mode. The generating-function and root routes produce
+    with ``ValueError``. Every route yields numerators over powers of one
+    ``d`` (``root`` and ``summation`` their floats over ``d = 1``) to one tail
+    that converts factorial to raw to central moments, shifts them, and builds
+    each value once. The generating-function and root routes produce
     full-scheme moments and cannot be converted to the cut scheme (there is
     no valid inverse shift), so asking them for cut-scheme factorial or raw
     moments is an error, as is the cut scheme for a gap.
@@ -398,25 +355,28 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
     if variant.is_gap and scheme is not IndexScheme.FULL:
         raise ValueError("gap moments are full-scheme only")
 
+    if route is not MomentRoute.PGF and (
+            variant.type2 or (variant.is_overlap and route is not MomentRoute.ROOT)):
+        raise ValueError(f"the {route.value} route does not cover {variant.describe()}")
+    # the pgf route's gap is in its pgf; the other routes shift Type I moments by (r-1) g
+    shift = ((params.r - 1) * variant.gap
+             if variant.is_gap and not central and route is not MomentRoute.PGF else 0)
+    out = IndexScheme.FULL
     if route is MomentRoute.PGF:
         nums, d = _pgf_numerators(params, order_max, variant)
-        return _moment_set(params, kind, IndexScheme.FULL, _from_factorial(nums, d, kind), d)
-    if variant.type2 or (variant.is_overlap and route is not MomentRoute.ROOT):
-        raise ValueError(f"the {route.value} route does not cover {variant.describe()}")
-    shift = (params.r - 1) * variant.gap if variant.is_gap and not central else 0
-    if route is MomentRoute.SUMMATION:
-        ms = moments_by_summation(params, order_max, kind, scheme)
-        return shift_moments(ms, shift) if shift else ms
-    if route is MomentRoute.ROOT:
+        nums = _from_factorial(nums, d, kind)
+    elif route is MomentRoute.ROOT:
         from . import roots
 
-        system = roots.solve_roots(params.to_float())
-        coeffs = roots.recover_coefficients(system, ell=max(variant.overlap, 0))
+        params = params.to_float()  # the root and summation routes yield floats, d = 1
+        coeffs = roots.recover_coefficients(roots.solve_roots(params),
+                                            ell=max(variant.overlap, 0))
         fact = [1, *roots.factorial_moments_root(coeffs, order_max).values]
-        ms = MomentSet(kind, IndexScheme.FULL, tuple(_from_factorial(fact, 1, kind)[1:]))
-        return shift_moments(ms, shift) if shift else ms
-
-    if route is MomentRoute.RECURRENCE:
+        nums, d = _from_factorial(fact, 1, kind), 1
+    elif route is MomentRoute.SUMMATION:
+        params, d, out = params.to_float(), 1, scheme
+        nums = [1, *moments_by_summation(params, order_max, kind, scheme).values]
+    elif route is MomentRoute.RECURRENCE:
         nums, d = _recurrence_numerators(params, order_max)
         nums, out = _from_factorial(nums, d, kind), IndexScheme.CUT
         shift += params.r * params.k if scheme is IndexScheme.FULL and not central else 0

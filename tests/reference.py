@@ -6,8 +6,9 @@ identities between the two: the hypergeometric condensations of the moment
 coefficients, the truncated run-length moments behind the factorial-moment
 recurrence, the nested-binomial inner coefficients of the pgf expansion, the
 single-run generating function and recurrence, the additive Eulerian
-triangle, and the rising factorial that sums the hypergeometric series term
-by term. The factorial and raw moment coefficients by scheme are the
+triangle, the rising factorial that sums the hypergeometric series term
+by term, and the Stirling transform and index shift of a moment sequence,
+one Fraction or float at a time. The factorial and raw moment coefficients by scheme are the
 routes' own, finalized one order at a time for the tests to read. Only the
 tests use these forms, so they live beside them and are not part of the
 package.
@@ -22,7 +23,7 @@ from fractions import Fraction
 from runsdist.core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
 from runsdist.moments import (_coeff_factorial_cut, _coeff_factorial_full, _coeff_raw_cut,
                               _coeff_raw_full)
-from runsdist.special import binom, falling, hyp2f1
+from runsdist.special import binom, falling, hyp2f1, stirling2
 
 
 def _exact_pq(params: RunParams):
@@ -110,6 +111,21 @@ def pgf_expansion_inner_reference(params: RunParams, j: int) -> Scalar:
     return params.finalize(sum(binom(r + i - 1, r - 1) * x ** i
                                * binom(r + j - i * k - 1, r + i - 1)
                                for i in range(j // (k + 1) + 1)))
+
+
+def raw_from_factorial(values: tuple) -> tuple:
+    """Raw moments of orders ``1 ..`` from factorial ones: ``m_n = sum_j S(n, j) M_(j)``."""
+    return tuple(sum(stirling2(n, j) * values[j - 1] for j in range(1, n + 1))
+                 for n in range(1, len(values) + 1))
+
+
+def shift_moments(values: tuple, a: int, factorial: bool) -> tuple:
+    """Factorial or raw moments of orders ``1 ..`` of ``X + a`` from those of ``X``:
+    ``sum_i C(n, i) M_(n-i) (a)_(i)``, or ``a^i`` in place of ``(a)_(i)`` for raw ones."""
+    m = (1, *values)
+    power = falling if factorial else pow
+    return tuple(sum(binom(n, i) * m[n - i] * power(a, i) for i in range(n + 1))
+                 for n in range(1, len(m)))
 
 
 class PoleAtS(ZeroDivisionError):

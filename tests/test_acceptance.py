@@ -11,10 +11,9 @@ from fractions import Fraction
 import pytest
 
 from runsdist.core import IndexScheme, MomentKind, RunParams, TYPE1, VariantSpec
-from runsdist.moments import (MomentRoute, central_from_raw, central_moments,
-                              mean, moments_by_summation, moments_from_table,
-                              moments_via_route, raw_moments_partition,
-                              shape_from_central, variance)
+from runsdist.moments import (MomentRoute, central_moments, mean, moments_by_summation,
+                              moments_from_table, moments_via_route, shape_from_central,
+                              variance)
 from runsdist.oracle import (CountingMode, CountingSemantics, brute_force_pmf,
                              dp_waiting_time_pmf, monte_carlo)
 from runsdist.pmf import (MuselliForm, PmfEngine, TermCounter, counts_muselli,
@@ -189,13 +188,15 @@ def test_05_scaling_laws():
     # exact linearity in r, checked through the partition route as well
     for k, pv in ((2, Fraction(1, 2)), (3, Fraction(3, 10))):
         ref = central_moments(RunParams(k, 1, pv), 4)
-        ref_part = central_from_raw(raw_moments_partition(RunParams(k, 1, pv), 3, C))
+        ref_part = moments_via_route(RunParams(k, 1, pv), MomentRoute.PARTITION,
+                                     MomentKind.CENTRAL, C, 3)
         assert ref_part.value(2) == ref.value(2)
         for r in (2, 5, 8):
             cm = central_moments(RunParams(k, r, pv), 4)
             assert cm.value(2) == r * ref.value(2)
             assert cm.value(3) == r * ref.value(3)
-            part = central_from_raw(raw_moments_partition(RunParams(k, r, pv), 3, C))
+            part = moments_via_route(RunParams(k, r, pv), MomentRoute.PARTITION,
+                                     MomentKind.CENTRAL, C, 3)
             assert part.value(2) == r * ref.value(2)
             assert part.value(3) == r * ref.value(3)
     _ok(5, "skewness*sqrt(r) and excess-kurtosis*r constant to 1e-10 over "

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from runsdist import cli, moments, oracle
-from runsdist.core import RunParams, VariantSpec
-from runsdist.moments import factorial_moments_pgf, mean, variance
+from runsdist.core import IndexScheme, MomentKind, RunParams, VariantSpec
+from runsdist.moments import MomentRoute, mean, moments_via_route, variance
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -246,7 +246,8 @@ class TestMomentsCommand:
                                "--variant", "overlap=1")
         assert code == 0
         params = RunParams(2, 2, Fraction(1, 2))
-        fm = factorial_moments_pgf(params, 2, VariantSpec.with_overlap(1))
+        fm = moments_via_route(params, MomentRoute.PGF, MomentKind.FACTORIAL, IndexScheme.FULL,
+                               2, VariantSpec.with_overlap(1))
         var = fm.value(2) + fm.value(1) - fm.value(1) ** 2
         lines = out.strip().splitlines()
         assert lines[2].endswith(f",2,{float(var)!r}")

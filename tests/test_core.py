@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from runsdist.core import (IndexScheme, MomentKind, MomentSet, PmfTable, PowerRatio,
-                           RunParams, TYPE1, VariantSpec, convert_index,
-                           shift_moments)
+                           RunParams, TYPE1, VariantSpec, convert_index)
+from runsdist.moments import MomentRoute, moments_via_route
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 
@@ -234,36 +234,34 @@ class TestConvertIndex:
 
 
 class TestMomentShifts:
+    """The cut-to-full shift by ``r*k`` as the recurrence route applies it."""
+
+    @staticmethod
+    def _cut_full(params, kind, order):
+        return (moments_via_route(params, MomentRoute.RECURRENCE, kind, scheme, order)
+                for scheme in (C, F))
+
     def test_factorial_shift_low_orders(self):
         # order 1: full = cut + rk; order 2: full = cut2 + 2rk cut1 + rk(rk-1)
         params = RunParams(3, 2, Fraction(2, 5))
         rk = 6
-        cut = MomentSet(MomentKind.FACTORIAL, C, (Fraction(7, 2), Fraction(19, 3)))
-        full = shift_moments(cut, params.r * params.k)
+        cut, full = self._cut_full(params, MomentKind.FACTORIAL, 2)
         assert full.value(1) == cut.value(1) + rk
         assert full.value(2) == cut.value(2) + 2 * rk * cut.value(1) + rk * (rk - 1)
 
     def test_raw_shift_low_orders(self):
         params = RunParams(3, 2, Fraction(2, 5))
         rk = 6
-        cut = MomentSet(MomentKind.RAW, C, (Fraction(7, 2), Fraction(19, 3)))
-        full = shift_moments(cut, params.r * params.k)
+        cut, full = self._cut_full(params, MomentKind.RAW, 2)
         assert full.value(1) == cut.value(1) + rk
         assert full.value(2) == cut.value(2) + 2 * rk * cut.value(1) + rk ** 2
 
     def test_geometric_mean_shift(self):
         # k = 1, r = 1, p = 1/2: cut mean 1 shifts to the full mean 2
-        params = RunParams(1, 1, Fraction(1, 2))
-        cut = MomentSet(MomentKind.FACTORIAL, C, (Fraction(1),))
-        assert shift_moments(cut, params.r * params.k).value(1) == 2
+        cut, full = self._cut_full(RunParams(1, 1, Fraction(1, 2)), MomentKind.FACTORIAL, 1)
+        assert (cut.value(1), full.value(1)) == (1, 2)
 
     def test_waiting_time_mean_shift(self):
         # k = 2, r = 1, p = 1/2: cut raw mean 4 shifts to the full mean 6
-        params = RunParams(2, 1, Fraction(1, 2))
-        cut = MomentSet(MomentKind.RAW, C, (Fraction(4),))
-        assert shift_moments(cut, params.r * params.k).value(1) == 6
-
-    def test_shift_validates_input(self):
-        central = MomentSet(MomentKind.CENTRAL, F, (0.0,))
-        with pytest.raises(ValueError):
-            shift_moments(central, 2)
+        cut, full = self._cut_full(RunParams(2, 1, Fraction(1, 2)), MomentKind.RAW, 1)
+        assert (cut.value(1), full.value(1)) == (4, 6)

@@ -6,20 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runsdist import moments
-from runsdist.core import TYPE1, IndexScheme, MomentKind, RunParams, VariantSpec, shift_moments
-from runsdist.moments import (MomentRoute, SummationWindowNotClosed, central_from_raw,
-                              central_moments, factorial_moments_partition,
-                              factorial_moments_pgf, factorial_moments_recurrence,
-                              mean, moments_by_summation, moments_from_table,
-                              moments_via_route, raw_from_factorial,
-                              raw_moments_partition, shape_from_central, variance)
+from runsdist.core import TYPE1, IndexScheme, MomentKind, RunParams, VariantSpec
+from runsdist.moments import (MomentRoute, SummationWindowNotClosed, central_moments, mean,
+                              moments_by_summation, moments_from_table, moments_via_route,
+                              shape_from_central, variance)
 from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
 
 from reference import (coeff_C, coeff_C_hyp, coeff_F, coeff_F_hyp, coeff_raw,
-                       mu_factorial_truncated, pgf_expansion_inner_reference)
+                       mu_factorial_truncated, pgf_expansion_inner_reference,
+                       raw_from_factorial, shift_moments)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
+FACT, RAW, CENTRAL = MomentKind.FACTORIAL, MomentKind.RAW, MomentKind.CENTRAL
+REC, PART, PGF = MomentRoute.RECURRENCE, MomentRoute.PARTITION, MomentRoute.PGF
 HALF = Fraction(1, 2)
 TYPE2 = VariantSpec.type_ii()
 
@@ -82,7 +82,7 @@ class TestFactorialMomentRoutes:
     def test_recurrence_low_orders(self):
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
-            ms = factorial_moments_recurrence(params, 2)
+            ms = moments_via_route(params, REC, FACT, C, 2)
             c1, c2 = coeff_C(params, 1), coeff_C(params, 2) if k >= 2 else 0
             assert ms.value(1) == r * c1
             if k >= 2:
@@ -91,24 +91,23 @@ class TestFactorialMomentRoutes:
     def test_partition_matches_recurrence(self):
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
-            rec = factorial_moments_recurrence(params, 6)
-            part = factorial_moments_partition(params, 6, C)
+            rec = moments_via_route(params, REC, FACT, C, 6)
+            part = moments_via_route(params, PART, FACT, C, 6)
             assert rec.values == part.values
 
     def test_full_partition_matches_shift(self):
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
-            cut = factorial_moments_recurrence(params, 6)
-            shifted = shift_moments(cut, params.r * params.k)
-            full = factorial_moments_partition(params, 6, F)
-            assert shifted.values == full.values
+            cut = moments_via_route(params, REC, FACT, C, 6)
+            full = moments_via_route(params, PART, FACT, F, 6)
+            assert shift_moments(cut.values, params.r * params.k, True) == full.values
 
     def test_pgf_route(self):
         params = RunParams(2, 1, 0.5)
-        ms = factorial_moments_pgf(params, 2)
+        ms = moments_via_route(params, PGF, FACT, F, 2)
         assert ms.value(1) == 6
         assert ms.value(2) == 52
-        geo = factorial_moments_pgf(RunParams(1, 1, 0.25), 1)
+        geo = moments_via_route(RunParams(1, 1, 0.25), PGF, FACT, F, 1)
         assert geo.value(1) == 4  # geometric mean 1/p
 
     def test_pgf_inner_reference_identity(self):
@@ -140,23 +139,23 @@ class TestPgfRoute:
                 for pv in (Fraction(3, 10), Fraction(2, 7)):
                     params = RunParams(k, r, pv)
                     for order in range(1, 7):
-                        assert (factorial_moments_pgf(params, order).values
-                                == factorial_moments_partition(params, order, F).values)
+                        assert (moments_via_route(params, PGF, FACT, F, order).values
+                                == moments_via_route(params, PART, FACT, F, order).values)
 
     def test_gap_is_shifted_type1(self):
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
-            base = factorial_moments_pgf(params, 5)
+            base = moments_via_route(params, PGF, FACT, F, 5)
             for g in (1, 3):
-                got = factorial_moments_pgf(params, 5, VariantSpec.with_gap(g))
-                assert got.values == shift_moments(base, (r - 1) * g).values
+                got = moments_via_route(params, PGF, FACT, F, 5, VariantSpec.with_gap(g))
+                assert got.values == shift_moments(base.values, (r - 1) * g, True)
 
     def test_type2_mean_and_variance(self):
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
             one = RunParams(k, 1, pv)
             q = 1 - pv
-            fm = factorial_moments_pgf(params, 2, TYPE2)
+            fm = moments_via_route(params, PGF, FACT, F, 2, TYPE2)
             mu = fm.value(1)
             assert mu == r * mean(one) + Fraction(r - 1) / q
             assert fm.value(2) + mu - mu * mu == r * variance(one) + (r - 1) * pv / q ** 2
@@ -172,7 +171,7 @@ class TestPgfRoute:
                         params, CountingSemantics.from_variant(variant), 3000)
                     assert deficit < 1e-15
                     want = moments_from_table(table, 3, MomentKind.FACTORIAL).values
-                    got = factorial_moments_pgf(params, 3, variant).values
+                    got = moments_via_route(params, PGF, FACT, F, 3, variant).values
                     for a, b in zip(got, want):
                         assert abs(a - b) <= 1e-13 * b
 
@@ -180,8 +179,7 @@ class TestPgfRoute:
     def test_float_central_rounded_once(self, point, order):
         # central moments from float raw moments cancel; from exact ones they do not
         params = RunParams(*point)
-        exact = central_from_raw(raw_from_factorial(
-            factorial_moments_pgf(params.to_exact(), order)))
+        exact = moments_via_route(params.to_exact(), PGF, CENTRAL, F, order)
         got = moments_via_route(params, MomentRoute.PGF, MomentKind.CENTRAL, F, order)
         sd = math.sqrt(exact.value(2))
         for j in range(1, order + 1):
@@ -192,8 +190,8 @@ class TestPgfRoute:
         params = RunParams(3, 2, Fraction(2, 5))
         for variant in (TYPE2, VariantSpec.with_overlap(2), VariantSpec.with_gap(2)):
             raw = moments_via_route(params, MomentRoute.PGF, MomentKind.RAW, F, 4, variant)
-            fact = factorial_moments_pgf(params, 4, variant)
-            assert raw.values == raw_from_factorial(fact).values
+            fact = moments_via_route(params, PGF, FACT, F, 4, variant)
+            assert raw.values == raw_from_factorial(fact.values)
 
     def test_other_routes_shift_gap_and_reject_the_rest(self):
         params = RunParams(3, 2, Fraction(2, 5))
@@ -216,27 +214,27 @@ class TestRawAndStirling:
         # raw_2 - raw_1 = factorial_2
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
-            raw = raw_moments_partition(params, 2, C)
-            fact = factorial_moments_partition(params, 2, C)
+            raw = moments_via_route(params, PART, RAW, C, 2)
+            fact = moments_via_route(params, PART, FACT, C, 2)
             assert raw.value(1) == fact.value(1)
             assert raw.value(2) - raw.value(1) == fact.value(2)
 
     def test_raw_is_stirling_transform(self):
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
-            raw = raw_moments_partition(params, 5, F)
-            fact = factorial_moments_partition(params, 5, F)
-            assert raw.values == raw_from_factorial(fact).values
+            raw = moments_via_route(params, PART, RAW, F, 5)
+            fact = moments_via_route(params, PART, FACT, F, 5)
+            assert raw.values == raw_from_factorial(fact.values)
 
     def test_desk_values(self):
-        raw = raw_moments_partition(RunParams(2, 1, HALF), 2, F)
+        raw = moments_via_route(RunParams(2, 1, HALF), PART, RAW, F, 2)
         assert raw.values == (6, 58)
 
     def test_variance_is_scheme_independent(self):
         for k, r, pv in GRID:
             params = RunParams(k, r, pv)
-            cut = factorial_moments_partition(params, 2, C)
-            full = factorial_moments_partition(params, 2, F)
+            cut = moments_via_route(params, PART, FACT, C, 2)
+            full = moments_via_route(params, PART, FACT, F, 2)
             var_cut = cut.value(2) - cut.value(1) ** 2 + cut.value(1)
             var_full = full.value(2) - full.value(1) ** 2 + full.value(1)
             assert var_cut == var_full == variance(params)
@@ -261,6 +259,13 @@ class TestClosedForms:
         monkeypatch.setattr(moments, "_WINDOW_DOUBLINGS", 0)
         with pytest.raises(SummationWindowNotClosed, match="after 0 window doublings"):
             moments_by_summation(RunParams(2, 1, 0.5), 2, MomentKind.RAW, F)
+
+    def test_summation_closes_on_a_zero_first_central_moment(self, monkeypatch):
+        # the first central moment is about 0, so the window is judged against sd instead
+        monkeypatch.setattr(moments, "_WINDOW_DOUBLINGS", 3)
+        ms = moments_via_route(RunParams(1, 4, HALF), MomentRoute.SUMMATION, CENTRAL, F, 1,
+                               VariantSpec.with_gap(2))
+        assert abs(ms.value(1)) <= 1e-12
 
 
 class TestCentralMoments:
@@ -340,6 +345,22 @@ class TestRouteFrontEnd:
             cm = moments_via_route(params, route, MomentKind.CENTRAL, F, 2)
             assert abs(float(cm.value(2)) - 22) < 1e-8 * 22
 
+    @pytest.mark.parametrize("point", [(1, 3, 0.4), (2, 2, 0.5), (3, 2, 0.6)])
+    def test_float_routes_shift_to_the_gap(self, point):
+        # root and summation: gap factorial and raw moments match the exact pgf's,
+        # and gap central moments are the type1 ones
+        params = RunParams(*point)
+        for route in (MomentRoute.ROOT, MomentRoute.SUMMATION):
+            type1 = moments_via_route(params, route, CENTRAL, F, 4)
+            for g in (1, 2, 3):
+                gap = VariantSpec.with_gap(g)
+                for kind in (FACT, RAW):
+                    got = moments_via_route(params, route, kind, F, 4, gap)
+                    want = moments_via_route(params.to_exact(), PGF, kind, F, 4, gap)
+                    for a, b in zip(got.values, want.values):
+                        assert abs(a - b) <= 1e-9 * b
+                assert moments_via_route(params, route, CENTRAL, F, 4, gap) == type1
+
     def test_full_only_routes_reject_cut(self):
         params = RunParams(2, 1, 0.5)
         for route in (MomentRoute.PGF, MomentRoute.ROOT):
@@ -357,7 +378,6 @@ class TestRouteFrontEnd:
 
 
 PROPERTY = settings(deadline=None, database=None)
-FACT, RAW, CENTRAL = MomentKind.FACTORIAL, MomentKind.RAW, MomentKind.CENTRAL
 KIND_SCHEMES = ((FACT, C), (FACT, F), (RAW, C), (RAW, F), (CENTRAL, F))
 
 
@@ -386,11 +406,7 @@ def test_float_moments_are_the_exact_value_rounded_once(k, r, p, order, g):
                     continue
                 once(lambda ps: moments_via_route(ps, route, kind, scheme, order, variant))
     for scheme in (C, F):
-        once(lambda ps: factorial_moments_partition(ps, order, scheme))
-        once(lambda ps: raw_moments_partition(ps, order, scheme))
         once(lambda ps: mean(ps, scheme))
-    once(lambda ps: factorial_moments_recurrence(ps, order))
-    once(lambda ps: factorial_moments_pgf(ps, order, gap))
     once(variance)
     once(lambda ps: central_moments(ps, min(order, 4)))
 
@@ -402,10 +418,10 @@ def test_exact_routes_agree(k, r, d, data, order, g):
     """The partition, recurrence, pgf and closed-form values are the same fractions."""
     params = RunParams(k, r, Fraction(data.draw(st.integers(1, d - 1)), d))
     variant = VariantSpec(overlap=-g)  # type1 at g = 0
-    rec = factorial_moments_recurrence(params, order)
-    assert factorial_moments_partition(params, order, C).values == rec.values
-    full = factorial_moments_partition(params, order, F)
-    assert full.values == shift_moments(rec, r * k).values
+    rec = moments_via_route(params, REC, FACT, C, order)
+    assert moments_via_route(params, PART, FACT, C, order).values == rec.values
+    full = moments_via_route(params, PART, FACT, F, order)
+    assert full.values == shift_moments(rec.values, r * k, True)
     routes = {}
     for kind, scheme in KIND_SCHEMES:
         var = variant if scheme is F else TYPE1
@@ -416,10 +432,9 @@ def test_exact_routes_agree(k, r, d, data, order, g):
         if scheme is F:
             pgf = moments_via_route(params, MomentRoute.PGF, kind, F, order, var)
             assert pgf.values == part.values
-    assert factorial_moments_pgf(params, order, variant).values == routes[FACT, F]
-    assert shift_moments(full, (r - 1) * g).values == routes[FACT, F]
+    assert shift_moments(full.values, (r - 1) * g, True) == routes[FACT, F]
     assert central_moments(params, min(order, 4)).values == routes[CENTRAL, F][:4]
     assert mean(params, C) == routes[RAW, C][0]
-    assert mean(params) == raw_moments_partition(params, 1, F).value(1)
+    assert mean(params) == moments_via_route(params, PART, RAW, F, 1).value(1)
     if order >= 2:
         assert variance(params) == routes[CENTRAL, F][1]

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from runsdist.core import IndexScheme, MomentKind, RunParams, VariantSpec
-from runsdist.moments import (central_from_raw, factorial_moments_partition,
-                              mean, moments_from_table,
-                              raw_moments_partition, variance)
+from runsdist.moments import MomentRoute, mean, moments_from_table, moments_via_route, variance
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
 from runsdist.pmf import PmfEngine, TermCounter, pmf_recurrence_pg, pmf_table
 from runsdist.roots import (aux_polynomial,
@@ -227,7 +225,8 @@ class TestRootMoments:
                     params = RunParams(k, r, pv)
                     coeffs = recover_coefficients(solve_roots(params))
                     got = factorial_moments_root(coeffs, 4)
-                    want = factorial_moments_partition(params, 4, F)
+                    want = moments_via_route(params, MomentRoute.PARTITION,
+                                             MomentKind.FACTORIAL, F, 4)
                     for a, b in zip(got.values, want.values):
                         assert abs(a - float(b)) <= 1e-9 * abs(float(b))
 
@@ -291,8 +290,7 @@ class TestGapVariant:
         sem = CountingSemantics(CountingMode.GAP, gap=2)
         dp = dp_waiting_time_pmf(params, sem, 400)
         got = moments_from_table(dp, 3, MomentKind.CENTRAL)
-        raw = raw_moments_partition(params, 3, F)
-        want = central_from_raw(raw)
+        want = moments_via_route(params, MomentRoute.PARTITION, MomentKind.CENTRAL, F, 3)
         for order in (2, 3):
             assert abs(got.value(order) - float(want.value(order))) \
                 <= 1e-9 * abs(float(want.value(order)))

@@ -20,7 +20,8 @@ where ``summation`` runs only while the mean is at most
 ``SUMMATION_MEAN_MAX``, as its table spans 30 standard deviations, and not
 for central moments to order 1, whose zero value its window cannot bound;
 ``central_moments``, both ``mean`` schemes, ``variance``, ``gap_moments``
-and ``factorial_moments_pgf`` for type1, the gap, the overlap and type2.
+and the ``pgf`` route's full-scheme factorial moments for type1, the gap,
+the overlap and type2.
 An error prints as its name and message. The output depends only on SEED,
 COUNT and the library, so ``cmp`` of two checkouts' outputs is a
 bit-identity check, and two runs of one checkout must match.
@@ -37,8 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from runsdist.core import (TYPE1, IndexScheme, MomentKind, RunParams, TermCounter,  # noqa: E402
                            VariantSpec)
-from runsdist.moments import (MomentRoute, central_moments, factorial_moments_pgf,  # noqa: E402
-                              mean, moments_via_route, variance)
+from runsdist.moments import (MomentRoute, central_moments, mean,  # noqa: E402
+                              moments_via_route, variance)
 from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, counts_muselli,  # noqa: E402
                           pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
                           pmf_pgf_expansion, pmf_table)
@@ -99,8 +100,9 @@ def moment_cells(params: RunParams, order: int, g: int, ell: int) -> list:
               f"variance={_show(variance, params)}"]
     cells += [f"gap_moments:{kind.value}={_show(gap_moments, params, g, order, kind)}"
               for kind in (MomentKind.FACTORIAL, MomentKind.RAW)]
-    cells += [f"factorial_moments_pgf:{variant.describe()}="
-              + _show(factorial_moments_pgf, params, order, variant)
+    cells += [f"pgf-factorial:{variant.describe()}="
+              + _show(moments_via_route, params, MomentRoute.PGF, MomentKind.FACTORIAL, F, order,
+                      variant)
               for variant in families + [VariantSpec.type_ii()]]
     return cells
 
