@@ -343,7 +343,8 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
     each value once. The generating-function and root routes produce
     full-scheme moments and cannot be converted to the cut scheme (there is
     no valid inverse shift), so asking them for cut-scheme factorial or raw
-    moments is an error, as is the cut scheme for a gap.
+    moments is an error, as is the cut scheme for a gap. Central moments do
+    not depend on the scheme, so every route labels them with the one asked for.
     """
     if order_max < 1:
         raise ValueError("order_max must be >= 1")
@@ -361,7 +362,6 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
     # the pgf route's gap is in its pgf; the other routes shift Type I moments by (r-1) g
     shift = ((params.r - 1) * variant.gap
              if variant.is_gap and not central and route is not MomentRoute.PGF else 0)
-    out = IndexScheme.FULL
     if route is MomentRoute.PGF:
         nums, d = _pgf_numerators(params, order_max, variant)
         nums = _from_factorial(nums, d, kind)
@@ -374,20 +374,18 @@ def moments_via_route(params: RunParams, route: MomentRoute, kind: MomentKind,
         fact = [1, *roots.factorial_moments_root(coeffs, order_max).values]
         nums, d = _from_factorial(fact, 1, kind), 1
     elif route is MomentRoute.SUMMATION:
-        params, d, out = params.to_float(), 1, scheme
+        params, d = params.to_float(), 1
         nums = [1, *moments_by_summation(params, order_max, kind, scheme).values]
     elif route is MomentRoute.RECURRENCE:
         nums, d = _recurrence_numerators(params, order_max)
-        nums, out = _from_factorial(nums, d, kind), IndexScheme.CUT
+        nums = _from_factorial(nums, d, kind)
         shift += params.r * params.k if scheme is IndexScheme.FULL and not central else 0
     elif route is MomentRoute.PARTITION:
-        out = IndexScheme.CUT if central else scheme
-        nums, d = _partition_numerators(params, order_max,
-                                        _FAMILIES[MomentKind.RAW if central else kind, out])
+        family = (MomentKind.RAW, IndexScheme.CUT) if central else (kind, scheme)
+        nums, d = _partition_numerators(params, order_max, _FAMILIES[family])
         nums = _central_numerators(nums) if central else nums
     else:
         raise ValueError(f"unknown route {route!r}")
     if shift:  # the gap and the cut-to-full step each shift the waiting time
         nums = _shifted_numerators(nums, d, shift, kind is MomentKind.FACTORIAL)
-        out = IndexScheme.FULL
-    return _moment_set(params, kind, out, nums, d)
+    return _moment_set(params, kind, scheme, nums, d)

@@ -293,10 +293,12 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
                 runs = runs[keep]
     mean = float(wait.mean())
     var = float(wait.var(ddof=1)) if samples > 1 else 0.0
-    centered = wait - mean
-    m2 = float(np.mean(centered ** 2))
-    m3 = float(np.mean(centered ** 3))
-    skew = m3 / m2 ** 1.5 if m2 > 0 else 0.0
     counts = np.bincount(wait)
+    # the powers once per waiting time, gathered per sample: the same elements
+    # in the same order as powering every sample, at a fraction of the pow calls
+    centered = np.arange(counts.size) - mean
+    m2 = float(np.mean((centered ** 2)[wait]))
+    m3 = float(np.mean((centered ** 3)[wait]))
+    skew = m3 / m2 ** 1.5 if m2 > 0 else 0.0
     return MonteCarloResult(samples=samples, seed=seed, mean=mean, variance=var,
                             skewness=skew, counts=tuple(int(c) for c in counts))

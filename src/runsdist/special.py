@@ -284,39 +284,17 @@ def hyp2f1(a: int, b: int, c: int, z):
 
 @lru_cache(maxsize=None)
 def _eulerian_row(i: int) -> tuple:
-    """Row ``i`` of :func:`eulerian_number`, ``A(i, 0) .. A(i, i-1)`` or ``(1,)`` at ``i = 0``."""
+    """Row ``i`` of the Eulerian triangle, ``A(i, 0) .. A(i, i-1)`` or ``(1,)`` at ``i = 0``.
+
+    ``A(i, j) = sum_s (-1)^s C(i+1, s) (j+1-s)^i``, the alternating sum.
+    """
     return tuple(sum((-1) ** s * math.comb(i + 1, s) * (j + 1 - s) ** i for s in range(j + 1))
                  for j in range(i)) if i else (1,)
 
 
-def eulerian_number(i: int, j: int) -> int:
-    """Entry ``A(i, j)`` of the Eulerian-number triangle, by alternating sum.
-
-    ``A(i, j) = sum_s (-1)^s C(i+1, s) (j+1-s)^i`` for ``0 <= j <= i-1``;
-    entries outside the triangle are 0, and ``A(0, 0) = 1`` by convention.
-    """
-    if i < 0:
-        raise ValueError("order must be nonnegative")
-    if j < 0 or j > max(i - 1, 0):
-        return 0
-    return _eulerian_row(i)[j]
-
-
-def eulerian_poly(i: int, t):
-    """Evaluate the Eulerian polynomial ``A_i(t) = sum_j A(i, j) t^j``.
-
-    ``A_0(t) = 1``; the coefficients are the cached row of :func:`eulerian_number`.
-    """
-    total = 0
-    tp = 1
-    for a in _eulerian_row(i):
-        total = total + a * tp
-        tp = tp * t
-    return total
-
-
 @lru_cache(maxsize=None)
 def _stirling2_row(n: int) -> tuple:
+    """Stirling numbers of the second kind ``S(n, 0) .. S(n, n)``."""
     if n == 0:
         return (1,)
     prev = _stirling2_row(n - 1)
@@ -324,12 +302,3 @@ def _stirling2_row(n: int) -> tuple:
     for j in range(1, n + 1):
         row[j] = j * (prev[j] if j < len(prev) else 0) + prev[j - 1]
     return tuple(row)
-
-
-def stirling2(n: int, j: int) -> int:
-    """Stirling number of the second kind ``S(n, j)``; 0 outside ``0<=j<=n``."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if j < 0 or j > n:
-        return 0
-    return _stirling2_row(n)[j]

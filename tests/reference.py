@@ -9,7 +9,9 @@ single-run generating function and recurrence, the additive Eulerian
 triangle, the rising factorial that sums the hypergeometric series term
 by term, and the Stirling transform and index shift of a moment sequence,
 one Fraction or float at a time. The factorial and raw moment coefficients by scheme are the
-routes' own, finalized one order at a time for the tests to read. Only the
+routes' own, finalized one order at a time for the tests to read, and the
+Eulerian numbers and polynomials and the Stirling numbers of the second kind
+read single entries off the package's cached rows. Only the
 tests use these forms, so they live beside them and are not part of the
 package.
 """
@@ -23,7 +25,7 @@ from fractions import Fraction
 from runsdist.core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
 from runsdist.moments import (_coeff_factorial_cut, _coeff_factorial_full, _coeff_raw_cut,
                               _coeff_raw_full)
-from runsdist.special import binom, falling, hyp2f1, stirling2
+from runsdist.special import _eulerian_row, _stirling2_row, binom, falling, hyp2f1
 
 
 def _exact_pq(params: RunParams):
@@ -178,8 +180,7 @@ class EulerianTable:
     Row ``i >= 1`` holds ``A(i, 0) .. A(i, i-1)``; row 0 is the constant 1.
     Built from the additive recurrence
     ``A(i, j) = (j+1) A(i-1, j) + (i-j) A(i-1, j-1)``, which the tests check
-    against the alternating-sum construction of
-    :func:`~runsdist.special.eulerian_number`.
+    against the alternating-sum construction of :func:`eulerian_number`.
     """
 
     max_order: int
@@ -207,3 +208,35 @@ class EulerianTable:
         if i == 0:
             return 1 if j == 0 else 0
         return row[j] if 0 <= j < len(row) else 0
+
+
+def eulerian_number(i: int, j: int) -> int:
+    """Entry ``A(i, j)`` of the Eulerian-number triangle, by alternating sum.
+
+    ``A(i, j) = sum_s (-1)^s C(i+1, s) (j+1-s)^i`` for ``0 <= j <= i-1``;
+    entries outside the triangle are 0, and ``A(0, 0) = 1`` by convention.
+    """
+    if i < 0:
+        raise ValueError("order must be nonnegative")
+    if j < 0 or j > max(i - 1, 0):
+        return 0
+    return _eulerian_row(i)[j]
+
+
+def eulerian_poly(i: int, t):
+    """Evaluate the Eulerian polynomial ``A_i(t) = sum_j A(i, j) t^j``; ``A_0(t) = 1``."""
+    total = 0
+    tp = 1
+    for a in _eulerian_row(i):
+        total = total + a * tp
+        tp = tp * t
+    return total
+
+
+def stirling2(n: int, j: int) -> int:
+    """Stirling number of the second kind ``S(n, j)``; 0 outside ``0<=j<=n``."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if j < 0 or j > n:
+        return 0
+    return _stirling2_row(n)[j]

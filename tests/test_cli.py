@@ -399,31 +399,40 @@ class TestNumericFailures:
         assert "Traceback" not in err
 
 
-def _modules_after(*commands):
-    """Run CLI commands in a fresh interpreter; which of numpy and roots are loaded afterwards?"""
+def _fresh_run(*commands, openblas=None):
+    """Run CLI commands in a fresh interpreter, ``OPENBLAS_NUM_THREADS`` set to ``openblas``
+    or absent; which of numpy and roots are loaded afterwards, what that variable reads,
+    and how many threads the process has (None where ``/proc`` does not list them)?"""
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, os, sys\n"
         "import runsdist, runsdist.cli\n"
         f"for argv in {list(commands)!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert runsdist.cli.main(argv) == 0, argv\n"
-        "print(json.dumps([m for m in ('numpy', 'runsdist.roots') if m in sys.modules]))\n")
+        "tasks = '/proc/self/task'\n"
+        "print(json.dumps([[m for m in ('numpy', 'runsdist.roots') if m in sys.modules],\n"
+        "                  os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  len(os.listdir(tasks)) if os.path.isdir(tasks) else None]))\n")
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    modules, threads_env, threads = json.loads(proc.stdout.splitlines()[-1])
+    return set(modules), threads_env, threads
 
 
 class TestNumpyLoading:
     PARAMS = ["--k", "2", "--r", "2", "--p", "2/5"]
 
     def test_import_and_exact_commands_leave_numpy_unloaded(self):
-        assert _modules_after() == set()
-        assert _modules_after(
+        assert _fresh_run()[0] == set()
+        assert _fresh_run(
             ["pmf", *self.PARAMS, "--n-min", "4", "--n-max", "9", "--engine", "nested-sum"],
-            ["moments", *self.PARAMS, "--kind", "raw", "--route", "partition"]) == set()
+            ["moments", *self.PARAMS, "--kind", "raw", "--route", "partition"])[0] == set()
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--k", "2", "--r", "1", "--p", "0.5", "--samples", "10"],
@@ -431,4 +440,17 @@ class TestNumpyLoading:
          "--route", "root"],
     ])
     def test_numeric_commands_load_numpy(self, command):
-        assert "numpy" in _modules_after(command)
+        assert "numpy" in _fresh_run(command)[0]
+
+
+class TestBlasThreads:
+    ROOT = ["moments", "--k", "2", "--r", "2", "--p", "0.4", "--kind", "factorial",
+            "--route", "root"]
+
+    def test_cli_starts_openblas_on_one_thread(self):
+        modules, threads_env, threads = _fresh_run(self.ROOT)
+        assert "numpy" in modules and threads_env == "1"
+        assert threads in (None, 1)  # set before numpy loaded, so no worker threads
+
+    def test_a_value_the_user_set_wins(self):
+        assert _fresh_run(self.ROOT, openblas="2")[1] == "2"

@@ -345,6 +345,14 @@ class TestRouteFrontEnd:
             cm = moments_via_route(params, route, MomentKind.CENTRAL, F, 2)
             assert abs(float(cm.value(2)) - 22) < 1e-8 * 22
 
+    @pytest.mark.parametrize("scheme", [F, C])
+    def test_central_carries_the_requested_scheme(self, scheme):
+        params = RunParams(2, 2, HALF)
+        sets = {route: moments_via_route(params, route, CENTRAL, scheme, 4)
+                for route in MomentRoute}
+        assert {ms.scheme for ms in sets.values()} == {scheme}
+        assert sets[REC] == sets[PART] == sets[PGF]  # the exact routes, label included
+
     @pytest.mark.parametrize("point", [(1, 3, 0.4), (2, 2, 0.5), (3, 2, 0.6)])
     def test_float_routes_shift_to_the_gap(self, point):
         # root and summation: gap factorial and raw moments match the exact pgf's,

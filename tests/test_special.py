@@ -7,10 +7,9 @@ import pytest
 
 from runsdist import special
 from runsdist.special import (HornerLadder, NonTerminatingSeries, ZeroDenominatorPochhammer,
-                              binom, eulerian_number, eulerian_poly, falling,
-                              fixed_point_horner, homogeneous_horner, hyp2f1, stirling2)
+                              binom, falling, fixed_point_horner, homogeneous_horner, hyp2f1)
 
-from reference import EulerianTable, rising
+from reference import EulerianTable, eulerian_number, eulerian_poly, rising, stirling2
 
 
 class TestBinom:

@@ -16,12 +16,14 @@ seeded by SEED and the point's number, so the pmf cells do not depend on
 them: an order up to 6 (up to 10 for an exact ``p``), a gap ``g`` in 1..3
 and an overlap ``l`` in 1..k-1; ``moments_via_route`` for every route, kind
 and scheme it serves, for type1, the gap and (``root`` only) the overlap,
-where ``summation`` runs only while the mean is at most
-``SUMMATION_MEAN_MAX``, as its table spans 30 standard deviations, and not
-for central moments to order 1, whose zero value its window cannot bound;
+where ``summation`` runs only while the Type I mean is at most
+``MEAN_MAX``, as its table spans 30 standard deviations;
 ``central_moments``, both ``mean`` schemes, ``variance``, ``gap_moments``
 and the ``pgf`` route's full-scheme factorial moments for type1, the gap,
-the overlap and type2.
+the overlap and type2. While the mean is at most ``MEAN_MAX`` the line ends
+in one seeded ``monte_carlo`` run, drawn from a third stream: a family the
+point serves, at most 500 samples and a seed, with the ``repr`` of the
+mean, variance and skewness and the counts.
 An error prints as its name and message. The output depends only on SEED,
 COUNT and the library, so ``cmp`` of two checkouts' outputs is a
 bit-identity check, and two runs of one checkout must match.
@@ -40,13 +42,14 @@ from runsdist.core import (TYPE1, IndexScheme, MomentKind, RunParams, TermCounte
                            VariantSpec)
 from runsdist.moments import (MomentRoute, central_moments, mean,  # noqa: E402
                               moments_via_route, variance)
+from runsdist.oracle import CountingSemantics, monte_carlo  # noqa: E402
 from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, counts_muselli,  # noqa: E402
                           pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum,
                           pmf_pgf_expansion, pmf_table)
 from runsdist.roots import gap_moments  # noqa: E402
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
-SUMMATION_MEAN_MAX = 200.0
+MEAN_MAX = 200.0  # the summation route and Monte Carlo run only up to this mean
 # the (kind, scheme) pairs each route serves for type1; a gap takes the full ones
 ROUTE_CELLS = {route: [(kind, scheme) for kind in MomentKind for scheme in (C, F)
                        if scheme is F or (kind is not MomentKind.CENTRAL
@@ -72,25 +75,26 @@ def _counted(fn, *args, **kwargs) -> str:
     return f"{_show(fn, *args, counter=counter, **kwargs)}#{counter.count}"
 
 
+def _wide(params: RunParams) -> bool:
+    """Is the Type I mean above ``MEAN_MAX``?"""
+    p, k = float(params.p), params.k
+    return params.r * (1 - p ** k) / ((1 - p) * p ** k) > MEAN_MAX
+
+
 def moment_cells(params: RunParams, order: int, g: int, ell: int) -> list:
     """The moment cells at one point; ``ell = 0`` leaves the overlap family out."""
-    k, r = params.k, params.r
     families = [TYPE1, VariantSpec.with_gap(g)]
     if ell:
         families.append(VariantSpec.with_overlap(ell))
-    p = float(params.p)
-    wide = r * (1 - p ** k) / ((1 - p) * p ** k) > SUMMATION_MEAN_MAX
     cells = [f"order={order} g={g}"]
     for route, pairs in ROUTE_CELLS.items():
-        if route is MomentRoute.SUMMATION and wide:
+        if route is MomentRoute.SUMMATION and _wide(params):
             continue
         for variant in families:
             if variant.is_overlap and route is not MomentRoute.ROOT:
                 continue
             for kind, scheme in pairs:
-                if (variant.is_gap and scheme is C) or (
-                        route is MomentRoute.SUMMATION and kind is MomentKind.CENTRAL
-                        and order == 1):  # a zero moment never closes the window
+                if variant.is_gap and scheme is C:
                     continue
                 cells.append(f"{route.value}:{kind.value}@{scheme.value}:{variant.describe()}="
                              + _show(moments_via_route, params, route, kind, scheme, order,
@@ -107,7 +111,21 @@ def moment_cells(params: RunParams, order: int, g: int, ell: int) -> list:
     return cells
 
 
-def point(rng: random.Random, mrng: random.Random) -> str:
+def monte_carlo_cell(params: RunParams, rng: random.Random) -> str:
+    """One seeded Monte Carlo run of a family the point serves."""
+    families = [TYPE1, VariantSpec.type_ii(), VariantSpec.with_gap(rng.randint(1, 3))]
+    if params.k > 1:
+        families.append(VariantSpec.with_overlap(rng.randint(1, params.k - 1)))
+    variant, samples, seed = rng.choice(families), rng.randint(1, 500), rng.randrange(2 ** 32)
+
+    def run():
+        res = monte_carlo(params, CountingSemantics.from_variant(variant), samples, seed)
+        return res.mean, res.variance, res.skewness, res.counts
+
+    return f"monte_carlo:{variant.describe()}:{samples}:{seed}={_show(run)}"
+
+
+def point(rng: random.Random, mrng: random.Random, crng: random.Random) -> str:
     k, r = rng.randint(1, 5), rng.randint(1, 4)
     if rng.random() < 0.5:
         d = rng.randint(2, 20)
@@ -143,7 +161,10 @@ def point(rng: random.Random, mrng: random.Random) -> str:
         cells.append(f"{engine.value}@{lo}..{hi}={table}")
     order = mrng.randint(1, 10 if params.exact else 6)
     g, ell = mrng.randint(1, 3), mrng.randint(1, k - 1) if k > 1 else 0
-    return " ".join(cells + moment_cells(params, order, g, ell))
+    cells += moment_cells(params, order, g, ell)
+    if not _wide(params):
+        cells.append(monte_carlo_cell(params, crng))
+    return " ".join(cells)
 
 
 def main(argv: list) -> int:
@@ -153,7 +174,8 @@ def main(argv: list) -> int:
     seed, count = map(int, argv)
     rng = random.Random(seed)
     for i in range(count):
-        print(i, point(rng, random.Random(f"moments:{seed}:{i}")))
+        print(i, point(rng, random.Random(f"moments:{seed}:{i}"),
+                       random.Random(f"monte_carlo:{seed}:{i}")))
     return 0
 
 
