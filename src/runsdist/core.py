@@ -73,14 +73,6 @@ class RunParams:
         """True in exact-rational mode."""
         return isinstance(self.p, Fraction)
 
-    def exact_p(self) -> Fraction:
-        """The success probability as an exact rational.
-
-        In float mode this is the exact binary value of the stored double, so
-        exact-internal computations agree with float-mode inputs bit for bit.
-        """
-        return self.p if isinstance(self.p, Fraction) else Fraction(self.p)
-
     def finalize(self, value) -> Scalar:
         """An exact internal result in this mode: unchanged when exact, else rounded once."""
         return value if self.exact else float(value)
@@ -149,7 +141,7 @@ class PowerRatio:
     __slots__ = ("d", "exact", "primes", "twos", "e", "power")
 
     def __init__(self, params: RunParams) -> None:
-        self.d = params.p.as_integer_ratio()[1]  # exact_p's denominator, without a Fraction
+        self.d = params.p.as_integer_ratio()[1]  # for a float p, a power of two
         self.exact = params.exact
         self.twos = (self.d & -self.d).bit_length() - 1  # the multiplicity of 2 in d
         self.primes = _odd_prime_powers(self.d >> self.twos) if self.exact else None
@@ -332,7 +324,7 @@ def rational_pgf(params: RunParams, variant: VariantSpec = TYPE1) -> tuple:
     variant.check_against(params)
     k, r = params.k, params.r
     if params.exact:
-        p, unit = params.p.numerator, params.p.denominator
+        p, unit = params.p.as_integer_ratio()
         q = unit - p
     else:
         p, unit = float(params.p), 1

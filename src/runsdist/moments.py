@@ -316,7 +316,7 @@ def _pgf_numerators(params: RunParams, order_max: int, variant: VariantSpec) -> 
     zero (``((b - a) a^k)^r`` for type1), ``t = L u`` makes the shifted
     denominator over ``L`` monic, so ``H_j = L^(j+1) [t^j] num/den`` are
     integers; as ``scale num(1) = L``, the moment is ``j! H_j n_0^(j-1) / d^j``
-    for ``n_0 = num(1)`` and ``d = n_0 L``. Always computed from ``exact_p()``.
+    for ``n_0 = num(1)`` and ``d = n_0 L``, always at the exact value of ``p``.
     """
     _, shift, num, den = rational_pgf(params.to_exact(), variant)
     length = order_max + 1

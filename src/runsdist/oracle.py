@@ -130,8 +130,8 @@ def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
         raise ValueError("n_max must be >= 1")
     k, r = params.k, params.r
     if params.exact:
-        den = params.p.denominator
-        p, q, stay = params.p.numerator, den - params.p.numerator, den
+        p, den = params.p.as_integer_ratio()
+        q, stay = den - p, den
     else:
         p, q, stay = params.p, params.q, 1
     type2, restart = variant.type2, variant.restart

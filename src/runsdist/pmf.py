@@ -118,7 +118,7 @@ def _recurrence_values(params: RunParams, n_max: int) -> list:
         raise RecurrenceUnderflow(f"p^((r+1)k) = {p!r}^{(r + 1) * k} is below the smallest "
                                   "normal double; use nested-sum or an exact p")
     if params.exact:
-        a, d = p.numerator, p.denominator
+        a, d = p.as_integer_ratio()
         b = d - a
         apow = [a ** j for j in range(k)]
         nums = [a ** rk]
@@ -133,15 +133,15 @@ def _recurrence_values(params: RunParams, n_max: int) -> list:
         return values
     q = params.q
     ppow = [p ** j for j in range(k + 1)]
-    values = {rk: p ** rk}
-    for n in range(rk + 1, n_max + 1):
+    values = [p ** rk]
+    for m in range(1, n_max - rk + 1):
         acc = 0
-        for j in range(1, k + 1):
-            prev = values.get(n - j)
+        for j in range(1, min(k, m) + 1):
+            prev = values[m - j]
             if prev:
-                acc += (n - rk + j * (r - 1)) * ppow[j] * prev
-        values[n] = (q / p) * acc / (n - rk)
-    return [values[n] for n in range(rk, n_max + 1)]
+                acc += (m + j * (r - 1)) * ppow[j] * prev
+        values.append((q / p) * acc / m)
+    return values
 
 
 def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
@@ -281,8 +281,7 @@ def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
     ``n = 1`` and ``n = k+1``, which are seeded. Index 0 is ``p^rk``.
     """
     k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
+    pn, den = params.p.as_integer_ratio()
     outer = _OuterSum(params, den - pn, pn, _run_weights(r, hi), pn ** (r * k), r * k, 1)
 
     def seed(n: int) -> list:
@@ -319,8 +318,7 @@ def _nested_sum(params: RunParams, j_max: int) -> _OuterSum:
     ``pn^rk sum_j w_j c_j x^j d^(J-j) / den^(rk + r + (k+1) J)``.
     """
     k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
+    pn, den = params.p.as_integer_ratio()
     return _OuterSum(params, pn ** k * (den - pn), den ** (k + 1), _run_weights(r, j_max, -1),
                      pn ** (r * k), r * k + r, k + 1)
 
@@ -379,8 +377,7 @@ def _nested_values(params: RunParams, lo: int, hi: int,
     adds the terms :func:`_nested_terms` counts at each index from 1.
     """
     k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
+    pn, den = params.p.as_integer_ratio()
     cq = [math.comb(r, i) * (den - pn) ** i * den ** (r - i) for i in range(r + 1)]
     outer = _nested_sum(params, hi // (k + 1))
 
@@ -440,8 +437,7 @@ def _hyp_values(params: RunParams, lo: int, hi: int) -> list:
     carries ``q^(i+1)``. Index 0 is ``p^rk``.
     """
     k, r = params.k, params.r
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
+    pn, den = params.p.as_integer_ratio()
     qi = [(den - pn) ** i * den ** (r - i) for i in range(r + 1)]
     outer = _nested_sum(params, hi // (k + 1))
     values = [outer(qi[:1])] if lo == 0 else []
@@ -479,8 +475,7 @@ def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
     """
     k, r = params.k, params.r
     rk = r * k
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
+    pn, den = params.p.as_integer_ratio()
     cp = [(-1) ** i * math.comb(r, i) * pn ** i * den ** (r - i) for i in range(r + 1)]
     outer = _nested_sum(params, (hi - rk) // (k + 1))
 
@@ -512,8 +507,7 @@ def _muselli_brackets(params: RunParams, form: MuselliForm, n: int) -> list:
     of either step by :func:`_pascal_row` alone.
     """
     k = params.k
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
+    pn, den = params.p.as_integer_ratio()
     ts = range(n, n - ((n + 1) // (k + 1) + 1) * k, -k)  # t at m = 0, 1, ...
     if form is MuselliForm.ORIGINAL:  # C(t-1, m-2) is 1 at t-1 = m-2 = -1
         return [den * (binom(t - 1, m - 2) + (t == 0 == m - 1)) + (den - pn) * binom(t - 1, m - 1)
@@ -544,8 +538,7 @@ def _muselli_values(params: RunParams, lo: int, hi: int, form: MuselliForm,
         runs, e, shift = params.r, params.r, 0
     else:
         runs, e, shift = count + 1, count, k + 1
-    p = params.exact_p()
-    pn, den = p.numerator, p.denominator
+    pn, den = params.p.as_integer_ratio()
     qn = den - pn
     x = pn ** k * qn
     head, div = (x ** e // qn, 1) if e else (1, qn)

@@ -148,7 +148,7 @@ def pgf_series(params: RunParams, n_terms: int,
     if not params.exact:
         out.extend(scale * c for c in _series_div(num, den, length))
         return out
-    b, lead = params.p.denominator, den[0]
+    b, lead = params.p.as_integer_ratio()[1], den[0]
     num = [c * b ** i for i, c in enumerate(num)]
     den = [c * b ** i // lead for i, c in enumerate(den)]  # exact: b^((k+1)r) | den[i] b^i
     ratio = PowerRatio(params)
@@ -164,7 +164,8 @@ def series_pmf(params: RunParams, n_max: int,
     zero = Fraction(0) if params.exact else 0.0
     vals = [coeffs[n] if n < len(coeffs) else zero for n in range(1, n_max + 1)]
     if not params.exact:
-        # division noise can leave values like -1e-18 below the support
+        # pgf_series writes int zeros below the support, and float division
+        # can leave negative values at and after its start; both read 0.0
         vals = [v if v > 0.0 else 0.0 for v in vals]
     return PmfTable(params, IndexScheme.FULL, variant, 1, tuple(vals))
 
@@ -200,7 +201,10 @@ def recover_coefficients(system: RootSystem, ell: int = 0) -> RootCoefficients:
         raise ValueError("overlap must lie in [0, k-1]")
     variant = VariantSpec(overlap=ell) if ell else TYPE1
     n0 = support_min(params, variant)
-    reference = series_pmf(params.to_float(), n0 + 2 * k * r, variant)
+    try:
+        reference = series_pmf(params.to_float(), n0 + 2 * k * r, variant)
+    except ValueError as err:  # the PmfTable check: the float series is wrong, not the request
+        raise ValidationFailed(f"reference series: {err}") from err
 
     lam = system.roots
     cols = [(j, m) for j in range(k) for m in range(1, r + 1)]
@@ -219,33 +223,29 @@ def recover_coefficients(system: RootSystem, ell: int = 0) -> RootCoefficients:
     colnorm = np.linalg.norm(mat, axis=0)
     colnorm[colnorm == 0] = 1.0
     mat /= colnorm
-    sv = np.linalg.svd(mat, compute_uv=False)
-    cond = float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
-    scaled = np.linalg.lstsq(mat, rhs, rcond=None)[0] / colnorm
+    solution, _, _, sv = np.linalg.lstsq(mat, rhs, rcond=None)
+    scaled = solution / colnorm
     a = [[0j] * r for _ in range(k)]
     for ci, (j, m) in enumerate(cols):
         a[j][m - 1] = complex(scaled[ci]) * lam[j] ** (m - n0)
+    a = tuple(tuple(row) for row in a)
 
-    coeffs = RootCoefficients(system=system, ell=ell,
-                              a=tuple(tuple(row) for row in a),
-                              recovery_residual=0.0, n_support=n0)
     worst = 0.0
     for n in range(n0, n0 + 2 * kr):
-        z = _root_sum(coeffs, n)
+        z = _root_sum(lam, a, n)
         worst = max(worst, abs(z.imag), abs(z.real - float(reference.value(n))))
     if worst > 1e-10:
+        cond = float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
         if cond > _COND_LIMIT:
             raise IllConditionedSystem(
                 f"recovery matrix condition {cond:.3e}; residual {worst:.3e}")
         raise ValidationFailed(f"held-out residual {worst:.3e} > 1e-10")
-    return RootCoefficients(system=system, ell=ell, a=coeffs.a,
-                            recovery_residual=worst, n_support=n0)
+    return RootCoefficients(system=system, ell=ell, a=a, recovery_residual=worst, n_support=n0)
 
 
-def _root_sum(coeffs: RootCoefficients, n: int) -> complex:
-    lam = coeffs.system.roots
+def _root_sum(lam: tuple, a: tuple, n: int) -> complex:
     acc = 0j
-    for j, row in enumerate(coeffs.a):
+    for j, row in enumerate(a):
         for m, a_jm in enumerate(row, start=1):
             acc += binom(n - 1, m - 1) * a_jm * lam[j] ** (n - m)
     return acc
@@ -258,7 +258,7 @@ def pmf_root_based(coeffs: RootCoefficients, n: int,
         return 0.0
     if counter is not None:
         counter.add(len(coeffs.a) * len(coeffs.a[0]))
-    z = _root_sum(coeffs, n)
+    z = _root_sum(coeffs.system.roots, coeffs.a, n)
     if abs(z.imag) > 1e-8:
         raise ValidationFailed(f"imaginary residue {z.imag:.3e} at n={n}")
     return z.real if z.real > 0.0 else 0.0

@@ -29,7 +29,7 @@ from runsdist.special import _eulerian_row, _stirling2_row, binom, falling, hyp2
 
 
 def _exact_pq(params: RunParams):
-    p = params.exact_p()
+    p = Fraction(params.p)
     return p, 1 - p
 
 
@@ -37,7 +37,7 @@ def _family(params: RunParams, family, j: int) -> Fraction:
     """Coefficient ``j`` of a route's family, ``Y_j / (c^j a^k)`` for ``p = a/b``, ``c = b - a``."""
     if j < 1:
         raise ValueError("coefficient order must be >= 1")
-    p = params.exact_p()
+    p = Fraction(params.p)
     a, c = p.numerator, p.denominator - p.numerator
     return Fraction(family(params, j)[j], c ** j * a ** params.k)
 

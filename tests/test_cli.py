@@ -373,7 +373,12 @@ class TestNumericFailures:
           "nested-sum,root-based"], "IllConditionedSystem"),
         (["pmf", "--k", "80", "--r", "1", "--p", "0.5", "--n-min", "80", "--n-max", "81",
           "--engine", "root-based"], "RootToleranceExceeded"),
-    ], ids=["pmf", "moments", "compare", "pmf-k80"])
+        # the float reference series of the root fit breaks its own mass bound
+        (["pmf", "--k", "1", "--r", "20", "--p", "0.7", "--n-min", "20", "--n-max", "21",
+          "--engine", "root-based"], "ValidationFailed"),
+        (["moments", "--k", "1", "--r", "20", "--p", "0.7", "--kind", "raw", "--route", "root"],
+         "ValidationFailed"),
+    ], ids=["pmf", "moments", "compare", "pmf-k80", "pmf-reference", "moments-reference"])
     def test_named_error_exits_2(self, capsys, args, name):
         code, out, err = run_cli(capsys, *args)
         assert code == 2
@@ -396,6 +401,31 @@ class TestNumericFailures:
         assert code == 2
         assert out == ""
         assert f"{args[0]}: {name}: " in err
+        assert "Traceback" not in err
+
+
+class TestLibraryChecks:
+    """The CLI parses its flags; a request the library refuses exits 2 with its message."""
+
+    OVERLAP_5 = ["--k", "2", "--r", "1", "--p", "0.5", "--variant", "overlap=5"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["moments", "--k", "2", "--r", "1", "--p", "0.5", "--kind", "factorial",
+          "--order-max", "0"], "order_max must be >= 1"),
+        (["moments", "--k", "2", "--r", "1", "--p", "0.5", "--kind", "central",
+          "--order-max", "0"], "order_max must be >= 1"),
+        (["moments", *OVERLAP_5, "--kind", "raw", "--route", "root"],
+         "overlap must be at most k-1 = 1, got 5"),
+        (["compare", *OVERLAP_5, "--n-min", "2", "--n-max", "3",
+          "--engines", "nested-sum,root-based"], "overlap must be at most k-1 = 1, got 5"),
+        (["simulate", *OVERLAP_5, "--samples", "10"], "overlap must be at most k-1 = 1, got 5"),
+    ], ids=["order-max-factorial", "order-max-central", "overlap-moments", "overlap-compare",
+            "overlap-simulate"])
+    def test_refused_request_exits_2(self, capsys, args, message):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.rstrip().endswith(f"error: {message}")
         assert "Traceback" not in err
 
 

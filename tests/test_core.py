@@ -34,8 +34,6 @@ class TestRunParams:
         params = RunParams(2, 1, 0.5)
         assert params.to_exact().p == Fraction(1, 2)
         assert params.to_exact().to_float() == params
-        # exact_p of a float is its exact binary value
-        assert RunParams(1, 1, 0.1).exact_p() == Fraction(0.1)
 
 
 def _same_fraction(got, want) -> bool:
@@ -80,7 +78,7 @@ class TestPowerRatio:
 
     def test_float_mode_rounds_like_ratio(self):
         params = RunParams(2, 1, 0.3)
-        d = params.exact_p().denominator
+        d = Fraction(params.p).denominator
         ratio = PowerRatio(params)
         rng = random.Random(7)
         for e in (1, 2, 5, 9, 9, 20):
@@ -93,7 +91,7 @@ class TestPowerRatio:
         subnormal = 0
         for _ in range(400):
             params = RunParams(2, 1, rng.choice((0.5, 0.375, 0.3, 0.1)))
-            d = params.exact_p().denominator  # 2^z for a float p
+            d = Fraction(params.p).denominator  # 2^z for a float p
             num_bits = rng.randint(1, 20000)
             # quotients near 2^-shift: ordinary values, then the subnormal
             # range down to the underflow to zero

@@ -116,7 +116,7 @@ class TestFactorialMomentRoutes:
             params = RunParams(k, r, pv)
             from runsdist.special import _poly_pow
 
-            p = params.exact_p()
+            p = Fraction(params.p)
             q = 1 - p
             base = [0] * (k + 2)
             base[0], base[1], base[k + 1] = 1, -1, q * p ** k

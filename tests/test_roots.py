@@ -201,6 +201,15 @@ class TestCoefficientRecovery:
         with pytest.raises(ValidationFailed):
             recover_coefficients(solve_roots(RunParams(2, 2, 0.5)))
 
+    def test_reference_over_its_mass_bound_fails_validation(self):
+        from runsdist.roots import ValidationFailed
+
+        # the float series at k=1 r=20 p=0.7 sums past 1: a numeric failure, not a bad request
+        with pytest.raises(ValidationFailed,
+                           match="^reference series: pmf mass exceeds 1: ") as err:
+            recover_coefficients(solve_roots(RunParams(1, 20, 0.7)))
+        assert type(err.value.__cause__) is ValueError
+
 
 class TestRootMoments:
     def test_r1_simplification(self):
