@@ -6,7 +6,10 @@ over a power of the denominator of ``p`` and builds one fraction per
 absorbed entry), a 2^n brute force that scans every
 sequence (the oracle for the oracle), and a vectorized Monte Carlo driven by
 the Philox counter-based generator (named so results are reproducible across
-machines). All three speak every counting semantics: nonoverlapping
+machines), which draws its uniforms through one fixed block of
+``_DRAW_BLOCK`` doubles and keeps its per-sample state in int32 and a bool
+mask: 13 bytes per sample (17 when ``r > 1``), plus the int64 index lists of
+a compaction step. All three speak every counting semantics: nonoverlapping
 (Type I), at-least-one-failure-between (Type II), ell-overlapping (Type III
 at ell = k-1), and the minimum-gap variant; an overlap of k or more, which
 no engine computes, is rejected with a ``ValueError`` before any work starts.
@@ -226,6 +229,7 @@ class MonteCarloResult:
 
 
 _TRIALS_MAX = 10_000_000  # trials a Monte Carlo run takes before it gives up
+_DRAW_BLOCK = 1 << 16  # uniforms drawn per generator call, into one reused block
 
 
 class SimulationNotAbsorbed(NumericFailure):
@@ -239,16 +243,25 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
     Column-by-column vectorized stepping of the same state machine the DP
     uses: each trial draws one uniform per still-running stream, in stream
     order, and absorbed streams are compacted away so the work scales with
-    the number of streams left. A stream's state is its run progress and its
-    run count; a negative progress marks a stream that cannot advance yet (-1
-    a saturated Type II run waiting for a failure, -c a gap stream with c
-    cooldown trials left), so one trial is two in-place array operations on
-    the progress. Deterministic for a fixed seed.
+    the number of streams left. The uniforms come ``_DRAW_BLOCK`` at a time
+    into one reused float64 block, each block compared into a reused success
+    mask; chunked draws are the same doubles in the same order as one large
+    draw, so the block size changes no result. A stream's state is its index,
+    its run progress and its run count (kept only when ``r > 1``, as at
+    ``r = 1`` every completion finishes its stream), all int32 like the
+    waiting times, which the trial cap keeps below 2^31; so ``samples`` must
+    be below 2^31 too. A negative progress
+    marks a stream that cannot advance yet (-1 a saturated Type II run
+    waiting for a failure, -c a gap stream with c cooldown trials left), so
+    one trial is two in-place array operations on the progress. Deterministic
+    for a fixed seed.
     """
     variant = semantics.to_variant()
     variant.check_against(params)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples >= 2 ** 31:  # stream indices and waiting times are int32
+        raise ValueError("samples must be below 2**31")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     import numpy as np
@@ -257,17 +270,23 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
     p = float(params.p)
     k, r = params.k, params.r
     type2, gap, restart = variant.type2, variant.gap, variant.restart
-    idx = np.arange(samples)
+    block = np.empty(min(samples, _DRAW_BLOCK))
+    mask = np.empty(samples, bool)
+    idx = np.arange(samples, dtype=np.int32)
     prog = np.zeros(samples, np.int32)
-    runs = np.zeros(samples, np.int32)
-    wait = np.zeros(samples, np.int64)
+    runs = np.zeros(samples, np.int32) if r > 1 else None
+    wait = np.zeros(samples, np.int32)
     t = 0
     while idx.size:
         t += 1
         if t > _TRIALS_MAX:
             raise SimulationNotAbsorbed(f"streams still running after {_TRIALS_MAX} trials; "
                                         "check parameters")
-        succ = rng.random(idx.size) < p
+        n = idx.size
+        succ = mask[:n]
+        for lo in range(0, n, _DRAW_BLOCK):
+            hi = min(lo + _DRAW_BLOCK, n)
+            np.less(rng.random(out=block[:hi - lo]), p, out=mask[lo:hi])
         if type2:
             prog += prog >= 0
             prog *= succ
@@ -277,20 +296,27 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
         else:
             prog += 1
             prog *= succ
-        done = np.flatnonzero(prog >= k)
+        # nonzero()[0] is flatnonzero on a 1-d array without its per-call ravel,
+        # which a long walk pays once a trial
+        done = (prog >= k).nonzero()[0]
         if done.size:
-            prog[done] = restart
-            runs[done] += 1
-            fin = done[runs[done] >= r]
+            if runs is None:
+                fin = done
+            else:
+                prog[done] = restart
+                done_runs = runs[done] + 1
+                runs[done] = done_runs
+                fin = done[done_runs >= r]
             if fin.size:
                 wait[idx[fin]] = t
                 # one index list gathers every array, faster than a mask each
-                keep = np.ones(idx.size, bool)
+                keep = np.ones(n, bool)
                 keep[fin] = False
-                keep = np.flatnonzero(keep)
+                keep = keep.nonzero()[0]
                 idx = idx[keep]
                 prog = prog[keep]
-                runs = runs[keep]
+                if runs is not None:
+                    runs = runs[keep]
     mean = float(wait.mean())
     var = float(wait.var(ddof=1)) if samples > 1 else 0.0
     counts = np.bincount(wait)

@@ -235,7 +235,12 @@ def recover_coefficients(system: RootSystem, ell: int = 0) -> RootCoefficients:
         z = _root_sum(lam, a, n)
         worst = max(worst, abs(z.imag), abs(z.real - float(reference.value(n))))
     if worst > 1e-10:
-        cond = float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
+        # numpy's matrix_rank tolerance: a smallest singular value below it is
+        # roundoff, and its ratio to the largest measures nothing
+        if sv[-1] <= sv[0] * max(mat.shape) * np.finfo(float).eps:
+            raise IllConditionedSystem(
+                f"recovery matrix singular to working precision; residual {worst:.3e}")
+        cond = float(sv[0] / sv[-1])
         if cond > _COND_LIMIT:
             raise IllConditionedSystem(
                 f"recovery matrix condition {cond:.3e}; residual {worst:.3e}")

@@ -419,8 +419,10 @@ class TestLibraryChecks:
         (["compare", *OVERLAP_5, "--n-min", "2", "--n-max", "3",
           "--engines", "nested-sum,root-based"], "overlap must be at most k-1 = 1, got 5"),
         (["simulate", *OVERLAP_5, "--samples", "10"], "overlap must be at most k-1 = 1, got 5"),
+        (["simulate", "--k", "2", "--r", "1", "--p", "0.5", "--samples", "2147483648"],
+         "samples must be below 2**31"),
     ], ids=["order-max-factorial", "order-max-central", "overlap-moments", "overlap-compare",
-            "overlap-simulate"])
+            "overlap-simulate", "samples-simulate"])
     def test_refused_request_exits_2(self, capsys, args, message):
         code, out, err = run_cli(capsys, *args)
         assert code == 2

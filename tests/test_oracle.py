@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -200,10 +201,25 @@ class TestMonteCarlo:
         res = monte_carlo(RunParams(2, 2, 0.5), sem, 200_000, seed=9)
         assert abs(res.mean - 14.0) < 5 * (44.0 / 200_000) ** 0.5
 
-    @pytest.mark.parametrize("k, r, p, seed", [
+    SCANNER_POINTS = pytest.mark.parametrize("k, r, p, seed", [
         (2, 2, 0.5, 3), (3, 2, 0.6, 11), (3, 3, 0.7, 2024), (4, 1, 0.55, 0)])
-    @pytest.mark.parametrize("family", ["type1", "type2", "overlap", "gap"])
+    SCANNER_FAMILIES = pytest.mark.parametrize("family", ["type1", "type2", "overlap", "gap"])
+
+    @SCANNER_POINTS
+    @SCANNER_FAMILIES
     def test_matches_scanner_on_same_draws(self, k, r, p, seed, family):
+        self.assert_matches_scanner(k, r, p, seed, family)
+
+    @SCANNER_POINTS
+    @SCANNER_FAMILIES
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_matches_scanner_across_draw_blocks(self, monkeypatch, k, r, p, seed, family, block):
+        # blocks smaller than the 300 streams: every trial's draws cross block edges
+        monkeypatch.setattr(oracle, "_DRAW_BLOCK", block)
+        self.assert_matches_scanner(k, r, p, seed, family)
+
+    @staticmethod
+    def assert_matches_scanner(k, r, p, seed, family):
         sem = {"type1": TYPE1, "type2": TYPE2,
                "overlap": CountingSemantics(CountingMode.OVERLAP, overlap=k - 1),
                "gap": CountingSemantics(CountingMode.GAP, gap=2)}[family]
@@ -236,6 +252,23 @@ class TestMonteCarlo:
             monte_carlo(RunParams(1, 1, 0.5), TYPE1, 0, seed=0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             monte_carlo(RunParams(1, 1, 0.5), TYPE1, 10, seed=-1)
+
+    def test_rejects_samples_past_int32(self):
+        # refused before any allocation: 2**31 streams would take about 17 GB
+        with pytest.raises(ValueError, match=r"samples must be below 2\*\*31"):
+            monte_carlo(RunParams(1, 1, 0.5), TYPE1, 2 ** 31, seed=0)
+
+    def test_scratch_memory_is_bounded_per_sample(self):
+        # numpy reports its data buffers to tracemalloc, so the peak counts the
+        # stream state and the compaction's index lists, whatever the allocator;
+        # one float64 per stream per trial for the draws would pass the bound
+        tracemalloc.start()
+        try:
+            monte_carlo(RunParams(2, 1, 0.5), TYPE1, 10 ** 6, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 10 ** 6
 
     def test_trial_cap_raises_by_name(self, monkeypatch):
         # a run of 2 takes at least 2 trials

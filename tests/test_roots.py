@@ -211,6 +211,20 @@ class TestCoefficientRecovery:
         assert type(err.value.__cause__) is ValueError
 
 
+    @pytest.mark.parametrize("k, r, p, message", [
+        # the smallest singular value is roundoff (a ratio of about 1e16 whose
+        # digits differ between lstsq and svd), so no condition number is printed
+        (2, 13, 0.3, "recovery matrix singular to working precision; residual "),
+        # a condition of about 1e13: ill conditioned, but measured
+        (1, 13, 0.3, "recovery matrix condition "),
+    ], ids=["singular", "ill-conditioned"])
+    def test_ill_conditioned_fit_is_named(self, k, r, p, message):
+        from runsdist.roots import IllConditionedSystem
+
+        with pytest.raises(IllConditionedSystem, match=f"^{message}"):
+            recover_coefficients(solve_roots(RunParams(k, r, p)))
+
+
 class TestRootMoments:
     def test_r1_simplification(self):
         # order i reduces to i!/(q p^k)^(i+1) f((i+1)k + i)

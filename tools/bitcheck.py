@@ -23,7 +23,9 @@ and the ``pgf`` route's full-scheme factorial moments for type1, the gap,
 the overlap and type2. While the mean is at most ``MEAN_MAX`` the line ends
 in one seeded ``monte_carlo`` run, drawn from a third stream: a family the
 point serves, at most 500 samples and a seed, with the ``repr`` of the
-mean, variance and skewness and the counts.
+mean, variance and skewness and the counts; every 100th point adds a second
+run from the same stream, with samples in ``(2^16, 3·2^16]``, so its draws
+span more than one of ``oracle._DRAW_BLOCK``'s blocks.
 An error prints as its name and message. The output depends only on SEED,
 COUNT and the library, so ``cmp`` of two checkouts' outputs is a
 bit-identity check, and two runs of one checkout must match.
@@ -111,12 +113,12 @@ def moment_cells(params: RunParams, order: int, g: int, ell: int) -> list:
     return cells
 
 
-def monte_carlo_cell(params: RunParams, rng: random.Random) -> str:
-    """One seeded Monte Carlo run of a family the point serves."""
+def monte_carlo_cell(params: RunParams, rng: random.Random, samples: tuple = (1, 500)) -> str:
+    """One seeded Monte Carlo run of a family the point serves, ``samples`` bounds included."""
     families = [TYPE1, VariantSpec.type_ii(), VariantSpec.with_gap(rng.randint(1, 3))]
     if params.k > 1:
         families.append(VariantSpec.with_overlap(rng.randint(1, params.k - 1)))
-    variant, samples, seed = rng.choice(families), rng.randint(1, 500), rng.randrange(2 ** 32)
+    variant, samples, seed = rng.choice(families), rng.randint(*samples), rng.randrange(2 ** 32)
 
     def run():
         res = monte_carlo(params, CountingSemantics.from_variant(variant), samples, seed)
@@ -125,7 +127,8 @@ def monte_carlo_cell(params: RunParams, rng: random.Random) -> str:
     return f"monte_carlo:{variant.describe()}:{samples}:{seed}={_show(run)}"
 
 
-def point(rng: random.Random, mrng: random.Random, crng: random.Random) -> str:
+def point(rng: random.Random, mrng: random.Random, crng: random.Random,
+          wide_draws: bool = False) -> str:
     k, r = rng.randint(1, 5), rng.randint(1, 4)
     if rng.random() < 0.5:
         d = rng.randint(2, 20)
@@ -164,6 +167,8 @@ def point(rng: random.Random, mrng: random.Random, crng: random.Random) -> str:
     cells += moment_cells(params, order, g, ell)
     if not _wide(params):
         cells.append(monte_carlo_cell(params, crng))
+        if wide_draws:
+            cells.append(monte_carlo_cell(params, crng, (2 ** 16 + 1, 3 * 2 ** 16)))
     return " ".join(cells)
 
 
@@ -175,7 +180,7 @@ def main(argv: list) -> int:
     rng = random.Random(seed)
     for i in range(count):
         print(i, point(rng, random.Random(f"moments:{seed}:{i}"),
-                       random.Random(f"monte_carlo:{seed}:{i}")))
+                       random.Random(f"monte_carlo:{seed}:{i}"), i % 100 == 0))
     return 0
 
 
