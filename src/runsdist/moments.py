@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import mul
 
 from .core import (TYPE1, IndexScheme, MomentKind, MomentSet, NumericFailure, PmfTable, RunParams,
@@ -238,16 +238,20 @@ def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
         vals = [sum((n - mu) ** j * v for n, v in zip(ns, vs))
                 for j in range(1, order_max + 1)]
     else:
-        # each order's integer weights n^j or (n)_j from the order before;
-        # the sums add the same products in the same order as one sum per order
-        weights = [1] * len(ns)
-        vals = []
-        for j in range(order_max):
+        # each order's exact integer weights n^j or (n)_j, made one index at a
+        # time; math.perm refuses the n < 0 that a full-scheme table read in
+        # the cut scheme starts with, so those few take special.falling
+        below = ns[:max(0, -n_min)]
+        rest = ns[len(below):]
+
+        def weights(j: int):
+            if j == 1:  # n^1 = (n)_1 = n, with no call per index
+                return ns
             if kind is MomentKind.RAW:
-                weights = list(map(mul, weights, ns))
-            else:
-                weights = [w * (n - j) for w, n in zip(weights, ns)]
-            vals.append(sum(map(mul, weights, vs)))
+                return map(pow, ns, repeat(j))
+            return chain(map(falling, below, repeat(j)), map(math.perm, rest, repeat(j)))
+
+        vals = [sum(map(mul, weights(j), vs)) for j in range(1, order_max + 1)]
     return MomentSet(kind, scheme, tuple(vals))
 
 

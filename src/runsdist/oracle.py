@@ -6,13 +6,15 @@ over a power of the denominator of ``p`` and builds one fraction per
 absorbed entry), a 2^n brute force that scans every
 sequence (the oracle for the oracle), and a vectorized Monte Carlo driven by
 the Philox counter-based generator (named so results are reproducible across
-machines), which draws its uniforms through one fixed block of
-``_DRAW_BLOCK`` doubles and keeps its per-sample state in int32 and a bool
-mask: 13 bytes per sample (17 when ``r > 1``), plus the int64 index lists of
-a compaction step. All three speak every counting semantics: nonoverlapping
-(Type I), at-least-one-failure-between (Type II), ell-overlapping (Type III
-at ell = k-1), and the minimum-gap variant; an overlap of k or more, which
-no engine computes, is rejected with a ``ValueError`` before any work starts.
+machines), which steps its streams in segments of ``_DRAW_BLOCK``, through
+one reused block of doubles and one success mask, and keeps 9 bytes of state
+per sample (10 when ``r > 1``); every other temporary is at most one
+segment long, but for the histogram and the moments' two power tables, one
+8-byte entry per waiting time up to the longest. All three speak every
+counting semantics: nonoverlapping (Type I), at-least-one-failure-between
+(Type II), ell-overlapping (Type III at ell = k-1), and the minimum-gap
+variant; an overlap of k or more, which no engine computes, is rejected with
+a ``ValueError`` before any work starts.
 
 The families differ in one fact, :attr:`VariantSpec.restart`: the run
 progress a completed run leaves behind (the overlap, ``-g`` for a gap, -1
@@ -229,11 +231,31 @@ class MonteCarloResult:
 
 
 _TRIALS_MAX = 10_000_000  # trials a Monte Carlo run takes before it gives up
-_DRAW_BLOCK = 1 << 16  # uniforms drawn per generator call, into one reused block
+_DRAW_BLOCK = 1 << 16  # streams stepped per segment: uniforms drawn per generator call
+_PAIRWISE_BLOCK = 128  # numpy sums at most this many doubles in one unrolled loop
 
 
 class SimulationNotAbsorbed(NumericFailure):
     """A Monte Carlo run reached its trial cap with streams still waiting for their runs."""
+
+
+def _pairwise_gathered_sums(tables: tuple, keys, leaf: int) -> tuple:
+    """``float(np.add.reduce(table[keys]))`` for each table, gathering one leaf at a time.
+
+    numpy sums a float64 array pairwise: it halves the length, rounds the first
+    half down to a multiple of 8 and splits no further at 128 elements or
+    fewer. This splits ``keys`` the same way, down to leaves of at most
+    ``leaf`` keys, and lets numpy sum each leaf's gather, so every addition is
+    numpy's own and the sums are bit-identical, in scratch memory of one leaf.
+    """
+    n = keys.size
+    if n <= leaf or n <= _PAIRWISE_BLOCK:
+        return tuple(float(table[keys].sum()) for table in tables)
+    half = n // 2
+    half -= half % 8
+    left = _pairwise_gathered_sums(tables, keys[:half], leaf)
+    right = _pairwise_gathered_sums(tables, keys[half:], leaf)
+    return tuple(a + b for a, b in zip(left, right))
 
 
 def monte_carlo(params: RunParams, semantics: CountingSemantics,
@@ -243,18 +265,25 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
     Column-by-column vectorized stepping of the same state machine the DP
     uses: each trial draws one uniform per still-running stream, in stream
     order, and absorbed streams are compacted away so the work scales with
-    the number of streams left. The uniforms come ``_DRAW_BLOCK`` at a time
-    into one reused float64 block, each block compared into a reused success
-    mask; chunked draws are the same doubles in the same order as one large
-    draw, so the block size changes no result. A stream's state is its index,
-    its run progress and its run count (kept only when ``r > 1``, as at
-    ``r = 1`` every completion finishes its stream), all int32 like the
-    waiting times, which the trial cap keeps below 2^31; so ``samples`` must
-    be below 2^31 too. A negative progress
-    marks a stream that cannot advance yet (-1 a saturated Type II run
-    waiting for a failure, -c a gap stream with c cooldown trials left), so
-    one trial is two in-place array operations on the progress. Deterministic
-    for a fixed seed.
+    the number of streams left. A trial walks the live streams in segments
+    of ``_DRAW_BLOCK``: it draws the segment's uniforms into one reused
+    float64 block, compares them into a reused success mask, steps the
+    segment's progress in place and moves its survivors down to a write
+    cursor, which never passes the segment being read; chunked draws are the
+    same doubles in the same order as one large draw, so the block size
+    changes no result. A stream's state is its int32 index, its run progress
+    and its run count (kept only when ``r > 1``, as at ``r = 1`` every
+    completion finishes its stream), int8 while ``k``, the gap and ``r`` are
+    at most 127 and int32 otherwise, and its int32 waiting time, which the
+    trial cap keeps below 2^31; so ``samples`` must be below 2^31 too. A
+    negative progress marks a stream that cannot advance yet (-1 a saturated
+    Type II run waiting for a failure, -c a gap stream with c cooldown trials
+    left), so one step is two in-place array operations on the progress. The
+    histogram and the moments are summed a segment or a pairwise leaf at a
+    time, with the bits of numpy's whole-array ``bincount``, ``mean`` and
+    ``var``; besides one segment's scratch they hold at most three arrays of
+    one 8-byte entry per waiting time up to the longest, the histogram and
+    the squared and cubed deviations. Deterministic for a fixed seed.
     """
     variant = semantics.to_variant()
     variant.check_against(params)
@@ -270,61 +299,78 @@ def monte_carlo(params: RunParams, semantics: CountingSemantics,
     p = float(params.p)
     k, r = params.k, params.r
     type2, gap, restart = variant.type2, variant.gap, variant.restart
+    state = np.int8 if max(k, gap, r) <= 127 else np.int32
     block = np.empty(min(samples, _DRAW_BLOCK))
-    mask = np.empty(samples, bool)
+    mask = np.empty(block.size, bool)
     idx = np.arange(samples, dtype=np.int32)
-    prog = np.zeros(samples, np.int32)
-    runs = np.zeros(samples, np.int32) if r > 1 else None
+    prog = np.zeros(samples, state)
+    runs = np.zeros(samples, state) if r > 1 else None
+    live = (idx, prog) if runs is None else (idx, prog, runs)
     wait = np.zeros(samples, np.int32)
-    t = 0
-    while idx.size:
+    n, t = samples, 0
+    while n:
         t += 1
         if t > _TRIALS_MAX:
             raise SimulationNotAbsorbed(f"streams still running after {_TRIALS_MAX} trials; "
                                         "check parameters")
-        n = idx.size
-        succ = mask[:n]
+        cursor = 0
         for lo in range(0, n, _DRAW_BLOCK):
             hi = min(lo + _DRAW_BLOCK, n)
-            np.less(rng.random(out=block[:hi - lo]), p, out=mask[lo:hi])
-        if type2:
-            prog += prog >= 0
-            prog *= succ
-        elif gap:
-            prog += 1
-            prog *= succ | (prog <= 0)
-        else:
-            prog += 1
-            prog *= succ
-        # nonzero()[0] is flatnonzero on a 1-d array without its per-call ravel,
-        # which a long walk pays once a trial
-        done = (prog >= k).nonzero()[0]
-        if done.size:
-            if runs is None:
-                fin = done
+            succ = np.less(rng.random(out=block[:hi - lo]), p, out=mask[:hi - lo])
+            pr = prog[lo:hi]
+            if type2:
+                pr += pr >= 0
+                pr *= succ
+            elif gap:
+                pr += 1
+                pr *= succ | (pr <= 0)
             else:
-                prog[done] = restart
-                done_runs = runs[done] + 1
-                runs[done] = done_runs
+                pr += 1
+                pr *= succ
+            # nonzero()[0] is flatnonzero on a 1-d array without its per-call ravel,
+            # which a long walk pays once a trial
+            fin = done = (pr >= k).nonzero()[0]
+            if done.size and runs is not None:
+                pr[done] = restart
+                rs = runs[lo:hi]
+                done_runs = rs[done] + 1
+                rs[done] = done_runs
                 fin = done[done_runs >= r]
+            # survivors move down, in order; the cursor never passes lo
             if fin.size:
-                wait[idx[fin]] = t
+                wait[idx[lo:hi][fin]] = t
                 # one index list gathers every array, faster than a mask each
-                keep = np.ones(n, bool)
+                keep = np.ones(hi - lo, bool)
                 keep[fin] = False
                 keep = keep.nonzero()[0]
-                idx = idx[keep]
-                prog = prog[keep]
-                if runs is not None:
-                    runs = runs[keep]
+                for a in live:
+                    a[cursor:cursor + keep.size] = a[lo:hi][keep]
+                cursor += keep.size
+            else:
+                if cursor < lo:
+                    for a in live:
+                        a[cursor:cursor + hi - lo] = a[lo:hi]
+                cursor += hi - lo
+        n = cursor
     mean = float(wait.mean())
-    var = float(wait.var(ddof=1)) if samples > 1 else 0.0
-    counts = np.bincount(wait)
-    # the powers once per waiting time, gathered per sample: the same elements
-    # in the same order as powering every sample, at a fraction of the pow calls
-    centered = np.arange(counts.size) - mean
-    m2 = float(np.mean((centered ** 2)[wait]))
-    m3 = float(np.mean((centered ** 3)[wait]))
+    # t is the longest wait; a segment's bincount casts only that segment to
+    # intp, and a later segment's histogram stops at its own longest wait
+    counts = np.bincount(wait[:_DRAW_BLOCK], minlength=t + 1)
+    for lo in range(_DRAW_BLOCK, samples, _DRAW_BLOCK):
+        part = np.bincount(wait[lo:lo + _DRAW_BLOCK])
+        counts[:part.size] += part
+    # the powers once per waiting time, gathered a leaf at a time: the same
+    # elements in the same order, summed as numpy sums the gathered array;
+    # squaring in place (** 2 is np.square, one exact product) keeps two
+    # tables, not three
+    squares = np.arange(t + 1, dtype=np.float64) - mean
+    cubes = squares ** 3
+    np.square(squares, out=squares)
+    s2, s3 = _pairwise_gathered_sums((squares, cubes), wait, _DRAW_BLOCK)
+    del squares, cubes
+    # var(ddof=1) and mean of the squared deviations divide the same sum
+    var = s2 / (samples - 1) if samples > 1 else 0.0
+    m2, m3 = s2 / samples, s3 / samples
     skew = m3 / m2 ** 1.5 if m2 > 0 else 0.0
     return MonteCarloResult(samples=samples, seed=seed, mean=mean, variance=var,
                             skewness=skew, counts=tuple(int(c) for c in counts))

@@ -11,7 +11,9 @@ by term, and the Stirling transform and index shift of a moment sequence,
 one Fraction or float at a time. The factorial and raw moment coefficients by scheme are the
 routes' own, finalized one order at a time for the tests to read, and the
 Eulerian numbers and polynomials and the Stirling numbers of the second kind
-read single entries off the package's cached rows. Only the
+read single entries off the package's cached rows. The table summation that
+holds each order's weights in a list is the earlier form of
+``moments_from_table``, which must match it bit for bit. Only the
 tests use these forms, so they live beside them and are not part of the
 package.
 """
@@ -21,8 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from runsdist.core import TYPE1, IndexScheme, PmfTable, RunParams, Scalar
+from runsdist.core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
+                           Scalar, convert_index)
 from runsdist.moments import (_coeff_factorial_cut, _coeff_factorial_full, _coeff_raw_cut,
                               _coeff_raw_full)
 from runsdist.special import _eulerian_row, _stirling2_row, binom, falling, hyp2f1
@@ -128,6 +132,29 @@ def shift_moments(values: tuple, a: int, factorial: bool) -> tuple:
     power = falling if factorial else pow
     return tuple(sum(binom(n, i) * m[n - i] * power(a, i) for i in range(n + 1))
                  for n in range(1, len(m)))
+
+
+def moments_from_table_lists(table: PmfTable, order_max: int, kind: MomentKind,
+                             scheme: IndexScheme | None = None) -> MomentSet:
+    """Raw or factorial moments of a pmf table, each order's weights held in a list.
+
+    The summation the library does one index at a time, kept in its earlier
+    list-based form: order ``j``'s weights ``n^j`` or ``(n)_j`` come from
+    order ``j - 1``'s list, one multiplication per index. The products and
+    the order of the sum are the library's, so the two must agree bit for bit.
+    """
+    scheme = scheme or table.scheme
+    n_min = convert_index(table.n_min, table.scheme, scheme, table.params)
+    ns, vs = range(n_min, n_min + len(table.values)), table.values
+    weights = [1] * len(ns)
+    vals = []
+    for j in range(order_max):
+        if kind is MomentKind.RAW:
+            weights = list(map(mul, weights, ns))
+        else:
+            weights = [w * (n - j) for w, n in zip(weights, ns)]
+        vals.append(sum(map(mul, weights, vs)))
+    return MomentSet(kind, scheme, tuple(vals))
 
 
 class PoleAtS(ZeroDivisionError):

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runsdist import moments
-from runsdist.core import TYPE1, IndexScheme, MomentKind, RunParams, VariantSpec
+from runsdist.core import TYPE1, IndexScheme, MomentKind, PmfTable, RunParams, VariantSpec
 from runsdist.moments import (MomentRoute, SummationWindowNotClosed, central_moments, mean,
                               moments_by_summation, moments_from_table, moments_via_route,
                               shape_from_central, variance)
@@ -14,8 +16,8 @@ from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
 
 from reference import (coeff_C, coeff_C_hyp, coeff_F, coeff_F_hyp, coeff_raw,
-                       mu_factorial_truncated, pgf_expansion_inner_reference,
-                       raw_from_factorial, shift_moments)
+                       moments_from_table_lists, mu_factorial_truncated,
+                       pgf_expansion_inner_reference, raw_from_factorial, shift_moments)
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 FACT, RAW, CENTRAL = MomentKind.FACTORIAL, MomentKind.RAW, MomentKind.CENTRAL
@@ -383,6 +385,72 @@ class TestRouteFrontEnd:
         # truncated mean of the geometric law: sum_{n<=60} n (1/2)^n
         want = sum(Fraction(n, 2 ** n) for n in range(1, 61))
         assert ms.value(1) == want
+
+
+def _random_table(rnd: random.Random, exact: bool) -> PmfTable:
+    """A table of random masses under 1 at a random start, in a random scheme.
+
+    Float masses span thirty decades, so the order of the sum shows in its
+    rounding; a full-scheme table may start below ``r*k``, so reading it in the
+    cut scheme starts at a negative index.
+    """
+    params = RunParams(rnd.randint(1, 4), rnd.randint(1, 3), HALF if exact else 0.5)
+    length = rnd.randint(1, 300)
+    if exact:
+        den = rnd.randint(1, 40) * length
+        values = tuple(Fraction(rnd.randint(0, 1), den) for _ in range(length))
+    else:
+        values = tuple(rnd.random() * 10.0 ** -rnd.randint(0, 30) / length
+                       for _ in range(length))
+    scheme = rnd.choice((F, C))
+    n_min = rnd.randint(1 if scheme is F else 0, params.r * params.k + 5)
+    return PmfTable(params, scheme, TYPE1, n_min, values)
+
+
+class TestMomentsFromTable:
+    """The summation makes each order's weights one index at a time."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_same_bits_as_the_list_based_sums(self, exact):
+        rnd = random.Random(f"moments_from_table:{exact}")
+        negative = 0
+        for _ in range(60):
+            table = _random_table(rnd, exact)
+            order = rnd.randint(1, 8)
+            for kind in (FACT, RAW):
+                for scheme in (C, F):
+                    got = moments_from_table(table, order, kind, scheme)
+                    want = moments_from_table_lists(table, order, kind, scheme)
+                    assert got == want
+                    assert repr(got) == repr(want)  # types and signed zeros too
+            negative += table.scheme is F and table.n_min < table.params.r * table.params.k
+        assert negative > 5
+
+    def test_full_table_read_in_the_cut_scheme(self):
+        # the DP's table starts at trial 1, index -5 in the cut scheme: math.perm
+        # would refuse the negative indices
+        table = dp_waiting_time(RunParams(2, 3, Fraction(2, 3)),
+                                CountingSemantics.from_variant(TYPE1), 60)[0]
+        assert table.n_min == 1
+        for kind in (FACT, RAW):
+            got = moments_from_table(table, 6, kind, C)
+            assert got == moments_from_table_lists(table, 6, kind, C)
+        assert moments_from_table(table, 2, FACT, C).value(2) == sum(
+            n * (n - 1) * v for n, v in zip(range(-5, 55), table.values))
+
+    def test_scratch_memory_is_bounded(self):
+        # one list of 85k weights, as the list-based sums held, takes about
+        # 3 MB of int objects; made per index, the weights take none
+        table = pmf_recurrence_pg(RunParams(3, 2, 0.02), 85_000)
+        assert len(table.values) > 84_000
+        tracemalloc.start()
+        try:
+            for kind in MomentKind:
+                moments_from_table(table, 6, kind, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100_000
 
 
 PROPERTY = settings(deadline=None, database=None)

@@ -218,13 +218,25 @@ class TestMonteCarlo:
         monkeypatch.setattr(oracle, "_DRAW_BLOCK", block)
         self.assert_matches_scanner(k, r, p, seed, family)
 
+    @pytest.mark.parametrize("k, r, p, family, gap", [
+        (130, 2, 0.995, "type1", 2), (130, 2, 0.995, "type2", 2), (130, 2, 0.995, "overlap", 2),
+        (130, 2, 0.995, "gap", 2), (2, 130, 0.9, "type1", 2), (2, 130, 0.9, "overlap", 2),
+        (2, 130, 0.9, "gap", 2), (127, 2, 0.995, "type1", 2), (127, 2, 0.995, "overlap", 2),
+        (128, 2, 0.995, "type1", 2), (2, 127, 0.9, "type1", 2), (2, 128, 0.9, "type1", 2),
+        (2, 2, 0.9, "gap", 127), (2, 2, 0.9, "gap", 128)])
+    def test_matches_scanner_at_and_past_int8(self, k, r, p, family, gap):
+        # k, r and the gap at most 127 keep the progress and the run counts in
+        # int8, where progress reaches 127 and a gap of 127 restarts at -127;
+        # past 127 int8 would wrap, so they are int32. Few streams, as the
+        # scanner rescans each stream's draws every trial
+        self.assert_matches_scanner(k, r, p, 5, family, samples=40, gap=gap)
+
     @staticmethod
-    def assert_matches_scanner(k, r, p, seed, family):
+    def assert_matches_scanner(k, r, p, seed, family, samples=300, gap=2):
         sem = {"type1": TYPE1, "type2": TYPE2,
                "overlap": CountingSemantics(CountingMode.OVERLAP, overlap=k - 1),
-               "gap": CountingSemantics(CountingMode.GAP, gap=2)}[family]
+               "gap": CountingSemantics(CountingMode.GAP, gap=gap)}[family]
         params = RunParams(k, r, p)
-        samples = 300
         # each trial hands one draw to every still-running stream, in stream
         # order, and a stream stops at the trial where the scanner sees its
         # r-th run complete
@@ -258,17 +270,60 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"samples must be below 2\*\*31"):
             monte_carlo(RunParams(1, 1, 0.5), TYPE1, 2 ** 31, seed=0)
 
-    def test_scratch_memory_is_bounded_per_sample(self):
+    @staticmethod
+    def traced_peak(*args):
+        """The peak of traced memory during ``monte_carlo(*args)``, and its result."""
         # numpy reports its data buffers to tracemalloc, so the peak counts the
-        # stream state and the compaction's index lists, whatever the allocator;
-        # one float64 per stream per trial for the draws would pass the bound
+        # stream state and every temporary, whatever the allocator
         tracemalloc.start()
         try:
-            monte_carlo(RunParams(2, 1, 0.5), TYPE1, 10 ** 6, seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
+            res = monte_carlo(*args)
+            return tracemalloc.get_traced_memory()[1], res
         finally:
             tracemalloc.stop()
-        assert peak <= 28 * 10 ** 6
+
+    def test_scratch_memory_is_bounded_per_sample(self):
+        # 9 bytes of state per sample and segment-sized temporaries: one more
+        # int32 or float64 per sample, such as a whole-array index list or the
+        # squared deviations of the variance, breaks the bound
+        assert self.traced_peak(RunParams(2, 1, 0.5), TYPE1, 10 ** 6, 7)[0] <= 12 * 10 ** 6
+
+    def test_scratch_memory_is_bounded_with_runs_and_a_gap(self):
+        # 10 bytes of state per sample once the run count is kept
+        sem = CountingSemantics(CountingMode.GAP, gap=2)
+        assert self.traced_peak(RunParams(2, 2, 0.5), sem, 2 * 10 ** 5, 7)[0] <= 4 * 10 ** 6
+
+    def test_scratch_memory_past_the_samples_is_three_tables_of_the_longest_wait(self):
+        # few streams and long walks: the histogram and the two power tables,
+        # each one float64 or int64 per waiting time up to the longest, t, are
+        # what is left; a fourth such table breaks the bound
+        monte_carlo(RunParams(2, 1, 0.5), TYPE1, 10, 0)  # first-call imports stay out of the peak
+        peak, res = self.traced_peak(RunParams(10, 1, 0.5), TYPE1, 30, 1)
+        longest = len(res.counts) - 1
+        assert longest > 5_000
+        assert peak <= 25 * (longest + 1) + 24 * 1024
+
+    @pytest.mark.parametrize("leaf", [1, oracle._DRAW_BLOCK])
+    def test_pairwise_sums_match_numpy(self, leaf):
+        # the moments sum per leaf what numpy sums over the whole gathered array
+        rng = np.random.default_rng(leaf)
+        lengths = [*range(1, 10), 127, 128, 129, 2 ** 16 - 1, 2 ** 16 + 1,
+                   3 * 2 ** 16 + 5, 10 ** 6 + 3]
+        for n in lengths:
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            keys = np.arange(n)
+            (total,) = oracle._pairwise_gathered_sums((x,), keys, leaf)
+            assert total == float(np.add.reduce(x))
+            assert total / n == float(np.mean(x))
+            if n > 1:
+                (s2,) = oracle._pairwise_gathered_sums(((x - np.mean(x)) ** 2,), keys, leaf)
+                assert s2 / (n - 1) == float(x.var(ddof=1))
+            # a gather from a small table, as the waiting times index their powers
+            table = rng.standard_normal(40)
+            keys = rng.integers(0, 40, n).astype(np.int32)
+            sums = oracle._pairwise_gathered_sums((table, table ** 3), keys, leaf)
+            assert sums == (float(np.add.reduce(table[keys])),
+                            float(np.add.reduce((table ** 3)[keys])))
 
     def test_trial_cap_raises_by_name(self, monkeypatch):
         # a run of 2 takes at least 2 trials
