@@ -46,13 +46,6 @@ def _params(parser: argparse.ArgumentParser, args) -> RunParams:
     return RunParams(args.k, args.r, p)
 
 
-def _variant(parser: argparse.ArgumentParser, args) -> VariantSpec:
-    try:
-        return VariantSpec.parse(args.variant)
-    except ValueError as err:
-        parser.error(f"--variant: {err}")
-
-
 def _emit(columns: tuple, rows: list, fmt: str = "csv") -> None:
     """Write ``rows``, each a tuple in ``columns`` order, to stdout as CSV or JSON."""
     out = sys.stdout
@@ -68,7 +61,7 @@ def _emit(columns: tuple, rows: list, fmt: str = "csv") -> None:
 
 def cmd_pmf(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
-    variant = _variant(parser, args)
+    variant = VariantSpec.parse(args.variant)
     engine, scheme = PmfEngine(args.engine), IndexScheme(args.scheme)
     spec = ENGINES[engine]
     if spec.family is EngineFamily.COUNTS:  # not a waiting time, so not a pmf_table
@@ -85,7 +78,7 @@ def cmd_pmf(parser: argparse.ArgumentParser, args) -> int:
 
 def cmd_moments(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
-    variant = _variant(parser, args)
+    variant = VariantSpec.parse(args.variant)
     kind, route = MomentKind(args.kind), MomentRoute(args.route)
     scheme = IndexScheme(args.scheme)
     order_max = args.order_max
@@ -106,7 +99,7 @@ def cmd_moments(parser: argparse.ArgumentParser, args) -> int:
 
 def cmd_compare(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
-    variant = _variant(parser, args)
+    variant = VariantSpec.parse(args.variant)
     specs = []
     for item in filter(None, map(str.strip, args.engines.split(","))):
         eng_id, at, sch = item.partition("@")
@@ -133,7 +126,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args) -> int:
 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     params = _params(parser, args)
-    variant = _variant(parser, args)
+    variant = VariantSpec.parse(args.variant)
     result = monte_carlo(params, CountingSemantics.from_variant(variant),
                          args.samples, args.seed)
     ana_mean, ana_var = analytic_mean_variance(params, variant)

@@ -225,12 +225,8 @@ class VariantSpec:
 
     def check_against(self, params: RunParams) -> None:
         """Validate the overlap bound ``overlap <= k-1``, which needs ``k``."""
-        self.check_run_length(params.k)
-
-    def check_run_length(self, k: int) -> None:
-        """:meth:`check_against` for a bare run length ``k``."""
-        if self.overlap > k - 1:
-            raise ValueError(f"overlap must be at most k-1 = {k - 1}, got {self.overlap}")
+        if self.overlap > params.k - 1:
+            raise ValueError(f"overlap must be at most k-1 = {params.k - 1}, got {self.overlap}")
 
     def describe(self) -> str:
         if self.type2:
@@ -427,9 +423,6 @@ class PmfTable:
     def items(self):
         for i, v in enumerate(self.values):
             yield self.n_min + i, v
-
-    def total_mass(self) -> Scalar:
-        return sum(self.values)
 
 
 class MomentKind(Enum):

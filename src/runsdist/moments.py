@@ -256,11 +256,11 @@ def moments_from_table(table: PmfTable, order_max: int, kind: MomentKind,
 
 
 _WINDOW_SIGMAS = 30.0  # standard deviations past the mean that a summation window spans
-_WINDOW_DOUBLINGS = 40  # times the summation route doubles its window before it gives up
+_WINDOW_MAX = 2 ** 18  # the longest window, in indices, the summation route tabulates
 
 
 class SummationWindowNotClosed(NumericFailure):
-    """The summation route's window doubled to its cap without bounding the moment tail."""
+    """The summation route's window would pass its cap before bounding the moment tail."""
 
 
 def summation_window(params: RunParams) -> int:
@@ -277,14 +277,16 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
     ``mean + 30 sd`` can still truncate noticeably for high orders when
     the distribution is narrow, so the window doubles until a geometric bound
     on the order-weighted tail falls below 1e-12 of the leading moment, or of
-    ``sd^n`` if larger for central moments, which can be zero.
+    ``sd^n`` if larger for central moments, which can be zero. A window
+    longer than ``_WINDOW_MAX`` indices raises
+    :class:`SummationWindowNotClosed` before its table is built.
     Always runs in double precision: the window is far too wide for exact
     arithmetic to pay its way, and the truncation already caps the accuracy.
     """
     fp = params.to_float()
     n_max = summation_window(fp)
     floor = math.sqrt(variance(fp)) ** order_max if kind is MomentKind.CENTRAL else 0.0
-    for _ in range(_WINDOW_DOUBLINGS):
+    while n_max <= _WINDOW_MAX:
         table = pmf_recurrence_pg(fp, n_max)
         ms = moments_from_table(table, order_max, kind, scheme)
         last, prev = table.value(n_max), table.value(n_max - 1)
@@ -296,8 +298,8 @@ def moments_by_summation(params: RunParams, order_max: int, kind: MomentKind,
             if tail <= 1e-12 * max(abs(ms.value(order_max)), floor):
                 return ms
         n_max *= 2
-    raise SummationWindowNotClosed(f"the moment tail stayed open after {_WINDOW_DOUBLINGS} "
-                                   "window doublings; use the pgf or partition route")
+    raise SummationWindowNotClosed(f"the moment tail needs a window of {n_max} indices, past "
+                                   f"the cap of {_WINDOW_MAX}; use the pgf or partition route")
 
 
 def _taylor_shift(poly: list, length: int) -> list:

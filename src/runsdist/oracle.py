@@ -22,7 +22,10 @@ for Type II). All three oracles share one state, the runs done and a signed
 run progress: a negative progress marks a trial that cannot advance a run,
 which a gap leaves one trial at a time and Type II on a failure. Each public
 oracle turns its :class:`CountingSemantics` into a :class:`VariantSpec` once,
-on entry, and reads the dynamics off that.
+on entry, and reads the dynamics off that. The brute force classifies each
+sequence by one direct scan, :func:`_completions`; the single-sequence
+scanner and the Type II run-count brute force that the tests read it
+through live in ``tests/reference.py``, outside the package.
 
 Only :func:`monte_carlo` needs numpy, and it imports numpy when it runs, so
 importing this module (and the package) leaves numpy unloaded.
@@ -106,18 +109,6 @@ def _completions(seq, k: int, variant: VariantSpec):
                 prog = restart
 
 
-def sequence_waiting_time(seq, k: int, r: int,
-                          semantics: CountingSemantics) -> int | None:
-    """Trial index at which the r-th run completes, by direct scan.
-
-    ``None`` when ``seq`` ends first. An overlap of ``k`` or more is
-    rejected with the ``ValueError`` of the other oracles.
-    """
-    variant = semantics.to_variant()
-    variant.check_run_length(k)
-    return next(itertools.islice(_completions(seq, k, variant), r - 1, None), None)
-
-
 def dp_waiting_time(params: RunParams, semantics: CountingSemantics,
                     n_max: int) -> tuple:
     """Exact pmf over ``[1, n_max]`` plus the not-yet-absorbed mass.
@@ -193,26 +184,6 @@ def brute_force_pmf(params: RunParams, semantics: CountingSemantics,
             ns = sum(seq)
             pmf[w] += ppow[ns] * qpow[n_max - ns]
     return PmfTable(params, IndexScheme.FULL, variant, 1, tuple(pmf[1:]))
-
-
-def brute_force_run_count_dist(params: RunParams, n: int) -> dict:
-    """Exact distribution of the Type II run count over ``n`` trials.
-
-    The count is the number of maximal success blocks of length ``>= k``: a
-    Type II scan completes one run in each.
-    """
-    if not 1 <= n <= 22:
-        raise ValueError("brute force is capped at n <= 22")
-    p, q = params.p, params.q
-    ppow = [p ** i for i in range(n + 1)]
-    qpow = [q ** i for i in range(n + 1)]
-    type2 = VariantSpec.type_ii()
-    dist: dict = defaultdict(int)
-    for seq in itertools.product((True, False), repeat=n):
-        ns = sum(seq)
-        runs = sum(1 for _ in _completions(seq, params.k, type2))
-        dist[runs] += ppow[ns] * qpow[n - ns]
-    return dict(dist)
 
 
 @dataclass(frozen=True)

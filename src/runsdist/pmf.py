@@ -31,7 +31,8 @@ and run counts share one: the first ``k+1`` rows of brackets are computed
 directly, and every later row is stepped from the ``k+1`` before it, by
 Pascal's rule (see :func:`_pascal_row`) or, for the double sum, by a rule of
 its own, so a table adds rows instead of computing binomials per term. A
-single index is a table of one computed row.
+single index is a table of one computed row, read through the engine's
+record.
 
 The nested sum, its condensation, the generating-function expansion and the
 Type II forms end in one alternating outer sum in powers of
@@ -253,7 +254,12 @@ def _pascal_row(rows, first: int = 0) -> list:
 
 
 def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
-    """Cut-scheme pmf by the O(n^2) double combinatorial sum.
+    """Cut-scheme pmf by the O(n^2) double combinatorial sum, at one index (see :func:`_single`)."""
+    return _single(PmfEngine.FULLSUM_CH, params, n)
+
+
+def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
+    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``), its brackets on :func:`_stepped_rows`.
 
     The inner bracket ``B_n[i] = sum_j (-1)^j C(i, j) C(n-jk-1, i-1)`` is a
     pure integer. By inclusion and exclusion over the parts longer than
@@ -261,23 +267,13 @@ def pmf_fullsum_ch(params: RunParams, n: int) -> Scalar:
     ``k``, so it is 0 below ``i = ceil(n/k)``. The outer term ``i`` carries
     ``C(r+i-1, r-1) q^i p^(n+rk-i)``, so :class:`_OuterSum` finishes it
     with ``x``, ``d`` the numerators ``qn``, ``pn`` of ``q`` and ``p`` over
-    the common denominator ``den^(n+rk)``. A single index is a one-row
-    table of :func:`_fullsum_values`.
-    """
-    if n < 0:
-        return params.finalize(Fraction(0))
-    return _fullsum_values(params, n, n)[0]
-
-
-def _fullsum_values(params: RunParams, lo: int, hi: int) -> list:
-    """:func:`pmf_fullsum_ch` at ``lo .. hi`` (``lo >= 0``), its brackets on :func:`_stepped_rows`.
-
-    A seeded row starts each column ``j`` at ``i = max(j, ceil(n/k))`` with
-    one ``math.comb`` pair and steps along ``i`` by one small ratio, so its
-    O(n^2/k) terms cost no big binomial beyond the column starts. Pascal's
-    rule on ``C(n-jk-1, i-1)`` and then on ``C(i, j)`` steps a row across
-    ``n``: ``B_n[i] = B_(n-1)[i] + B_(n-1)[i-1] - B_(n-1-k)[i-1]`` for
-    ``i >= 1``, two additions per entry. The first rule fails only at
+    the common denominator ``den^(n+rk)``. A seeded row starts each column
+    ``j`` at ``i = max(j, ceil(n/k))`` with one ``math.comb`` pair and steps
+    along ``i`` by one small ratio, so its O(n^2/k) terms cost no big
+    binomial beyond the column starts. Pascal's rule on ``C(n-jk-1, i-1)``
+    and then on ``C(i, j)`` steps a row across ``n``:
+    ``B_n[i] = B_(n-1)[i] + B_(n-1)[i-1] - B_(n-1-k)[i-1]`` for ``i >= 1``,
+    two additions per entry. The first rule fails only at
     ``n = 1`` and ``n = k+1``, which are seeded. Index 0 is ``p^rk``.
     """
     k, r = params.k, params.r
@@ -352,17 +348,13 @@ def _nested_terms(m: int, k: int, r: int) -> int:
 
 def pmf_nested_sum(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT,
                    counter: TermCounter | None = None) -> Scalar:
-    """Pmf by the O(n) nested sum; works in either indexing scheme.
+    """Pmf by the O(n) nested sum at one index of either scheme (see :func:`_single`).
 
     At most ``(r+1) * (1 + floor((m-1)/k))`` bracket terms are touched, where
     ``m`` is the cut-scheme index; terms whose binomial vanishes are skipped
-    and only actually-summed terms are counted into ``counter``. A single
-    index is a one-row table of :func:`_nested_values`.
+    and only actually-summed terms are counted into ``counter``.
     """
-    m = n - params.r * params.k if scheme is IndexScheme.FULL else n
-    if m < 0:
-        return params.finalize(Fraction(0))
-    return _nested_values(params, m, m, counter)[0]
+    return _single(PmfEngine.NESTED_SUM, params, n, scheme, counter)
 
 
 def _nested_values(params: RunParams, lo: int, hi: int,
@@ -413,24 +405,18 @@ def _hyp2f1_scaled(t: int, a: int, b: int, c: int, qpow: list) -> int:
 
 
 def pmf_hyp(params: RunParams, n: int, scheme: IndexScheme = IndexScheme.CUT) -> Scalar:
-    """Pmf by the hypergeometric condensation of the nested sum.
-
-    The inner bracket collapses to ``C(m-jk-1, j-1) 2F1(jk+j-m, -r; j; q)``;
-    the ``j = 0`` term uses the separate form ``q r 2F1(1-m, 1-r; 2; q)``
-    because the general one would put 0 in the 2F1 denominator parameter.
-    The series run on integers (see :func:`_hyp2f1_scaled`). A single index
-    is a one-row table of :func:`_hyp_values`.
-    """
-    m = n - params.r * params.k if scheme is IndexScheme.FULL else n
-    if m < 0:
-        return params.finalize(Fraction(0))
-    return _hyp_values(params, m, m)[0]
+    """Pmf by the nested sum's hypergeometric condensation, at one index (see :func:`_single`)."""
+    return _single(PmfEngine.HYP_SUM, params, n, scheme)
 
 
 def _hyp_values(params: RunParams, lo: int, hi: int) -> list:
     """:func:`pmf_hyp` at the cut indices ``lo .. hi`` (``lo >= 0``), its constants computed once.
 
-    The column starts ``C(m-jk-1, j-1)`` are run binomials, rows that
+    The inner bracket collapses to ``C(m-jk-1, j-1) 2F1(jk+j-m, -r; j; q)``;
+    the ``j = 0`` term uses the separate form ``q r 2F1(1-m, 1-r; 2; q)``
+    because the general one would put 0 in the 2F1 denominator parameter.
+    The series run on integers (see :func:`_hyp2f1_scaled`). The column
+    starts ``C(m-jk-1, j-1)`` are run binomials, rows that
     :func:`_column_starts` seeds and :func:`_pascal_row` steps (column 0,
     ``C(m-1, -1)``, is 0); each column sums its own 2F1 series, whose
     ``qi[i]`` is ``q^i`` scaled by ``den^r``, and the ``j = 0`` column
@@ -450,13 +436,8 @@ def _hyp_values(params: RunParams, lo: int, hi: int) -> list:
 
 
 def pmf_pgf_expansion(params: RunParams, n: int) -> Scalar:
-    """Full-scheme pmf as the coefficient of ``s^n`` in the r-th pgf power.
-
-    A single index is a one-row table of :func:`_pgf_expansion_values`.
-    """
-    if n < params.r * params.k:
-        return params.finalize(Fraction(0))
-    return _pgf_expansion_values(params, n, n)[0]
+    """Full-scheme pmf as the coefficient of ``s^n`` in the r-th pgf power (see :func:`_single`)."""
+    return _single(PmfEngine.PGF_EXPANSION, params, n)
 
 
 def _pgf_expansion_values(params: RunParams, lo: int, hi: int) -> list:
@@ -604,7 +585,8 @@ class EngineSpec:
     :func:`_stepped_rows` (:func:`_fullsum_values`, :func:`_nested_values`,
     :func:`_hyp_values`, :func:`_pgf_expansion_values`, and for the Type II
     and run-count engines :func:`_muselli_values`), which ends in
-    :class:`_OuterSum`; its one-row tables are the single-index functions.
+    :class:`_OuterSum`. :func:`_single` calls the evaluator on one index for
+    each single-index Type I function.
     """
 
     engine: PmfEngine
@@ -628,7 +610,7 @@ class EngineSpec:
         """
         if self.family is not EngineFamily.TYPE1:
             return 1
-        return support_min(params, VariantSpec(overlap=ell), self.scheme)
+        return support_min(params, VariantSpec(overlap=ell) if ell else TYPE1, self.scheme)
 
     def check(self, params: RunParams, scheme: IndexScheme, variant: VariantSpec,
               n_min: int, n_max: int) -> None:
@@ -705,6 +687,21 @@ ENGINES = {spec.engine: spec for spec in (
     _counts(PmfEngine.MUSELLI_COUNTS_ORIGINAL, MuselliForm.ORIGINAL),
     _counts(PmfEngine.MUSELLI_COUNTS_ALT, MuselliForm.ALT),
 )}
+
+
+def _single(engine: PmfEngine, params: RunParams, n: int, scheme: IndexScheme | None = None,
+            counter: TermCounter | None = None) -> Scalar:
+    """One Type I engine's value at index ``n`` of ``scheme`` (by default its native one).
+
+    The index maps into the engine's native scheme, an index below its first
+    reads an exact zero, and any other is its record's evaluator on the
+    one-index range; unlike :func:`pmf_table`, nothing checks the request.
+    """
+    spec = ENGINES[engine]
+    m = n if scheme is None else convert_index(n, scheme, spec.scheme, params)
+    if m < spec.first_index(params, 0):
+        return params.finalize(Fraction(0))
+    return spec.evaluate(params, m, m, 0, counter)[0]
 
 
 def pmf_table(params: RunParams, engine: PmfEngine, n_min: int, n_max: int,

@@ -7,8 +7,9 @@ evaluator whose cost does not grow with the index, closed factorial moments
 for runs overlapping by any ``0 <= ell <= k-1`` (the ``ell = k-1`` case is
 the Type III family), and, through an index shift, the minimum-gap variant.
 
-Root finding is numeric (companion-matrix eigenvalues polished by Newton),
-and the expansion coefficients are recovered by a linear solve against a
+Root finding is numeric (companion-matrix eigenvalues polished by Newton,
+for every ``k``: at ``k = 1`` the one eigenvalue is ``q`` exactly), and the
+expansion coefficients are recovered by a linear solve against a
 reference pmf produced by power-series expansion of the rational generating
 function (:func:`runsdist.core.rational_pgf`, which the exact moment route
 expands around ``s = 1`` instead), so this module works in double precision;
@@ -93,10 +94,7 @@ def solve_roots(params: RunParams) -> RootSystem:
 
     coeffs = aux_polynomial(params)
     k = params.k
-    if k == 1:
-        roots = [complex(float(params.q))]
-    else:
-        roots = list(np.roots(np.array(coeffs, dtype=float)))
+    roots = list(np.roots(np.array(coeffs, dtype=float)))
     dcoeffs = tuple(c * (k - i) for i, c in enumerate(coeffs[:-1]))
     polished = []
     for z in roots:

@@ -13,22 +13,26 @@ routes' own, finalized one order at a time for the tests to read, and the
 Eulerian numbers and polynomials and the Stirling numbers of the second kind
 read single entries off the package's cached rows. The table summation that
 holds each order's weights in a list is the earlier form of
-``moments_from_table``, which must match it bit for bit. Only the
-tests use these forms, so they live beside them and are not part of the
-package.
+``moments_from_table``, which must match it bit for bit. The sequence
+scanner and the brute-force Type II run-count distribution read the
+oracles' own scan of one sequence. Only the tests use these forms, so they
+live beside them and are not part of the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from runsdist.core import (TYPE1, IndexScheme, MomentKind, MomentSet, PmfTable, RunParams,
-                           Scalar, convert_index)
+                           Scalar, VariantSpec, convert_index)
 from runsdist.moments import (_coeff_factorial_cut, _coeff_factorial_full, _coeff_raw_cut,
                               _coeff_raw_full)
+from runsdist.oracle import CountingSemantics, _completions
 from runsdist.special import _eulerian_row, _stirling2_row, binom, falling, hyp2f1
 
 
@@ -267,3 +271,35 @@ def stirling2(n: int, j: int) -> int:
     if j < 0 or j > n:
         return 0
     return _stirling2_row(n)[j]
+
+
+def sequence_waiting_time(seq, k: int, r: int,
+                          semantics: CountingSemantics) -> int | None:
+    """Trial index at which the r-th run of ``seq`` completes, by direct scan.
+
+    ``None`` when ``seq`` ends first. An overlap of ``k`` or more is
+    rejected with the oracles' ``ValueError``; their check reads only ``k``.
+    """
+    variant = semantics.to_variant()
+    variant.check_against(RunParams(k, r, 0.5))
+    return next(itertools.islice(_completions(seq, k, variant), r - 1, None), None)
+
+
+def brute_force_run_count_dist(params: RunParams, n: int) -> dict:
+    """Exact distribution of the Type II run count over ``n`` trials.
+
+    The count is the number of maximal success blocks of length ``>= k``: a
+    Type II scan completes one run in each.
+    """
+    if not 1 <= n <= 22:
+        raise ValueError("brute force is capped at n <= 22")
+    p, q = params.p, params.q
+    ppow = [p ** i for i in range(n + 1)]
+    qpow = [q ** i for i in range(n + 1)]
+    type2 = VariantSpec.type_ii()
+    dist: dict = defaultdict(int)
+    for seq in itertools.product((True, False), repeat=n):
+        ns = sum(seq)
+        runs = sum(1 for _ in _completions(seq, params.k, type2))
+        dist[runs] += ppow[ns] * qpow[n - ns]
+    return dict(dist)

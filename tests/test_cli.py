@@ -281,6 +281,17 @@ class TestCompareCommand:
         assert code == 1
         assert out.strip().splitlines()[-1].startswith("# FAIL")
 
+    @pytest.mark.parametrize("engines, message", [
+        ("nested-sum,bogus", f"unknown engine 'bogus'; valid ids: {', '.join(ENGINE_IDS)}"),
+        ("nested-sum,hyp-sum@half", "unknown scheme 'half'"),
+    ], ids=["engine", "scheme"])
+    def test_unknown_engine_or_scheme_exits_2(self, capsys, engines, message):
+        code, out, err = run_cli(capsys, "compare", "--k", "2", "--r", "1", "--p", "0.5",
+                                 "--n-min", "2", "--n-max", "10", "--engines", engines)
+        assert code == 2
+        assert out == ""
+        assert err.rstrip().endswith(f"error: --engines: {message}")
+
     def test_single_engine_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--k", "2", "--r", "1",
                                "--p", "0.5", "--n-min", "2", "--n-max", "10",
@@ -390,7 +401,7 @@ class TestNumericFailures:
         (oracle, "_TRIALS_MAX", 1,
          ["simulate", "--k", "2", "--r", "1", "--p", "0.5", "--samples", "10"],
          "SimulationNotAbsorbed"),
-        (moments, "_WINDOW_DOUBLINGS", 0,
+        (moments, "_WINDOW_MAX", 0,
          ["moments", "--k", "2", "--r", "1", "--p", "0.5", "--kind", "raw",
           "--route", "summation"], "SummationWindowNotClosed"),
     ], ids=["simulate", "moments-summation"])
@@ -421,8 +432,12 @@ class TestLibraryChecks:
         (["simulate", *OVERLAP_5, "--samples", "10"], "overlap must be at most k-1 = 1, got 5"),
         (["simulate", "--k", "2", "--r", "1", "--p", "0.5", "--samples", "2147483648"],
          "samples must be below 2**31"),
+        (["pmf", "--k", "2", "--r", "1", "--p", "0.5", "--n-min", "2", "--n-max", "3",
+          "--engine", "nested-sum", "--variant", "bogus"],
+         "unknown variant 'bogus'; expected type1, type2, overlap=L with an integer L >= 0 "
+         "or gap=G with an integer G >= 1"),
     ], ids=["order-max-factorial", "order-max-central", "overlap-moments", "overlap-compare",
-            "overlap-simulate", "samples-simulate"])
+            "overlap-simulate", "samples-simulate", "variant-pmf"])
     def test_refused_request_exits_2(self, capsys, args, message):
         code, out, err = run_cli(capsys, *args)
         assert code == 2

@@ -127,6 +127,15 @@ class TestVariantSpec:
         with pytest.raises(ValueError):
             VariantSpec(overlap=1, type2=True)
 
+    def test_overlap_must_be_an_integer(self):
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="overlap must be an integer"):
+                VariantSpec(overlap=bad)
+
+    def test_with_overlap_refuses_a_negative_overlap(self):
+        with pytest.raises(ValueError, match="use with_gap for negative overlap"):
+            VariantSpec.with_overlap(-1)
+
     def test_overlap_bound_needs_k(self):
         params = RunParams(3, 1, 0.5)
         VariantSpec(overlap=2).check_against(params)
@@ -146,7 +155,7 @@ class TestContainers:
         assert t.n_max == 4
         assert t.value(3) == Fraction(1, 8)
         assert list(t.items())[0] == (2, Fraction(1, 4))
-        assert t.total_mass() == Fraction(1, 2)
+        assert sum(t.values) == Fraction(1, 2)
         with pytest.raises(IndexError):
             t.value(5)
 
@@ -190,7 +199,7 @@ class TestContainers:
         # the DP oracle emits int 0 below the support
         params = RunParams(2, 1, Fraction(1, 2))
         t = PmfTable(params, F, TYPE1, 1, (0, Fraction(1, 4), Fraction(1, 8)))
-        assert t.total_mass() == Fraction(3, 8)
+        assert sum(t.values) == Fraction(3, 8)
         PmfTable(params, F, TYPE1, 1, (0, 0, 1))
         with pytest.raises(ValueError) as err:
             PmfTable(params, F, TYPE1, 1, (0, 1, 1))

@@ -1,17 +1,23 @@
-"""Every name a module imports at load time is read somewhere in that module.
+"""Every name a module imports at load time is read somewhere in that module,
+and every public name the package defines is read outside the tests.
 
 No linter runs on this repository, so an import left behind by deleted code
 would go unnoticed. ``__init__`` is skipped: its imports are the package's
-exports.
+exports. A public function or class that only the tests read is a reference
+form, and belongs in ``tests/reference.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "runsdist").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "runsdist").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tools").glob("*.py")])
+# the code that may read a public name: the package, the tools and the benchmark
+READERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def _imported(tree: ast.Module) -> set:
@@ -44,3 +50,22 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text())
     unread = _imported(tree) - _read(tree)
     assert not unread, f"{path.name} imports {sorted(unread)} and never reads them"
+
+
+def _public(tree: ast.Module) -> set:
+    """The public functions and classes a module defines at its top level."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    read = set()
+    for path in READERS:
+        tree = ast.parse(path.read_text())
+        read |= _read(tree) | {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unread = {f"{path.stem}.{name}" for path in PACKAGE
+              for name in _public(ast.parse(path.read_text()))
+              if name not in read and not re.search(rf"\b{name}\b", readme)}
+    assert not unread, f"only the tests read {sorted(unread)}; move them to tests/reference.py"

@@ -11,7 +11,7 @@ from runsdist import moments
 from runsdist.core import TYPE1, IndexScheme, MomentKind, PmfTable, RunParams, VariantSpec
 from runsdist.moments import (MomentRoute, SummationWindowNotClosed, central_moments, mean,
                               moments_by_summation, moments_from_table, moments_via_route,
-                              shape_from_central, variance)
+                              shape_from_central, summation_window, variance)
 from runsdist.oracle import CountingSemantics, dp_waiting_time
 from runsdist.pmf import pmf_recurrence_pg
 
@@ -258,14 +258,27 @@ class TestClosedForms:
             assert abs(var - variance(params)) <= 1e-8 * variance(params)
 
     def test_summation_window_cap_raises_by_name(self, monkeypatch):
-        monkeypatch.setattr(moments, "_WINDOW_DOUBLINGS", 0)
-        with pytest.raises(SummationWindowNotClosed, match="after 0 window doublings"):
+        # the window of k=2 r=1 p=0.5 is 147 indices
+        monkeypatch.setattr(moments, "_WINDOW_MAX", 146)
+        with pytest.raises(SummationWindowNotClosed,
+                           match="a window of 147 indices, past the cap of 146; use the pgf"):
             moments_by_summation(RunParams(2, 1, 0.5), 2, MomentKind.RAW, F)
 
+    def test_summation_window_past_the_cap_raises_before_any_table(self, monkeypatch):
+        # k=6 r=1 p=0.1 spans about 3.4e7 indices; the cap refuses it at once
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(moments, "pmf_recurrence_pg", no_table)
+        with pytest.raises(SummationWindowNotClosed, match="34444249 indices"):
+            moments_via_route(RunParams(6, 1, 0.1), MomentRoute.SUMMATION, RAW, F, 2)
+
     def test_summation_closes_on_a_zero_first_central_moment(self, monkeypatch):
-        # the first central moment is about 0, so the window is judged against sd instead
-        monkeypatch.setattr(moments, "_WINDOW_DOUBLINGS", 3)
-        ms = moments_via_route(RunParams(1, 4, HALF), MomentRoute.SUMMATION, CENTRAL, F, 1,
+        # the first central moment is about 0, so the window is judged against sd instead;
+        # the cap allows the first window and two doublings
+        params = RunParams(1, 4, HALF)
+        monkeypatch.setattr(moments, "_WINDOW_MAX", 4 * summation_window(params))
+        ms = moments_via_route(params, MomentRoute.SUMMATION, CENTRAL, F, 1,
                                VariantSpec.with_gap(2))
         assert abs(ms.value(1)) <= 1e-12
 
@@ -376,6 +389,10 @@ class TestRouteFrontEnd:
         for route in (MomentRoute.PGF, MomentRoute.ROOT):
             with pytest.raises(ValueError):
                 moments_via_route(params, route, MomentKind.FACTORIAL, C, 2)
+
+    def test_unknown_route_is_refused(self):
+        with pytest.raises(ValueError, match="unknown route 'bogus'"):
+            moments_via_route(RunParams(2, 1, 0.5), "bogus", FACT, F, 2)
 
     def test_summation_from_table_exact(self):
         # moments_from_table works in exact mode on an exact table

@@ -8,9 +8,10 @@ import pytest
 from runsdist import oracle
 from runsdist.core import RunParams
 from runsdist.oracle import (CountingMode, CountingSemantics, SimulationNotAbsorbed,
-                             brute_force_pmf, brute_force_run_count_dist, dp_waiting_time,
-                             dp_waiting_time_pmf, monte_carlo, sequence_waiting_time)
+                             brute_force_pmf, dp_waiting_time, dp_waiting_time_pmf, monte_carlo)
 from runsdist.pmf import support_min
+
+from reference import brute_force_run_count_dist, sequence_waiting_time
 
 HALF = Fraction(1, 2)
 TYPE1 = CountingSemantics(CountingMode.NON_OVERLAPPING)
@@ -44,6 +45,8 @@ class TestSemanticsValidation:
             CountingSemantics(CountingMode.GAP)
         with pytest.raises(ValueError):
             CountingSemantics(CountingMode.NON_OVERLAPPING, overlap=1)
+        with pytest.raises(ValueError, match="gap only applies to gap semantics"):
+            CountingSemantics(CountingMode.OVERLAP, overlap=1, gap=1)
 
     def test_oracles_refuse_overlap_of_k_or_more(self):
         for k, ell in ((1, 1), (2, 2), (3, 5)):
@@ -115,10 +118,14 @@ class TestDP:
         dp = dp_waiting_time_pmf(RunParams(2, 2, HALF), sem, 3)
         assert dp.value(3) == Fraction(1, 8)
 
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            dp_waiting_time(RunParams(2, 1, HALF), TYPE1, 0)
+
     def test_mass_accounting(self):
         params = RunParams(2, 2, Fraction(2, 5))
         table, deficit = dp_waiting_time(params, TYPE1, 30)
-        assert table.total_mass() + deficit == 1
+        assert sum(table.values) + deficit == 1
         assert deficit > 0
 
     def test_float_mode(self):

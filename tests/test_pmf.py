@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from runsdist.core import TYPE1, IndexScheme, RunParams, VariantSpec
-from runsdist.oracle import (CountingMode, CountingSemantics,
-                             brute_force_run_count_dist, dp_waiting_time_pmf)
+from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
 from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, RecurrenceUnderflow,
                           TermCounter, counts_muselli, pmf_fullsum_ch, pmf_hyp, pmf_muselli,
                           pmf_nested_sum, pmf_pgf_expansion, pmf_recurrence_pg, pmf_table,
                           support_min)
 from runsdist import special
 from runsdist.special import binom, homogeneous_horner
+
+from reference import brute_force_run_count_dist
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 HALF = Fraction(1, 2)
@@ -123,7 +124,7 @@ class TestSumEngines:
                 params = RunParams(k, r, pv)
                 n_max = int(mean(params) + 20 * variance(params) ** 0.5) + 1
                 table = pmf_recurrence_pg(params, n_max)
-                assert table.total_mass() >= 1 - 1e-6
+                assert sum(table.values) >= 1 - 1e-6
                 assert all(v >= 0 for v in table.values)
 
 
@@ -328,6 +329,13 @@ class TestMuselli:
         assert support_min(params, VariantSpec.type_ii()) == 5
         assert all(pmf_muselli(params, n) == 0 for n in range(1, 5))
 
+    def test_trial_0_is_refused(self):
+        params = RunParams(2, 1, HALF)
+        with pytest.raises(ValueError, match="Type II pmf needs n >= 1"):
+            pmf_muselli(params, 0)
+        with pytest.raises(ValueError, match="muselli-alt needs n_min >= 1"):
+            pmf_table(params, PmfEngine.MUSELLI_ALT, 0, 3, variant=VariantSpec.type_ii())
+
 
 class TestCountsMuselli:
     def test_total_probability(self):
@@ -344,6 +352,13 @@ class TestCountsMuselli:
         assert counts_muselli(RunParams(2, 1, HALF), 3, 1) == Fraction(3, 8)
         # k = 1, n = 2: two separated runs would need S F S, impossible
         assert counts_muselli(RunParams(1, 1, Fraction(3, 10)), 2, 2) == 0
+
+    def test_refuses_trial_0_and_a_negative_count(self):
+        params = RunParams(2, 1, HALF)
+        with pytest.raises(ValueError, match="run-count distribution needs n >= 1"):
+            counts_muselli(params, 0, 1)
+        with pytest.raises(ValueError, match="r_count must be nonnegative"):
+            counts_muselli(params, 3, -1)
 
     def test_forms_agree_and_match_brute_force(self):
         for pv in (Fraction(1, 4), Fraction(1, 2)):

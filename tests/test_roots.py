@@ -81,7 +81,7 @@ class TestGeneratingFunction:
             table = series_pmf(params, int(mu + 20 * sd) + 1,
                                VariantSpec(overlap=ell))
             assert all(v >= 0 for v in table.values)
-            assert table.total_mass() >= 1 - 1e-6
+            assert sum(table.values) >= 1 - 1e-6
 
 
 class TestGeometricRecurrence:
@@ -98,7 +98,7 @@ class TestGeometricRecurrence:
 
     def test_normalization(self):
         t = geometric_pmf_recurrence(RunParams(2, 1, 0.5), 200)
-        assert t.total_mass() >= 1 - 1e-9
+        assert sum(t.values) >= 1 - 1e-9
 
     def test_requires_r1(self):
         with pytest.raises(ValueError):
@@ -240,6 +240,11 @@ class TestRootMoments:
             want = math.factorial(i) / w ** (i + 1) * rec.value((i + 1) * 2 + i)
             got = factorial_moments_root(coeffs, i).value(i)
             assert abs(got - want) <= 1e-11 * abs(want)
+
+    def test_needs_an_order(self):
+        coeffs = recover_coefficients(solve_roots(RunParams(2, 1, 0.5)))
+        with pytest.raises(ValueError, match="order_max must be >= 1"):
+            factorial_moments_root(coeffs, 0)
 
     def test_matches_partition_route(self):
         for pv in (0.25, 0.5, 0.75):

@@ -6,23 +6,23 @@ Draws COUNT points from SEED: ``k <= 5``, ``r <= 4``, ``p`` either an exact
 ``a/d`` with ``d <= 20`` or a float, and an index ``n <= 60``; about one
 point in eight is deep instead, with ``n`` in ``[200, 600]``, where the power
 ladder of an exact table can pass ``_LADDER_BITS`` and hand its sums to the
-split Horner. For each point it prints one line holding the ``type`` and
-``repr`` of every single-index pmf function (the Type II forms and the run
-counts with ``r_count`` 0..6 included), of one table per engine in
-``pmf.ENGINES`` up to 20 indices wide, starting at or below ``3k+3`` (in
-``[200, 600]`` at a deep point), and the ``TermCounter`` counts of the
-engines that take one. The moment cells follow, drawn from a second stream
-seeded by SEED and the point's number, so the pmf cells do not depend on
-them: an order up to 6 (up to 10 for an exact ``p``), a gap ``g`` in 1..3
-and an overlap ``l`` in 1..k-1; ``moments_via_route`` for every route, kind
-and scheme it serves, for type1, the gap and (``root`` only) the overlap,
-where ``summation`` runs only while the Type I mean is at most
-``MEAN_MAX``, as its table spans 30 standard deviations;
-``central_moments``, both ``mean`` schemes, ``variance``, ``gap_moments``
-and the ``pgf`` route's full-scheme factorial moments for type1, the gap,
-the overlap and type2. While the mean is at most ``MEAN_MAX`` the line ends
-in one seeded ``monte_carlo`` run, drawn from a third stream: a family the
-point serves, at most 500 samples and a seed, with the ``repr`` of the
+split Horner. A second stream, seeded by SEED and the point's number, draws
+an order up to 6 (up to 10 for an exact ``p``), a gap ``g`` in 1..3 and an
+overlap ``l`` in 1..k-1, which fix the point's families: type1, the gap,
+the overlap when ``k > 1``, and type2. For each point it prints one line
+holding the ``type`` and ``repr`` of every single-index pmf function (the
+Type II forms and the run counts with ``r_count`` 0..6 included), then, for
+each engine in ``pmf.ENGINES``, one range up to 20 indices wide, starting at
+or below ``3k+3`` (in ``[200, 600]`` at a deep point): ``pmf_table`` of
+every family with the ``TermCounter`` count, or, for a run-count engine,
+its record's evaluator as the CLI calls it. The moment cells follow:
+``moments_via_route`` for every route, kind, scheme and family, where
+``summation`` runs only while the Type I mean is at most ``MEAN_MAX``, as
+its table spans 30 standard deviations; ``central_moments``, both ``mean``
+schemes, ``variance`` and ``gap_moments``. A request the library refuses
+prints as its refusal. While the mean is at most ``MEAN_MAX`` the line ends
+in one seeded ``monte_carlo`` run, drawn from a third stream: one of the
+point's families, at most 500 samples and a seed, with the ``repr`` of the
 mean, variance and skewness and the counts; every 100th point adds a second
 run from the same stream, with samples in ``(2^16, 3·2^16]``, so its draws
 span more than one of ``oracle._DRAW_BLOCK``'s blocks.
@@ -52,13 +52,6 @@ from runsdist.roots import gap_moments  # noqa: E402
 
 F, C = IndexScheme.FULL, IndexScheme.CUT
 MEAN_MAX = 200.0  # the summation route and Monte Carlo run only up to this mean
-# the (kind, scheme) pairs each route serves for type1; a gap takes the full ones
-ROUTE_CELLS = {route: [(kind, scheme) for kind in MomentKind for scheme in (C, F)
-                       if scheme is F or (kind is not MomentKind.CENTRAL
-                                          and route in (MomentRoute.RECURRENCE,
-                                                        MomentRoute.PARTITION,
-                                                        MomentRoute.SUMMATION))]
-               for route in MomentRoute}
 
 
 def _show(fn, *args, **kwargs) -> str:
@@ -79,46 +72,36 @@ def _counted(fn, *args, **kwargs) -> str:
 
 def _wide(params: RunParams) -> bool:
     """Is the Type I mean above ``MEAN_MAX``?"""
-    p, k = float(params.p), params.k
-    return params.r * (1 - p ** k) / ((1 - p) * p ** k) > MEAN_MAX
+    return mean(params) > MEAN_MAX
 
 
-def moment_cells(params: RunParams, order: int, g: int, ell: int) -> list:
-    """The moment cells at one point; ``ell = 0`` leaves the overlap family out."""
-    families = [TYPE1, VariantSpec.with_gap(g)]
-    if ell:
-        families.append(VariantSpec.with_overlap(ell))
+def families(k: int, g: int, ell: int) -> list:
+    """Type I, the gap ``g``, the overlap ``ell`` when ``k > 1``, and Type II."""
+    overlap = [VariantSpec.with_overlap(ell)] if k > 1 else []
+    return [TYPE1, VariantSpec.with_gap(g), *overlap, VariantSpec.type_ii()]
+
+
+def moment_cells(params: RunParams, order: int, g: int, variants: list) -> list:
+    """The moment cells at one point: every route, kind and scheme for every family."""
     cells = [f"order={order} g={g}"]
-    for route, pairs in ROUTE_CELLS.items():
+    for route in MomentRoute:
         if route is MomentRoute.SUMMATION and _wide(params):
             continue
-        for variant in families:
-            if variant.is_overlap and route is not MomentRoute.ROOT:
-                continue
-            for kind, scheme in pairs:
-                if variant.is_gap and scheme is C:
-                    continue
-                cells.append(f"{route.value}:{kind.value}@{scheme.value}:{variant.describe()}="
-                             + _show(moments_via_route, params, route, kind, scheme, order,
-                                     variant))
+        cells += [f"{route.value}:{kind.value}@{scheme.value}:{variant.describe()}="
+                  + _show(moments_via_route, params, route, kind, scheme, order, variant)
+                  for variant in variants for kind in MomentKind for scheme in (C, F)]
     cells += [f"central_moments={_show(central_moments, params, min(order, 4))}",
               f"mean={_show(mean, params)}", f"mean@cut={_show(mean, params, C)}",
               f"variance={_show(variance, params)}"]
     cells += [f"gap_moments:{kind.value}={_show(gap_moments, params, g, order, kind)}"
               for kind in (MomentKind.FACTORIAL, MomentKind.RAW)]
-    cells += [f"pgf-factorial:{variant.describe()}="
-              + _show(moments_via_route, params, MomentRoute.PGF, MomentKind.FACTORIAL, F, order,
-                      variant)
-              for variant in families + [VariantSpec.type_ii()]]
     return cells
 
 
-def monte_carlo_cell(params: RunParams, rng: random.Random, samples: tuple = (1, 500)) -> str:
-    """One seeded Monte Carlo run of a family the point serves, ``samples`` bounds included."""
-    families = [TYPE1, VariantSpec.type_ii(), VariantSpec.with_gap(rng.randint(1, 3))]
-    if params.k > 1:
-        families.append(VariantSpec.with_overlap(rng.randint(1, params.k - 1)))
-    variant, samples, seed = rng.choice(families), rng.randint(*samples), rng.randrange(2 ** 32)
+def monte_carlo_cell(params: RunParams, variants: list, rng: random.Random,
+                     samples: tuple = (1, 500)) -> str:
+    """One seeded Monte Carlo run of one of ``variants``, ``samples`` bounds included."""
+    variant, samples, seed = rng.choice(variants), rng.randint(*samples), rng.randrange(2 ** 32)
 
     def run():
         res = monte_carlo(params, CountingSemantics.from_variant(variant), samples, seed)
@@ -148,6 +131,9 @@ def point(rng: random.Random, mrng: random.Random, crng: random.Random,
     for form in MuselliForm:
         cells.append(_show(pmf_muselli, params, n, form))
         cells += [_show(counts_muselli, params, n, count, form) for count in range(7)]
+    order = mrng.randint(1, 10 if params.exact else 6)
+    g, ell = mrng.randint(1, 3), mrng.randint(1, k - 1) if k > 1 else 0
+    variants = families(k, g, ell)
     for engine, spec in ENGINES.items():
         if deep:
             lo = rng.randint(200, 600)
@@ -155,20 +141,17 @@ def point(rng: random.Random, mrng: random.Random, crng: random.Random,
             lo = rng.randint(0 if spec.scheme is C else 1, 3 * k + 3)
         hi = lo + rng.randint(0, 20)
         if spec.family is EngineFamily.COUNTS:  # the evaluator the CLI calls
-            table = _show(spec.evaluate, params, lo, hi, 0, None)
-        else:
-            variant = VariantSpec.type_ii() if spec.family is EngineFamily.TYPE2 else TYPE1
-            if spec.overlap and k > 1 and rng.random() < 0.5:
-                variant = VariantSpec.with_overlap(rng.randint(1, k - 1))
-            table = _counted(pmf_table, params, engine, lo, hi, spec.scheme, variant)
-        cells.append(f"{engine.value}@{lo}..{hi}={table}")
-    order = mrng.randint(1, 10 if params.exact else 6)
-    g, ell = mrng.randint(1, 3), mrng.randint(1, k - 1) if k > 1 else 0
-    cells += moment_cells(params, order, g, ell)
+            cells.append(f"{engine.value}@{lo}..{hi}="
+                         + _show(spec.evaluate, params, lo, hi, 0, None))
+            continue
+        cells += [f"{engine.value}@{lo}..{hi}:{variant.describe()}="
+                  + _counted(pmf_table, params, engine, lo, hi, spec.scheme, variant)
+                  for variant in variants]
+    cells += moment_cells(params, order, g, variants)
     if not _wide(params):
-        cells.append(monte_carlo_cell(params, crng))
+        cells.append(monte_carlo_cell(params, variants, crng))
         if wide_draws:
-            cells.append(monte_carlo_cell(params, crng, (2 ** 16 + 1, 3 * 2 ** 16)))
+            cells.append(monte_carlo_cell(params, variants, crng, (2 ** 16 + 1, 3 * 2 ** 16)))
     return " ".join(cells)
 
 
