@@ -9,7 +9,8 @@ error or a numeric failure, which stderr names.
 
 The commands parse their flags and leave every other check to the library:
 :func:`main` reports a ``ValueError`` it raises as a usage error with the
-library's message, and a :class:`~runsdist.core.NumericFailure` by name.
+library's message, and a :class:`~runsdist.core.NumericFailure` by name;
+each refusal names its command and prints that command's usage.
 Each flag is declared once, in ``_FLAGS``, and :func:`_emit` writes every
 CSV table.
 """
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=summary)
         for flag in flags:
             sub.add_argument(flag, **_FLAGS[flag])
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, parser=sub)
     return parser
 
 
@@ -205,15 +206,14 @@ def main(argv=None) -> int:
     # before OpenBLAS starts; its thread pool costs start-up time and the
     # root engine's k*r-unknown systems gain nothing from it
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except NumericFailure as err:  # before any output; exit 1 would read as a mismatch
-        print(f"{parser.prog} {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
+        print(f"{args.parser.prog}: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except ValueError as err:  # the library refused the request
-        parser.error(str(err))
+        args.parser.error(str(err))
 
 
 if __name__ == "__main__":

@@ -156,31 +156,23 @@ def pmf_recurrence_pg(params: RunParams, n_max: int) -> PmfTable:
                     tuple(_recurrence_values(params, n_max)))
 
 
-_COMB_TOP = 100  # below this top one math.comb is quicker than a ratio step
-
-
 def _column_starts(m: int, k: int) -> list:
     """``C(top, max(j-1, 0))`` with ``top = m-jk-1`` for the columns ``j = 0 .. m//(k+1)``.
 
     Past ``j = m//(k+1)`` the top falls below ``j-1`` (``m >= 1``), so that
-    binomial and every later one vanish. While the top is big each binomial
-    follows from the one before by the exact small ratio
+    binomial and every later one vanish. Columns 0 and 1 start at 1, and
+    each later start follows from the one before by the exact small ratio
     ``C(T-k, b+1) = C(T, b) (T-b)_(k+1) / ((b+1) (T)_k)``, falling factorials
     of ``k+1`` and ``k`` factors, so the columns of a deep index cost no big
-    binomial; tops below ``_COMB_TOP`` take one small ``math.comb`` each.
+    binomial.
     """
     last = m // (k + 1)
-    big = min(last, (m - 1 - _COMB_TOP) // k)  # the last column whose top is big
-    if big < 2:  # every column's top is small, or its bottom 0
-        return [1, *map(math.comb, range(m - k - 1, m - (last + 1) * k - 1, -k), range(last))]
-    starts = [1, 1]  # C(m-1, 0) and C(m-k-1, 0)
-    for j in range(2, big + 1):
+    starts = [1, 1][:last + 1]  # C(m-1, 0) and C(m-k-1, 0)
+    for j in range(2, last + 1):
         top = m - j * k - 1
         # C(top, j-1) from C(top+k, j-2)
         starts.append(starts[-1] * math.perm(top + k - j + 2, k + 1)
                       // ((j - 1) * math.perm(top + k, k)))
-    j = big + 1  # the small tops of columns j .. last, in one pass
-    starts += map(math.comb, range(m - j * k - 1, m - (last + 1) * k - 1, -k), range(j - 1, last))
     return starts
 
 

@@ -8,14 +8,12 @@ hypergeometric series rejects arguments whose series would not terminate or
 would divide by zero. :func:`homogeneous_horner` is the one integer kernel
 behind every exact alternating pmf sum; it combines halves of the sum by
 binary splitting, so a long sum costs a few balanced big-integer products
-rather than one long-by-short product per term. A table of such sums with
-lengths that never fall runs on one :class:`HornerLadder`, which keeps the
-power terms of the current length and costs one C-level dot product per
-sum, growing by one multiplication per entry when the length grows. Its
-first call sums by the split Horner and builds no ladder, because a single
-index makes only that one call; the ladder grows from the second call on.
-Its products are long by short, so past ``_LADDER_BITS`` = 2048 bits per
-ladder entry it hands each sum to :func:`homogeneous_horner`. That crossover
+rather than one long-by-short product per term. The sums of a table share
+``x``, ``d`` and their weights, so they run on one :class:`HornerLadder`,
+built once on the table's second sum, which makes each sum one C-level dot
+product and one exact division; a single index makes only one call, which
+splits. The ladder's products are long by short, so its entries stop at
+``_LADDER_BITS`` = 2048 bits and a longer sum splits. That crossover
 was measured per call on the float and exact tables of the nested, double,
 hypergeometric and Type II sums to index 250 (k 1 to 5, r 1 and 3), on a
 2-vCPU x86-64 machine under CPython 3.11: the ladder took 0.51 to 0.78 of
@@ -45,6 +43,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import mul
 
 
@@ -152,61 +151,42 @@ class HornerLadder:
     """The sums ``homogeneous_horner(map(mul, coeffs, weights), x, d)`` of one table.
 
     A table evaluates many such sums with the same ``x``, ``d`` and
-    ``weights`` and lengths that never fall. The ladder keeps
-    ``weights[j] x^j d^(J-j)`` for ``j = 0 .. J``, the current length less
-    one, so a call of that length is one C-level ``sum(map(mul, ...))``.
-    A longer call multiplies the ladder by ``d`` (a shift when ``d`` is a
-    power of two) once per added term and appends the new entries. The
-    result is the same integer either way.
+    ``weights``. The ladder holds ``weights[j] x^j d^(J-j)`` for ``j = 0 ..
+    J`` and the powers ``d^0 .. d^(J+1)``, so a sum of ``t+1 <= J+1`` terms
+    is one C-level ``sum(map(mul, ...))`` over the first ``t+1`` entries,
+    divided exactly by ``d^(J-t)``; an empty sum divides 0 by ``d^(J+1)``.
+    The result is the same integer as the split Horner's.
 
-    The first call sums by :func:`homogeneous_horner` and builds no ladder:
-    it may be the only call, and building the ladder costs two products per
-    term. The ladder grows from the second call on. It costs ``J`` products
-    per call, each of an entry of about ``J * max(bits(x), bits(d))`` bits
-    by a coefficient, where the split Horner costs a few balanced products
-    of that size. A call whose entries would pass ``_LADDER_BITS`` therefore
-    goes to :func:`homogeneous_horner`, and so does a call shorter than the
-    ladder. ``weights`` must reach the longest call.
+    ``J`` is the longest sum the ladder serves, ``len(weights) - 1``, but
+    no more than ``_LADDER_BITS // max(bits(x), bits(d))``: an entry holds
+    about ``J * max(bits(x), bits(d))`` bits, and its products are long by
+    short where the split Horner's are a few balanced ones, so past that
+    size the split Horner is quicker. A longer sum goes to
+    :func:`homogeneous_horner`, and so does the first call, which may be the
+    only one; the second call builds the ladder, once, at two products per
+    entry. ``weights`` must reach the longest call.
     """
 
     def __init__(self, x: int, d: int, weights: list) -> None:
         self.x, self.d, self.weights = x, d, weights
-        self.ladder: list = []  # weights[j] x^j d^(J-j), j = 0 .. J
-        self.xpow = 1  # x^J, and 1 while the ladder is empty
-        self.step = max(x.bit_length(), d.bit_length())
-        self.shift = d.bit_length() - 1 if d > 0 and not d & (d - 1) else None
+        self.top = min(len(weights) - 1, _LADDER_BITS // max(x.bit_length(), d.bit_length(), 1))
+        self.ladder: list = []  # weights[j] x^j d^(J-j), j = 0 .. J, from the second call
+        self.dpow: list = []  # d^0 .. d^(J+1), built with the ladder
         self.called = False
 
     def __call__(self, coeffs) -> int:
         top = len(coeffs) - 1
-        have = len(self.ladder) - 1
-        if not self.called or top < have or top * self.step > _LADDER_BITS:
-            self.called = True
+        if self.called and not self.dpow:
+            self._build()
+        self.called = True
+        if not self.dpow or top > self.top:  # the first call, or longer than the ladder
             return homogeneous_horner(map(mul, coeffs, self.weights), self.x, self.d)
-        if top > have:
-            self._grow(have, top)
-        return sum(map(mul, coeffs, self.ladder))
+        return sum(map(mul, coeffs, self.ladder)) // self.dpow[self.top - top]
 
-    def _grow(self, have: int, top: int) -> None:
-        x, d, weights, shift = self.x, self.d, self.weights, self.shift
-        grow = top - have
-        if shift is not None:
-            s = shift * grow
-            ladder = [v << s for v in self.ladder]
-        else:
-            dpow = [1]
-            for _ in range(grow):
-                dpow.append(dpow[-1] * d)
-            f = dpow[grow]
-            ladder = [v * f for v in self.ladder]
-        xpow = self.xpow
-        for j in range(have + 1, top + 1):
-            if j:
-                xpow *= x
-            term = weights[j] * xpow
-            ladder.append(term << shift * (top - j) if shift is not None
-                          else term * dpow[top - j])
-        self.ladder, self.xpow = ladder, xpow
+    def _build(self) -> None:
+        self.dpow = list(accumulate(repeat(self.d, self.top + 1), mul, initial=1))
+        xpow = accumulate(repeat(self.x, self.top), mul, initial=1)
+        self.ladder = list(map(mul, map(mul, self.weights, xpow), reversed(self.dpow[:-1])))
 
 
 def _poly_mul(a: list, b: list) -> list:

@@ -446,6 +446,25 @@ class TestLibraryChecks:
         assert "Traceback" not in err
 
 
+class TestRefusalUsage:
+    """A refusal prints the usage and the name of the command that was refused."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["pmf", "--k", "2", "--r", "1", "--p", "0.5", "--n-min", "3", "--n-max", "2",
+          "--engine", "nested-sum"], "n_max must be at least n_min"),
+        (["moments", "--k", "2", "--r", "1", "--p", "half", "--kind", "raw"],
+         "--p: cannot parse 'half': could not convert string to float: 'half'"),
+        (["compare", "--k", "2", "--r", "1", "--p", "0.5", "--n-min", "2", "--n-max", "3",
+          "--engines", "nested-sum"], "--engines: need at least two engines to compare"),
+    ], ids=["library", "p", "engines"])
+    def test_refusal_names_its_command(self, capsys, args, message):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: runsdist {args[0]} [-h] --k K")
+        assert lines[-1] == f"runsdist {args[0]}: error: {message}"
+
+
 def _fresh_run(*commands, openblas=None):
     """Run CLI commands in a fresh interpreter, ``OPENBLAS_NUM_THREADS`` set to ``openblas``
     or absent; which of numpy and roots are loaded afterwards, what that variable reads,

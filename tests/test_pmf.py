@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
 from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, RecurrenceUnderflow,
                           TermCounter, counts_muselli, pmf_fullsum_ch, pmf_hyp, pmf_muselli,
                           pmf_nested_sum, pmf_pgf_expansion, pmf_recurrence_pg, pmf_table,
-                          support_min)
+                          _column_starts, support_min)
 from runsdist import special
 from runsdist.special import binom, homogeneous_horner
 
@@ -279,6 +280,13 @@ class TestDeepTail:
         assert pmf_hyp(params, n, F) == got
         near = pmf_recurrence_pg(params, n).value(n)
         assert abs(got - near) <= 1e-9 * near
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_column_starts_equal_math_comb(self, k):
+        # each start is stepped from the one before, small tops and big alike
+        for m in (*range(1, 4 * k + 40), 101, 250, 999, 1000 + k, 2001, 2500):
+            want = [math.comb(m - j * k - 1, max(j - 1, 0)) for j in range(m // (k + 1) + 1)]
+            assert _column_starts(m, k) == want
 
     @pytest.mark.parametrize("k, r, pv, n", [
         (1, 3, Fraction(5, 7), 300),

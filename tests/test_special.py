@@ -298,30 +298,46 @@ class TestHornerLadder:
     def expected(coeffs, weights, x, d):
         return homogeneous_horner(map(mul, coeffs, weights), x, d)
 
-    def test_growing_lengths_across_the_crossover(self):
+    @staticmethod
+    def count_splits(monkeypatch) -> list:
+        """Make the ladder count its calls of the split Horner in the returned list's one item."""
+        calls = [0]
+        split = special.homogeneous_horner
+
+        def counted(*args):
+            calls[0] += 1
+            return split(*args)
+
+        monkeypatch.setattr(special, "homogeneous_horner", counted)
+        return calls
+
+    def test_growing_lengths_across_the_crossover(self, monkeypatch):
+        splits = self.count_splits(monkeypatch)
         rng = random.Random(20261019)
-        below = above = 0
+        laddered = split = 0
         for _ in range(60):
             x = rng.getrandbits(rng.randint(1, 120)) | 1
-            # an odd d multiplies the ladder, a power of two (a float p's) shifts it
+            # an odd d and a power of two (a float p's) take the same path
             d = rng.choice((rng.getrandbits(rng.randint(1, 120)) | 1, 1 << rng.randint(0, 120)))
             w = 10 ** rng.randint(0, 6)
             weights = [rng.randint(-w, w) for _ in range(120)]
             ladder = HornerLadder(x, d, weights)
             step = max(x.bit_length(), d.bit_length())
             length = rng.randint(0, 3)
-            for _ in range(25):
+            for call in range(25):
                 length = min(length + rng.choice((0, 0, 1, 1, 2, 7)), 120)
                 bound = 10 ** rng.randint(0, 40)
                 coeffs = [rng.randint(-bound, bound) for _ in range(length)]
+                before = splits[0]
                 got = ladder(coeffs)
                 assert type(got) is int
                 assert got == self.expected(coeffs, weights, x, d)
-                if (length - 1) * step > special._LADDER_BITS:
-                    above += 1
-                else:
-                    below += 1
-        assert below > 100 and above > 100  # both sides of the crossover ran
+                ran_split = splits[0] > before
+                # the first call and a sum whose entries would pass the crossover split
+                assert ran_split == (call == 0 or (length - 1) * step > special._LADDER_BITS)
+                split += ran_split
+                laddered += not ran_split
+        assert laddered > 100 and split > 100  # both paths ran
 
     def test_shorter_call_after_a_longer_one(self):
         x, d, weights = 5, 9, [3, -1, 4, -1, 5, -9, 2, -6]
@@ -330,16 +346,28 @@ class TestHornerLadder:
             coeffs = list(range(1, length + 1))
             assert ladder(coeffs) == self.expected(coeffs, weights, x, d)
 
-    def test_first_call_sums_by_split_horner_and_builds_no_ladder(self):
+    def test_first_call_sums_by_split_horner_and_builds_no_ladder(self, monkeypatch):
         # a first call may be the only one, so it builds no ladder; the
-        # second call grows the ladder to its length, a longer one past it
+        # second builds all of it, and no later call builds it again
+        builds = []
+        build = HornerLadder._build
+        monkeypatch.setattr(HornerLadder, "_build", lambda self: builds.append(build(self)))
         coeffs = [(-1) ** j * math.comb(30, j) for j in range(31)]
         ones = [1] * 32
         ladder = HornerLadder(7, 3, ones)
-        assert ladder(coeffs) == (3 - 7) ** 30 and ladder.ladder == []
-        assert ladder(coeffs) == (3 - 7) ** 30 and len(ladder.ladder) == 31
-        assert ladder(coeffs + [5]) == self.expected(coeffs + [5], ones, 7, 3)
-        assert len(ladder.ladder) == 32
+        assert ladder(coeffs) == (3 - 7) ** 30 and ladder.ladder == [] and not builds
+        assert ladder(coeffs) == (3 - 7) ** 30 and len(ladder.ladder) == 32
+        assert len(ladder.dpow) == 33 and len(builds) == 1
+        assert ladder(coeffs[:3]) == self.expected(coeffs[:3], ones, 7, 3)
+        assert ladder([]) == 0 and ladder(coeffs + [5]) == self.expected(coeffs + [5], ones, 7, 3)
+        # entries of about 101 bits stop the ladder at 2048 // 101 = 20 terms
+        x, weights = (1 << 100) + 1, list(range(1, 41))
+        capped = HornerLadder(x, 3, weights)
+        for call, length in enumerate((10, 10, 5, 30, 21, 40, 0)):
+            terms = [(-1) ** j * (j + 1) for j in range(length)]
+            assert capped(terms) == self.expected(terms, weights, x, 3)
+            assert len(capped.ladder) == (21 if call else 0)
+        assert len(builds) == 2
         assert HornerLadder(10 ** 9, 10 ** 9 + 1, ones)(coeffs) == 1
         assert HornerLadder(3, 5, ones)([]) == 0
         assert HornerLadder(3, 5, [4])([7]) == 28

@@ -22,6 +22,16 @@ run's metrics and verdict, both trees' commits and whether either had
 uncommitted changes (``null`` outside a git checkout), ``nproc`` and the
 Python version. Two trees whose ``perfbench/`` differ would run different
 benchmarks, so the tool refuses them.
+
+Both trees run cold, which the record states as ``"bytecode": "cold"``:
+before the first pair the tool removes every ``__pycache__`` under each
+tree's ``src/`` and ``perfbench/``, and it runs every subprocess with
+``PYTHONDONTWRITEBYTECODE=1``, so each compiles the package from source, as
+a fresh checkout does, while the standard library keeps its installed
+bytecode. Without bytecode a CLI subprocess pays for compiling the package,
+so ``startup_ms`` records per tree the medians of ``STARTUP_RUNS`` runs of
+each of ``STARTUP``: a bare interpreter, the CLI's import and one exact
+``pmf`` command, alternating between the trees.
 """
 
 from __future__ import annotations
@@ -31,13 +41,23 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 SEED = 0  # every run's --seed, so both trees run the same op list
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # every subprocess runs cold
+STARTUP_RUNS = 15
+STARTUP = {  # the start-up subprocesses timed in each tree, run with its src/ on the path
+    "python": ["-c", "pass"],
+    "import": ["-c", "import runsdist.cli"],
+    "pmf": ["-m", "runsdist.cli", "pmf", "--k", "2", "--r", "1", "--p", "1/2",
+            "--n-min", "2", "--n-max", "5", "--engine", "recurrence-pg"],
+}
 
 
 def bench_digest(tree: Path) -> dict:
@@ -60,10 +80,32 @@ def git_state(tree: Path) -> dict:
     return {"commit": commit, "dirty": bool(git("status", "--porcelain"))}
 
 
+def clear_bytecode(tree: Path) -> None:
+    for part in ("src", "perfbench"):
+        for cache in sorted((tree / part).rglob("__pycache__")):
+            shutil.rmtree(cache)
+
+
+def startup_ms(trees: dict) -> dict:
+    """Per tree and ``STARTUP`` entry, the median wall time of its subprocess in ms."""
+    times = {side: {name: [] for name in STARTUP} for side in trees}
+    for i in range(STARTUP_RUNS):
+        for side in sorted(trees, reverse=bool(i % 2)):
+            env = dict(ENV, PYTHONPATH=str(trees[side] / "src"))
+            for name, args in STARTUP.items():
+                start = time.perf_counter()
+                # no timeout: with one, the wait polls on sleeps of up to 50 ms
+                subprocess.run([sys.executable, *args], cwd=trees[side], env=env, check=True,
+                               stdout=subprocess.DEVNULL)
+                times[side][name].append((time.perf_counter() - start) * 1e3)
+    return {side: {name: statistics.median(t) for name, t in runs.items()}
+            for side, runs in times.items()}
+
+
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+    proc = subprocess.run(cmd, cwd=tree, env=ENV, capture_output=True, text=True,
                           timeout=seconds + 600)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -116,11 +158,13 @@ def main(argv=None) -> int:
     spec = json.loads((HERE / "BENCHMARK.json").read_text())
 
     trees = {"parent": parent, "change": HERE}
+    for tree in trees.values():
+        clear_bytecode(tree)
     record = {
         "pr": args.pr, "pairs": args.pairs, "seconds": args.seconds, "seed": SEED,
         "trees": {side: git_state(tree) for side, tree in trees.items()},
-        "nproc": os.cpu_count(), "python": platform.python_version(),
-        "workloads": {},
+        "nproc": os.cpu_count(), "python": platform.python_version(), "bytecode": "cold",
+        "startup_ms": startup_ms(trees), "workloads": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
