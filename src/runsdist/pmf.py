@@ -40,9 +40,9 @@ Type II forms end in one alternating outer sum in powers of
 One finisher, :class:`_OuterSum`, evaluates them all. It sums on one
 :class:`~runsdist.special.HornerLadder`, whose powers a table's indices
 share, and builds the value by :class:`~runsdist.core.PowerRatio`, which in
-exact mode strips only the primes of ``d`` instead of taking a gcd. For a
-float ``p``, ``d`` is a power of two, and the sums in ``y`` are first
-rounded by :func:`~runsdist.special.fixed_point_horner`, a fixed-point sum
+exact mode divides by ``gcd(num, d, d^e)`` until it is 1, with no factoring
+of ``d``. For a float ``p``, ``d`` is a power of two, and the sums in ``y``
+are first rounded by :func:`~runsdist.special.fixed_point_horner`, a fixed-point sum
 a few hundred bits past the cancellation that proves which double the exact
 value rounds to; only a value too close to call pays for the exact sum,
 whose integers grow by the bits of ``d^(k+1)`` per term.
@@ -106,10 +106,11 @@ def _recurrence_values(params: RunParams, n_max: int) -> list:
     numerators ``N_n = P_n d^n`` of ``p = a/d``:
     ``N_n = b sum_j (n - rk + j(r-1)) a^(j-1) N_{n-j} / (n-rk)`` with
     ``b = d - a``, where the division is exact, and builds one fraction per
-    entry by :class:`~runsdist.core.PowerRatio`, which strips only the
-    primes of ``d``. A float ``p`` whose ``p^((r+1)k)`` is below the smallest
-    normal double raises :class:`RecurrenceUnderflow` first: the terms
-    ``p^j P_(n-j)`` would underflow before ``q/p`` scales them back.
+    entry by :class:`~runsdist.core.PowerRatio`, which divides by
+    ``gcd(num, d, d^e)`` until it is 1. A float ``p`` whose ``p^((r+1)k)``
+    is below the smallest normal double raises :class:`RecurrenceUnderflow`
+    first: the terms ``p^j P_(n-j)`` would underflow before ``q/p`` scales
+    them back.
     """
     k, r, p = params.k, params.r, params.p
     rk = r * k
@@ -203,7 +204,7 @@ class _OuterSum:
     def __init__(self, params: RunParams, x: int, d: int, weights: list, head: int,
                  base: int, step: int, div: int = 1) -> None:
         self.ratio = PowerRatio(params)
-        z = self.ratio.twos  # den = 2^z for a float p
+        z = self.ratio.d.bit_length() - 1  # den = 2^z for a float p
         self.fixed = not params.exact and div == 1 and d == 1 << z * step and 2 * x < d
         self.x, self.s, self.t = x, z * step, z * base
         self.weights, self.head, self.base, self.step, self.div = weights, head, base, step, div

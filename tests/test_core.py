@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runsdist.core import (IndexScheme, MomentKind, MomentSet, PmfTable, PowerRatio,
                            RunParams, TYPE1, VariantSpec, convert_index)
@@ -70,11 +72,35 @@ class TestPowerRatio:
         for e in (9, 9, 3, 12, 0, 12, 40):
             assert _same_fraction(ratio(6 ** 7 * 5, e), Fraction(6 ** 7 * 5, 12 ** e))
 
-    def test_denominator_past_trial_division_takes_the_constructor(self):
-        d = 1031 * 1033  # both primes past the trial divisors, product past their square
-        ratio = PowerRatio(RunParams(1, 1, Fraction(1, d)))
-        for num in (1031 ** 3 * 7, -(d ** 2), 12345):
-            assert _same_fraction(ratio(num, 4), Fraction(num, d ** 4))
+    @pytest.mark.parametrize("p, factor", [
+        (Fraction(1, 1031 * 1033), 1031),  # two primes, their product past 2^20
+        (Fraction(1, 1_048_583), 1_048_583),  # a prime past 2^20
+        (Fraction(0.3), 2)],  # d = 2^54, the exact value of the double 0.3
+        ids=["1031x1033", "1048583", "2^54"])
+    def test_denominators_with_large_factors_are_canonical(self, p, factor):
+        d = p.denominator
+        ratio = PowerRatio(RunParams(1, 1, p))
+        for num in (factor ** 3 * 7, factor ** 300, -(d ** 2), d ** 5 * factor, 12345):
+            for e in (4, 1, 4):
+                assert _same_fraction(ratio(num, e), Fraction(num, d ** e))
+
+    @settings(deadline=None, database=None)
+    @given(st.data())
+    def test_exact_mode_is_the_canonical_fraction_for_any_denominator(self, data):
+        # denominators up to 2^64, among them products of small and large
+        # primes, and numerators carrying factors of d past what d^e holds
+        d = data.draw(st.one_of(
+            st.integers(2, 2 ** 64),
+            st.sampled_from((1031 * 1033, 1_048_583, 2 ** 54, 2 ** 64, 6 ** 24)),
+            st.lists(st.sampled_from((2, 3, 5, 7, 1031, 1_048_583)), min_size=1,
+                     max_size=6).map(math.prod).filter(lambda d: d <= 2 ** 64)))
+        e = data.draw(st.integers(0, 60))
+        part = math.gcd(d, data.draw(st.one_of(
+            st.sampled_from((2, 3, 5, 7, 1031, 1_048_583, d)), st.integers(1, 2 ** 64))))
+        num = data.draw(st.integers(-(2 ** 300), 2 ** 300))
+        num *= d ** data.draw(st.integers(0, e + 1)) * part ** data.draw(st.integers(0, 3 * e + 2))
+        assert _same_fraction(PowerRatio(RunParams(1, 1, Fraction(1, d)))(num, e),
+                              Fraction(num, d ** e))
 
     def test_float_mode_rounds_like_ratio(self):
         params = RunParams(2, 1, 0.3)

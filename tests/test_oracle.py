@@ -225,24 +225,33 @@ class TestMonteCarlo:
         monkeypatch.setattr(oracle, "_DRAW_BLOCK", block)
         self.assert_matches_scanner(k, r, p, seed, family)
 
-    @pytest.mark.parametrize("k, r, p, family, gap", [
-        (130, 2, 0.995, "type1", 2), (130, 2, 0.995, "type2", 2), (130, 2, 0.995, "overlap", 2),
-        (130, 2, 0.995, "gap", 2), (2, 130, 0.9, "type1", 2), (2, 130, 0.9, "overlap", 2),
-        (2, 130, 0.9, "gap", 2), (127, 2, 0.995, "type1", 2), (127, 2, 0.995, "overlap", 2),
-        (128, 2, 0.995, "type1", 2), (2, 127, 0.9, "type1", 2), (2, 128, 0.9, "type1", 2),
-        (2, 2, 0.9, "gap", 127), (2, 2, 0.9, "gap", 128)])
-    def test_matches_scanner_at_and_past_int8(self, k, r, p, family, gap):
+    INT8_POINTS = [  # k, r, p, family, gap, samples
+        (130, 2, 0.995, "type1", 2, 40), (130, 2, 0.995, "type2", 2, 40),
+        (130, 2, 0.995, "overlap", 2, 40), (130, 2, 0.995, "gap", 2, 40),
+        (2, 130, 0.9, "type1", 2, 40), (2, 130, 0.9, "overlap", 2, 40),
+        (2, 130, 0.9, "gap", 2, 40), (127, 2, 0.995, "type1", 2, 40),
+        (127, 2, 0.995, "overlap", 2, 40), (128, 2, 0.995, "type1", 2, 40),
+        (2, 127, 0.9, "type1", 2, 40), (2, 128, 0.9, "type1", 2, 40),
+        (2, 2, 0.9, "gap", 127, 40), (2, 2, 0.9, "gap", 128, 40),
+        (1, 127, 0.5, "type2", 2, 20), (1, 128, 0.5, "type2", 2, 20),
+        (1, 130, 0.5, "type2", 2, 20), (2, 130, 0.5, "type2", 2, 10)]
+
+    # the ids leave out the samples column
+    @pytest.mark.parametrize("k, r, p, family, gap, samples", INT8_POINTS,
+                             ids=["-".join(map(str, point[:5])) for point in INT8_POINTS])
+    def test_matches_scanner_at_and_past_int8(self, k, r, p, family, gap, samples):
         # k, r and the gap at most 127 keep the progress and the run counts in
         # int8, where progress reaches 127 and a gap of 127 restarts at -127;
         # past 127 int8 would wrap, so they are int32. Few streams, as the
-        # scanner rescans each stream's draws every trial
-        self.assert_matches_scanner(k, r, p, 5, family, samples=40, gap=gap)
+        # scanner rescans each stream's draws every trial; the Type II points
+        # past r = 127 wait longest, so they take fewest
+        self.assert_matches_scanner(k, r, p, 5, family, samples=samples, gap=gap)
 
     @staticmethod
     def assert_matches_scanner(k, r, p, seed, family, samples=300, gap=2):
-        sem = {"type1": TYPE1, "type2": TYPE2,
-               "overlap": CountingSemantics(CountingMode.OVERLAP, overlap=k - 1),
-               "gap": CountingSemantics(CountingMode.GAP, gap=gap)}[family]
+        sem = {"type1": lambda: TYPE1, "type2": lambda: TYPE2,
+               "overlap": lambda: CountingSemantics(CountingMode.OVERLAP, overlap=k - 1),
+               "gap": lambda: CountingSemantics(CountingMode.GAP, gap=gap)}[family]()
         params = RunParams(k, r, p)
         # each trial hands one draw to every still-running stream, in stream
         # order, and a stream stops at the trial where the scanner sees its

@@ -1,7 +1,8 @@
 """Property tests: the exact engines equal the DP oracle bit for bit.
 
 Parameters are drawn beyond the hand-picked grids of the other suites:
-``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``; Muselli
+``k <= 5``, ``r <= 4``, ``p = a/d`` with ``d <= 30`` and ``n <= 60``, and
+every exact table at the prime ``d = 1,048,583``; Muselli
 waiting-time and run-count, double-sum, nested-sum, hypergeometric and
 pgf-expansion tables start anywhere in ``[1, 120]``, ``[0, 100]`` and
 ``[0, 120]``, about half of them at or below 12, and run up to 20 indices.
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 
 from runsdist.core import TYPE1, IndexScheme, RunParams, VariantSpec, support_min
 from runsdist.oracle import CountingMode, CountingSemantics, dp_waiting_time_pmf
-from runsdist.pmf import (ENGINES, MuselliForm, PmfEngine, counts_muselli, pmf_fullsum_ch,
-                          pmf_hyp, pmf_muselli, pmf_nested_sum, pmf_pgf_expansion,
+from runsdist.pmf import (ENGINES, EngineFamily, MuselliForm, PmfEngine, counts_muselli,
+                          pmf_fullsum_ch, pmf_hyp, pmf_muselli, pmf_nested_sum, pmf_pgf_expansion,
                           pmf_recurrence_pg, pmf_table)
 from runsdist.roots import series_pmf
 
@@ -112,6 +113,26 @@ def test_dp_equals_exact_pgf_series_for_every_family(params, data):
     dp = dp_waiting_time_pmf(params, CountingSemantics.from_variant(variant), N_MAX)
     assert _same(dp.values, series_pmf(params, N_MAX, variant).values)
     assert next(n for n, v in dp.items() if v) == support_min(params, variant)
+
+
+EXACT_TYPE1_ENGINES = [spec.engine for spec in ENGINES.values()
+                       if spec.family is EngineFamily.TYPE1 and spec.exact]
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 1_048_582), st.integers(1, N_MAX))
+def test_tables_equal_dp_at_a_prime_denominator_past_2_20(k, r, a, n_max):
+    # d = 1,048,583 is prime, so every value keeps a large power of it; on
+    # the support, where the oracle's entries are fractions too, the types
+    # match as well
+    params = RunParams(k, r, Fraction(a, 1_048_583))
+    for variant, engines in ((TYPE1, EXACT_TYPE1_ENGINES), (VariantSpec.type_ii(), (
+            PmfEngine.MUSELLI_ORIGINAL, PmfEngine.MUSELLI_ALT))):
+        dp = dp_waiting_time_pmf(params, CountingSemantics.from_variant(variant), n_max).values
+        first = support_min(params, variant)
+        for engine in engines:
+            table = pmf_table(params, engine, 1, n_max, variant=variant).values
+            assert table == dp and _same(table[first - 1:], dp[first - 1:]), engine
 
 
 @PROPERTY

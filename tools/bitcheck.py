@@ -3,7 +3,11 @@
 Usage: python tools/bitcheck.py SEED COUNT
 
 Draws COUNT points from SEED: ``k <= 5``, ``r <= 4``, ``p`` either an exact
-``a/d`` with ``d <= 20`` or a float, and an index ``n <= 60``; about one
+``a/d`` with ``d <= 20`` or a float, and an index ``n <= 60``. About one
+exact ``p`` in eight is drawn instead from ``a/(1031·1033)``, ``a/1,048,583``
+(a prime past 2^20) and the exact value of a random double, whose ``d`` is a
+power of two up to 2^57, so exact values keep powers of large primes and of
+big powers of two. About one
 point in eight is deep instead, with ``n`` in ``[200, 600]``, where the power
 ladder of an exact table can pass ``_LADDER_BITS`` and hand its sums to the
 split Horner. A second stream, seeded by SEED and the point's number, draws
@@ -115,7 +119,9 @@ def point(rng: random.Random, mrng: random.Random, crng: random.Random,
     k, r = rng.randint(1, 5), rng.randint(1, 4)
     if rng.random() < 0.5:
         d = rng.randint(2, 20)
-        p = Fraction(rng.randint(1, d - 1), d)
+        if rng.random() < 1 / 8:  # d with prime factors past 2^10, or a double's 2^z
+            d = rng.choice((1031 * 1033, 1_048_583, None))
+        p = Fraction(rng.uniform(0.05, 0.95)) if d is None else Fraction(rng.randint(1, d - 1), d)
     else:
         p = rng.uniform(0.05, 0.95)
     params = RunParams(k, r, p)
@@ -160,6 +166,7 @@ def main(argv: list) -> int:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
     seed, count = map(int, argv)
+    sys.set_int_max_str_digits(0)  # deep exact values over big powers of d print in full
     rng = random.Random(seed)
     for i in range(count):
         print(i, point(rng, random.Random(f"moments:{seed}:{i}"),

@@ -29,9 +29,12 @@ tree's ``src/`` and ``perfbench/``, and it runs every subprocess with
 ``PYTHONDONTWRITEBYTECODE=1``, so each compiles the package from source, as
 a fresh checkout does, while the standard library keeps its installed
 bytecode. Without bytecode a CLI subprocess pays for compiling the package,
-so ``startup_ms`` records per tree the medians of ``STARTUP_RUNS`` runs of
-each of ``STARTUP``: a bare interpreter, the CLI's import and one exact
-``pmf`` command, alternating between the trees.
+so ``startup_ms`` times ``STARTUP_RUNS`` alternating rounds of each of
+``STARTUP`` in both trees: a bare interpreter, the CLI's import and one exact
+``pmf`` command. Per command it records each tree's median and IQR and the
+change's wins over the rounds (ties count for neither). On 2 vCPUs, 15 rounds
+were too few: a bare interpreter's median read 46.3 ms in one tree and
+55.4 ms in the other.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 SEED = 0  # every run's --seed, so both trees run the same op list
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # every subprocess runs cold
-STARTUP_RUNS = 15
+STARTUP_RUNS = 41
 STARTUP = {  # the start-up subprocesses timed in each tree, run with its src/ on the path
     "python": ["-c", "pass"],
     "import": ["-c", "import runsdist.cli"],
@@ -87,7 +90,7 @@ def clear_bytecode(tree: Path) -> None:
 
 
 def startup_ms(trees: dict) -> dict:
-    """Per tree and ``STARTUP`` entry, the median wall time of its subprocess in ms."""
+    """Per ``STARTUP`` entry, both trees' wall-time median and IQR in ms and the change's wins."""
     times = {side: {name: [] for name in STARTUP} for side in trees}
     for i in range(STARTUP_RUNS):
         for side in sorted(trees, reverse=bool(i % 2)):
@@ -98,8 +101,13 @@ def startup_ms(trees: dict) -> dict:
                 subprocess.run([sys.executable, *args], cwd=trees[side], env=env, check=True,
                                stdout=subprocess.DEVNULL)
                 times[side][name].append((time.perf_counter() - start) * 1e3)
-    return {side: {name: statistics.median(t) for name, t in runs.items()}
-            for side, runs in times.items()}
+    out = {}
+    for name in STARTUP:
+        parent, change = times["parent"][name], times["change"][name]
+        out[name] = {"parent_median": statistics.median(parent), "parent_iqr": iqr(parent),
+                     "change_median": statistics.median(change), "change_iqr": iqr(change),
+                     "wins": sum(c < p for p, c in zip(parent, change)), "rounds": STARTUP_RUNS}
+    return out
 
 
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
